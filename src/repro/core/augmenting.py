@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.config import MatchingConfig
 from repro.core.integral import mpc_maximum_matching
+from repro.graph.csr import CSRGraph, as_graph
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
@@ -42,7 +43,7 @@ class AugmentingResult:
 
 
 def one_plus_eps_matching(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     epsilon: float = 0.2,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
@@ -73,8 +74,10 @@ def one_plus_eps_matching(
 
     k = max(1, math.ceil(1.0 / epsilon))
     max_length = 2 * k - 1
+    # The path search walks set-based adjacency; a CSR input is converted
+    # once here.
     improved = improve_matching(
-        graph, matching, max_length, seed=seed, trace=trace
+        as_graph(graph), matching, max_length, seed=seed, trace=trace
     )
     return AugmentingResult(
         matching=improved.matching,

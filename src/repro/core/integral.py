@@ -15,20 +15,51 @@ iterations; measured extraction is vastly better, so the loop simply runs
 until the residual fractional weight is negligible (with a safety cap).
 Following Section 4.4.5, a final small-matching cleanup handles the
 leftover polylog-size matching via the LMSV11 filtering algorithm.
+
+Residual layout.  The residual graph is never copied or mutated: it is
+one vertex mask ``matched`` over the input's canonical CSR edge rows, and
+each pass runs on ``csr.filter_edges(~matched)``.  The rounding walks
+each candidate's edges in the ``edges()`` order of a set-based residual
+(``graph.copy()`` with the matched vertices ``isolate()``-d after every
+pass; the canonical row order for a CSR input), and the outputs are
+byte-pinned to that order:
+
+* deleting from a Python set never reorders the remaining elements, so
+  every pass's residual ``edges()`` order is a subsequence of the
+  copy's first order; :func:`~repro.core.matching_mpc.edge_order` with
+  ``copied=True`` reads that order once, and each pass filters it by the
+  live-edge mask;
+* the per-pass weights come from the array core
+  :func:`~repro.core.matching_mpc.fractional_matching_arrays` as
+  ``(inside, x)`` over the residual's canonical rows and are gathered
+  into residual order.
+
+Float association.  The pass weight is the left-to-right Python ``sum``
+of the weights in residual order.  The candidate loads ``C~`` are one
+``np.bincount`` over the interleaved ``(u0, v0, u1, v1, ...)`` endpoints,
+which adds in exactly the order of the ``FractionalMatching.vertex_loads``
+loop (``bincount(u) + bincount(v)`` would not).  The rounding sums are
+per-candidate sequential (see :func:`~repro.core.rounding.round_edge_arrays`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Union
+
+import numpy as np
 
 from repro.baselines.filtering import filtering_maximal_matching
 from repro.core.config import MatchingConfig
-from repro.core.matching_mpc import mpc_fractional_matching
-from repro.core.rounding import round_fractional_matching
+from repro.core.matching_mpc import (
+    edge_order,
+    fractional_matching_arrays,
+    weights_in_order,
+)
+from repro.core.rounding import round_edge_arrays
+from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph
-from repro.graph.properties import matching_vertices
 from repro.mpc.spec import ClusterSpec
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
@@ -62,7 +93,7 @@ class IntegralMatchingResult:
 
 
 def mpc_maximum_matching(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
     max_passes: Optional[int] = None,
@@ -73,9 +104,9 @@ def mpc_maximum_matching(
     """Compute a ``(2+O(ε))``-approximate integral matching of ``graph``.
 
     ``executor`` (an optional :class:`repro.dist.DistExecutor`) is handed
-    to every per-pass :func:`mpc_fractional_matching` call; rounding and
-    cleanup stay driver-side (their sequential RNG order is load-bearing).
-    A ``governor`` is likewise handed to every pass — its peak-hold
+    to every per-pass fractional solve; rounding and cleanup stay
+    driver-side (their sequential RNG order is load-bearing).  A
+    ``governor`` is likewise handed to every pass — its peak-hold
     estimator persists across passes, so imbalance measured in pass 1
     informs the partition sizing of pass 2.
     """
@@ -87,8 +118,15 @@ def mpc_maximum_matching(
         # generous so the fixed point, not the cap, ends the loop.
         max_passes = max(8, 4 * int(math.log(1.0 / config.epsilon) + 1))
 
+    csr = as_csr(graph)
+    n = csr.num_vertices
+    edges = csr.edge_array()
+    eu = edges[:, 0]
+    ev = edges[:, 1]
+    order = edge_order(graph, csr, copied=True)
+    matched = np.zeros(n, dtype=bool)
+    residual = csr
     matching: Set[Edge] = set()
-    residual = graph.copy()
     rounds = 0
     comm_words = 0
     peak_words = 0
@@ -96,7 +134,7 @@ def mpc_maximum_matching(
     empty_streak = 0
 
     for pass_index in range(max_passes):
-        fractional = mpc_fractional_matching(
+        fractional, inside, x = fractional_matching_arrays(
             residual,
             config=config,
             seed=rng.getrandbits(64),
@@ -107,15 +145,28 @@ def mpc_maximum_matching(
         rounds += fractional.rounds
         comm_words += fractional.total_comm_words
         peak_words = max(peak_words, fractional.peak_words)
-        candidates = fractional.rounding_candidates(config.epsilon)
-        if fractional.weight < 1.0 or not candidates:
-            break
-        extracted = round_fractional_matching(
-            residual,
-            fractional.matching.weights,
-            candidates,
-            seed=rng.getrandbits(64),
+
+        # The residual's rows are the input's live rows; list the weighted
+        # ones in residual edges() order.
+        weighted = np.zeros(len(eu), dtype=bool)
+        weighted[np.flatnonzero(~(matched[eu] | matched[ev]))[inside]] = True
+        rows, wx = weights_in_order(order, weighted, x)
+        wu, wv = eu[rows], ev[rows]
+        weight = sum(wx.tolist())
+
+        ends = np.column_stack((wu, wv)).ravel()
+        loads = np.bincount(ends, weights=np.repeat(wx, 2), minlength=n)
+        # Only vertices with a weighted edge have a load; this matters
+        # when 1 - 5ε <= 0.
+        present = np.bincount(ends, minlength=n) > 0
+        candidates = np.flatnonzero(
+            present & (loads >= 1.0 - 5.0 * config.epsilon)
         )
+        if weight < 1.0 or candidates.size == 0:
+            break
+        extracted = round_edge_arrays(
+            wu, wv, wx, candidates, seed=rng.getrandbits(64)
+        ).matching
         rounds += 1  # rounding is a single local-decision MPC round
         per_pass.append(len(extracted))
         maybe_record(
@@ -123,7 +174,7 @@ def mpc_maximum_matching(
             "integral_pass",
             pass_index=pass_index,
             extracted=len(extracted),
-            fractional_weight=fractional.weight,
+            fractional_weight=weight,
         )
         if not extracted:
             empty_streak += 1
@@ -132,13 +183,13 @@ def mpc_maximum_matching(
             continue
         empty_streak = 0
         matching |= extracted
-        for v in matching_vertices(extracted):
-            residual.isolate(v)
+        matched[[v for edge in extracted for v in edge]] = True
+        residual = csr.filter_edges(~matched)
 
     # Section 4.4.5: the residual optimum is now small; the LMSV11 filtering
     # maximal matching finishes it (maximal => 2-approximate on the residual).
     cleanup = filtering_maximal_matching(
-        residual,
+        Graph(n, residual.edge_list()),
         words_per_machine=ClusterSpec.from_graph(
             graph, config.memory_factor
         ).words_per_machine,

@@ -23,27 +23,52 @@ simulated directly, one round each (Line (4)).
 Hot-path layout: the graph's edge list is materialized **once** into flat
 NumPy arrays (via :class:`~repro.graph.csr.CSRGraph`) and every per-phase
 edge scan — the frozen-load recomputation ``y_old``, the true-load
-aggregation of Line (g), the active-subgraph extraction, and the final
-weight readout — is a vectorized pass over those arrays instead of a
-Python iteration of the adjacency structure.  Freezing decisions go
-through :meth:`ThresholdOracle.crosses`, which only materializes the
+aggregation of Line (g), the active-subgraph extraction, the direct
+simulation, and the final weight readout — is a vectorized pass over
+those arrays.  Freezing decisions go through
+:meth:`ThresholdOracle.crosses_batch`, which only materializes the
 (SHA-derived) threshold when the load estimate lands inside the random
-band.  Both changes are output-preserving: the RNG consumption order
-(machine assignment draws) and every freezing comparison are unchanged.
+band.  The owner draws of Line (d) come from one bulk
+:func:`~repro.utils.rng.randrange_batch` call that reproduces the scalar
+``randrange`` loop value for value and leaves the generator in the same
+state.  :func:`fractional_matching_arrays` is the array core; it returns
+the weights as ``(inside, x)`` over the canonical CSR edge rows, and
+:func:`mpc_fractional_matching` wraps it in the public dict-based result.
+
+Output order.  The weight map is emitted in ``graph.edges()`` order,
+because downstream consumers (the Lemma 5.1 rounding, the total weight)
+iterate it and their results depend on that order.  For a
+:class:`~repro.graph.graph.Graph`, ``edges()`` walks each neighbour set in
+hash-table order; :func:`edge_order` reads that order once from the
+tables into canonical row positions, so the map is built with one gather.
+Removing elements from a Python set never reorders the rest, so the
+order of any edge-deleted copy is a subsequence of the copy's first
+order — the integral driver (:mod:`repro.core.integral`) relies on this.
+
+Float association.  Every float below is computed with the same
+operation order as the scalar reference it replaced, because the outputs
+are byte-pinned:
+
+* loads are ``bincount(eu) + bincount(ev)`` over canonical rows, and each
+  ``bincount`` adds in row order;
+* a direct-simulation iteration adds the same ``w_t`` to every touched
+  accumulator, and repeated additions of one value give the same bits in
+  any order, so the ``np.add.at`` gather equals a per-neighbour loop;
+* estimates are ``(m · deg) · w_t + y_old`` in the compressed phases and
+  ``load + deg · w_t`` in the direct phase.
 
 ``config.rng == "counter"`` (the out-of-core fast path) swaps the
 per-vertex machine-assignment draws and the threshold oracle onto the
-order-free counter generator (:mod:`repro.utils.counter_rng`) and drops
-the O(n) ``surviving`` Python set in favor of the boolean mask.  Counter
-runs are deterministic per seed but not byte-identical to sha runs; the
-sha path is untouched (same draws, same order, same outputs).
+order-free counter generator (:mod:`repro.utils.counter_rng`).  Counter
+runs are deterministic per seed but not byte-identical to sha runs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -51,13 +76,13 @@ from repro.core.config import MatchingConfig
 from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle
 from repro.govern.governor import governed_broadcast
-from repro.graph.csr import CSRGraph, as_csr
+from repro.graph.csr import CSRGraph, as_csr, gather_rows
 from repro.graph.graph import Edge, Graph
 from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import edge_words, id_words
 from repro.utils import counter_rng
-from repro.utils.rng import SeedLike, make_rng
+from repro.utils.rng import SeedLike, make_rng, randrange_batch
 from repro.utils.trace import Trace, maybe_record
 
 # Cap on the phase count, far above the O(log log n) bound; converts a
@@ -172,16 +197,98 @@ def mpc_fractional_matching(
         wave-splits over-budget scatters, and chunks the per-phase
         freeze broadcasts.  Exact pass-through when it never triggers.
     """
+    csr = as_csr(graph)
+    result, inside, x = fractional_matching_arrays(
+        csr,
+        config=config,
+        seed=seed,
+        oracle=oracle,
+        trace=trace,
+        executor=executor,
+        governor=governor,
+    )
+    rows, x = weights_in_order(edge_order(graph, csr), inside, x)
+    edges = csr.edge_array()[rows]
+    weights: Dict[Edge, float] = dict(
+        zip(zip(edges[:, 0].tolist(), edges[:, 1].tolist()), x.tolist())
+    )
+    result.matching = FractionalMatching(
+        graph=graph, weights=weights, vertex_cover=result.vertex_cover
+    )
+    return result
+
+
+def edge_order(
+    graph: Union[Graph, CSRGraph], csr: CSRGraph, copied: bool = False
+) -> np.ndarray:
+    """Rows of ``csr.edge_array()`` listed in ``graph.edges()`` order.
+
+    ``csr`` is ``as_csr(graph)``.  A CSR graph yields its rows in order.
+    A :class:`~repro.graph.graph.Graph` yields, for each ``u`` ascending,
+    the neighbours ``v > u`` in the hash-table order of ``u``'s set; the
+    tables are read once with C-level ``array.extend``.  ``copied=True``
+    gives the order of ``graph.copy().edges()`` instead: ``set(s)`` can lay
+    out a different table than ``s`` had.
+    """
+    if isinstance(graph, CSRGraph):
+        return np.arange(csr.num_edges, dtype=np.int64)
+    n = graph.num_vertices
+    buffer = array("q")
+    degrees = np.empty(n, dtype=np.int64)
+    for v in range(n):
+        row = graph.neighbors_view(v)
+        if copied:
+            row = set(row)
+        buffer.extend(row)
+        degrees[v] = len(row)
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    dst = np.frombuffer(buffer, dtype=np.int64)
+    forward = src < dst
+    canonical = csr.edge_array()
+    return np.searchsorted(
+        canonical[:, 0] * n + canonical[:, 1], src[forward] * n + dst[forward]
+    )
+
+
+def weights_in_order(
+    order: np.ndarray, inside: np.ndarray, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The weighted rows listed in ``order``, and their weights.
+
+    ``inside`` marks the weighted rows and ``x`` holds their weights in
+    ascending row order; ``order`` comes from :func:`edge_order`.
+    """
+    x_of = np.zeros(len(inside), dtype=np.float64)
+    x_of[inside] = x
+    rows = order[inside[order]]
+    return rows, x_of[rows]
+
+
+def fractional_matching_arrays(
+    csr: CSRGraph,
+    config: Optional[MatchingConfig] = None,
+    seed: SeedLike = None,
+    oracle: Optional[ThresholdOracle] = None,
+    trace: Optional[Trace] = None,
+    executor=None,
+    governor=None,
+) -> Tuple[MatchingMPCResult, np.ndarray, np.ndarray]:
+    """The array core of :func:`mpc_fractional_matching` on a CSR graph.
+
+    Returns ``(result, inside, x)``: ``inside`` marks the rows of
+    ``csr.edge_array()`` whose endpoints both survived, and ``x`` holds
+    their weights in row order.  ``result.matching.weights`` is left
+    empty; callers build the edge order they need from the arrays.
+    """
     config = config or MatchingConfig()
     epsilon = config.epsilon
     rng = make_rng(seed)
-    n = graph.num_vertices
+    n = csr.num_vertices
 
-    if n == 0 or graph.num_edges == 0:
-        empty = FractionalMatching(graph=graph, weights={}, vertex_cover=set())
-        return MatchingMPCResult(
-            matching=empty, rounds=0, phases=0, iterations=0
-        )
+    if n == 0 or csr.num_edges == 0:
+        empty = FractionalMatching(graph=csr, weights={}, vertex_cover=set())
+        result = MatchingMPCResult(matching=empty, rounds=0, phases=0, iterations=0)
+        return result, np.zeros(csr.num_edges, dtype=bool), np.empty(0)
 
     if oracle is None:
         oracle = ThresholdOracle(
@@ -193,7 +300,7 @@ def mpc_fractional_matching(
     growth = 1.0 / (1.0 - epsilon)
     w0 = (1.0 - 2.0 * epsilon) / n
 
-    spec = ClusterSpec.from_graph(graph, config.memory_factor, machines="sqrt")
+    spec = ClusterSpec.from_graph(csr, config.memory_factor, machines="sqrt")
     cluster = spec.build_cluster(trace=trace)
     if governor is not None:
         governor.bind(cluster)
@@ -209,7 +316,6 @@ def mpc_fractional_matching(
 
     # One-time edge materialization: every per-phase scan below is a flat
     # pass over these canonical (u < v) endpoint arrays.
-    csr = as_csr(graph)
     edge_array = csr.edge_array()
     eu = np.ascontiguousarray(edge_array[:, 0])
     ev = np.ascontiguousarray(edge_array[:, 1])
@@ -222,9 +328,7 @@ def mpc_fractional_matching(
 
         governor.estimator.prime(load_summary(csr))
 
-    # The paper's V'.  Counter mode keeps only the mask — a 10M-vertex
-    # Python set costs ~500 MB and O(n) hashing per phase.
-    surviving: Optional[Set[int]] = None if counter_mode else set(range(n))
+    # The paper's V'.
     surviving_mask = np.ones(n, dtype=bool)
     freeze_iteration: Dict[int, int] = {}
     freeze_at = np.full(n, _NEVER, dtype=np.int64)
@@ -246,13 +350,9 @@ def mpc_fractional_matching(
     while d > floor:
         if phases >= _MAX_PHASES:
             raise RuntimeError("MPC-Simulation exceeded the phase cap")
-        if counter_mode:
-            # freeze_at is synced with freeze_iteration at the end of every
-            # phase, so the mask form is exactly "surviving and unfrozen".
-            active_ids = np.flatnonzero(surviving_mask & (freeze_at == _NEVER))
-        else:
-            active = [v for v in surviving if v not in freeze_iteration]
-            active_ids = np.asarray(active, dtype=np.int64)
+        # freeze_at is synced with freeze_iteration at the end of every
+        # phase, so this is "surviving and unfrozen", ascending.
+        active_ids = np.flatnonzero(surviving_mask & (freeze_at == _NEVER))
         active_mask = np.zeros(n, dtype=bool)
         active_mask[active_ids] = True
 
@@ -288,37 +388,31 @@ def mpc_fractional_matching(
 
         # Line (d): i.i.d. random vertex partitioning; one exchange ships
         # each induced subgraph (memory validated by the substrate).  The
-        # sha draw order over ``active`` is load-bearing for
-        # reproducibility; counter mode evaluates the same partition as a
-        # pure function of (owner_key, phase, vertex) in one array pass.
-        # Under governance the draw is retried with a doubled part count
-        # when multinomial variance lands one induced subgraph over the
-        # soft budget anyway (nothing has shipped yet); the ungoverned
-        # path runs the body exactly once.
+        # sha owner draws run over ``active_ids`` in ascending order (the
+        # order is load-bearing for reproducibility); counter mode
+        # evaluates the same partition as a pure function of
+        # (owner_key, phase, vertex).  Under governance the draw is
+        # retried with a doubled part count when multinomial variance
+        # lands one induced subgraph over the soft budget anyway (nothing
+        # has shipped yet); the ungoverned path runs the body exactly once.
         while True:
-            owner_of = np.full(n, -1, dtype=np.int64)
-            parts: List[Sequence[int]]
             if counter_mode:
                 owner_vals = counter_rng.integers(
                     owner_key, active_ids, phases, num_machines
                 )
-                owner_of[active_ids] = owner_vals
-                grouping = np.argsort(owner_vals, kind="stable")
-                sorted_ids = active_ids[grouping]
-                part_counts = np.bincount(owner_vals, minlength=num_machines)
-                bounds = np.zeros(num_machines + 1, dtype=np.int64)
-                np.cumsum(part_counts, out=bounds[1:])
-                parts = [
-                    sorted_ids[bounds[index] : bounds[index + 1]]
-                    for index in range(num_machines)
-                ]
             else:
-                owner = {v: rng.randrange(num_machines) for v in active}
-                parts = [[] for _ in range(num_machines)]
-                for v in active:
-                    parts[owner[v]].append(v)
-                if active:
-                    owner_of[active] = [owner[v] for v in active]
+                owner_vals = randrange_batch(rng, num_machines, len(active_ids))
+            owner_of = np.full(n, -1, dtype=np.int64)
+            owner_of[active_ids] = owner_vals
+            grouping = np.argsort(owner_vals, kind="stable")
+            sorted_ids = active_ids[grouping]
+            part_counts = np.bincount(owner_vals, minlength=num_machines)
+            bounds = np.zeros(num_machines + 1, dtype=np.int64)
+            np.cumsum(part_counts, out=bounds[1:])
+            parts = [
+                sorted_ids[bounds[index] : bounds[index + 1]]
+                for index in range(num_machines)
+            ]
 
             # Same-machine active edges, grouped by machine in one sort.
             same = owner_of[active_u] == owner_of[active_v]
@@ -362,14 +456,13 @@ def mpc_fractional_matching(
             for index, part in enumerate(parts):
                 if len(part) == 0:
                     continue
-                part_ids = np.asarray(part, dtype=np.int64)
                 lo, hi = boundaries[index], boundaries[index + 1]
                 tasks.append(
                     (
-                        part_ids,
+                        part,
                         local_of[local_u[lo:hi]],
                         local_of[local_v[lo:hi]],
-                        y_old[part_ids],
+                        y_old[part],
                     )
                 )
             results = executor.map_tasks(
@@ -425,8 +518,6 @@ def mpc_fractional_matching(
         over_one = np.flatnonzero(surviving_mask & (loads > 1.0))
         surviving_mask[over_one] = False
         heavy_removed.update(over_one.tolist())
-        if surviving is not None:
-            surviving.difference_update(over_one.tolist())
         if over_one.size:
             loads = vertex_loads(t)
         newly_frozen = np.flatnonzero(
@@ -451,64 +542,28 @@ def mpc_fractional_matching(
 
     # Line (4): direct simulation of the remaining Central-Rand iterations.
     t_before_direct = t
-    if executor is not None and executor.distributed:
-        t = _direct_simulation_dist(
-            csr=csr,
-            eu=eu,
-            ev=ev,
-            surviving_mask=surviving_mask,
-            freeze_at=freeze_at,
-            freeze_iteration=freeze_iteration,
-            oracle=oracle,
-            cluster=cluster,
-            start_iteration=t,
-            w0=w0,
-            growth=growth,
-            max_iterations=config.max_direct_iterations,
-            vertex_loads=vertex_loads,
-            executor=executor,
-        )
-    else:
-        t = _direct_simulation(
-            eu=eu,
-            ev=ev,
-            surviving_mask=surviving_mask,
-            freeze_at=freeze_at,
-            freeze_iteration=freeze_iteration,
-            oracle=oracle,
-            cluster=cluster,
-            start_iteration=t,
-            w0=w0,
-            growth=growth,
-            max_iterations=config.max_direct_iterations,
-            vertex_loads=vertex_loads,
-        )
+    t = _direct_simulation(
+        csr=csr,
+        eu=eu,
+        ev=ev,
+        surviving_mask=surviving_mask,
+        freeze_at=freeze_at,
+        freeze_iteration=freeze_iteration,
+        oracle=oracle,
+        cluster=cluster,
+        start_iteration=t,
+        w0=w0,
+        growth=growth,
+        max_iterations=config.max_direct_iterations,
+        vertex_loads=vertex_loads,
+        executor=executor,
+    )
 
     inside = surviving_mask[eu] & surviving_mask[ev]
-    wu = eu[inside]
-    wv = ev[inside]
-    x = _edge_weights(freeze_at, wu, wv, t, w0, growth)
-    computed: Dict[Edge, float] = {
-        (u, v): value
-        for u, v, value in zip(wu.tolist(), wv.tolist(), x.tolist())
-    }
-    # Re-emit in graph.edges() order: downstream consumers (the Lemma 5.1
-    # rounding) iterate this dict and draw randomness per edge, so the
-    # insertion order is part of the reproducible behavior.  For CSR inputs
-    # ``computed`` is already built in canonical ascending order — exactly
-    # what ``CSRGraph.edges()`` yields — so the pass is the identity and is
-    # skipped (it would cost an O(m) Python iteration per solve).
-    weights: Dict[Edge, float]
-    if isinstance(graph, CSRGraph):
-        weights = computed
-    else:
-        weights = {
-            edge: computed[edge] for edge in graph.edges() if edge in computed
-        }
+    x = _edge_weights(freeze_at, eu[inside], ev[inside], t, w0, growth)
     cover = set(freeze_iteration) | heavy_removed
-    matching = FractionalMatching(graph=graph, weights=weights, vertex_cover=cover)
-    return MatchingMPCResult(
-        matching=matching,
+    result = MatchingMPCResult(
+        matching=FractionalMatching(graph=csr, weights={}, vertex_cover=cover),
         rounds=cluster.rounds,
         phases=phases,
         iterations=t,
@@ -520,6 +575,7 @@ def mpc_fractional_matching(
         total_comm_words=cluster.total_comm_words,
         peak_words=max(cluster.peak_words(), cluster.peak_transient_words),
     )
+    return result, inside, x
 
 
 def _ship_partitions(
@@ -702,95 +758,6 @@ def _machine_insertions(
 
 
 def _direct_simulation(
-    eu: np.ndarray,
-    ev: np.ndarray,
-    surviving_mask: np.ndarray,
-    freeze_at: np.ndarray,
-    freeze_iteration: Dict[int, int],
-    oracle: ThresholdOracle,
-    cluster: MPCCluster,
-    start_iteration: int,
-    w0: float,
-    growth: float,
-    max_iterations: int,
-    vertex_loads,
-) -> int:
-    """Line (4): simulate Central-Rand directly, one MPC round per iteration.
-
-    Returns the final global iteration counter.
-    """
-    t = start_iteration
-    n = len(surviving_mask)
-    # Unfrozen survivors with at least one unfrozen surviving neighbor —
-    # one vectorized degree scan instead of a per-vertex adjacency walk.
-    unfrozen = surviving_mask & (freeze_at == _NEVER)
-    live_edge = unfrozen[eu] & unfrozen[ev]
-    live_degree = np.bincount(eu[live_edge], minlength=n) + np.bincount(
-        ev[live_edge], minlength=n
-    )
-    initially_active = np.flatnonzero(unfrozen & (live_degree > 0))
-    active = set(initially_active.tolist())
-    active_degree = np.zeros(n, dtype=np.int64)
-    active_degree[initially_active] = live_degree[initially_active]
-    frozen_load = np.zeros(n, dtype=np.float64)
-    loads = vertex_loads(t)
-    # Same association as the historical scalar path:
-    # loads[v] - (deg * w0) * growth**t.
-    frozen_load[initially_active] = loads[initially_active] - (
-        active_degree[initially_active] * w0
-    ) * (growth**t)
-
-    # Neighbor lists restricted to the initially-active set; the direct
-    # loop below only ever looks at active-active adjacency.
-    neighbors: Dict[int, List[int]] = {v: [] for v in active}
-    au = eu[live_edge]
-    av = ev[live_edge]
-    for a, b in zip(au.tolist(), av.tolist()):
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-
-    steps = 0
-    while active:
-        if steps >= max_iterations:
-            raise RuntimeError(
-                "direct Central-Rand simulation exceeded its iteration cap"
-            )
-        w_t = w0 * growth**t
-        # One crosses_batch call per iteration instead of per-vertex oracle
-        # queries; in-band thresholds are materialized in one batched
-        # hashing pass.  Decisions match the scalar loop exactly.
-        act = np.fromiter(active, dtype=np.int64, count=len(active))
-        estimates = frozen_load[act] + active_degree[act] * w_t
-        to_freeze = act[oracle.crosses_batch(act, t, estimates)].tolist()
-        newly = set(to_freeze)
-        for v in to_freeze:
-            freeze_iteration[v] = t
-            freeze_at[v] = t
-            active.discard(v)
-        for v in to_freeze:
-            for u in neighbors[v]:
-                if u in newly:
-                    if u < v:
-                        continue
-                    frozen_load[v] += w_t
-                    frozen_load[u] += w_t
-                    active_degree[v] -= 1
-                    active_degree[u] -= 1
-                elif u in active:
-                    frozen_load[u] += w_t
-                    active_degree[u] -= 1
-                    frozen_load[v] += w_t
-                    active_degree[v] -= 1
-        for v in list(active):
-            if active_degree[v] == 0:
-                active.discard(v)
-        t += 1
-        steps += 1
-        cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
-    return t
-
-
-def _direct_simulation_dist(
     csr: CSRGraph,
     eu: np.ndarray,
     ev: np.ndarray,
@@ -804,38 +771,25 @@ def _direct_simulation_dist(
     growth: float,
     max_iterations: int,
     vertex_loads,
-    executor,
+    executor=None,
 ) -> int:
-    """Line (4) on the distributed executor — same outputs, same rounds.
+    """Line (4): simulate Central-Rand directly, one MPC round per iteration.
 
-    The vertex range is partitioned contiguously over the workers; each
-    worker owns the mutable per-vertex state (active flag, active degree,
-    frozen load) for its slice and reads the immutable CSR adjacency from
-    shared memory.  Per iteration the driver broadcasts the previous
-    iteration's global freeze list, allreduces the surviving active
-    counts, and merges the newly-frozen ids — charging exactly one
-    cluster round per executed iteration, like the sequential loop.
-
-    Byte-identity with :func:`_direct_simulation` (the parity suite
-    enforces it):
-
-    * the CSR rows filtered by the initially-active mask are exactly the
-      sequential live-adjacency lists (``eu``/``ev`` come from this CSR,
-      and a full-CSR edge with both endpoints initially active is by
-      definition a live edge);
-    * all load increments within one iteration equal ``w_t``, and
-      ``np.add.at`` performs a per-accumulator sequence of equal-value
-      additions — bit-identical floats regardless of order;
-    * updates landing on initially-active but since-frozen (or
-      zero-removed) cells diverge from the sequential arrays, but those
-      cells are never read again;
-    * termination and the iteration cap gate on the allreduced count
-      *before* any round is charged or any freeze applied, mirroring the
-      sequential ``while active`` / cap checks.
+    Returns the final global iteration counter.  Every iteration is one
+    :func:`direct_step` over the vertex range.  In process, one state
+    owns all of ``[0, n)``.  With a distributed executor, the range is
+    partitioned contiguously over the workers; each worker owns the
+    mutable per-vertex state (active flag, active degree, frozen load)
+    for its slice and reads the immutable CSR adjacency from shared
+    memory.  Per iteration the driver broadcasts the previous iteration's
+    global freeze list, sums the surviving active counts, and merges the
+    newly-frozen ids — charging exactly one cluster round per executed
+    iteration.  The two paths run the same arithmetic on the same cells,
+    so their outputs are identical (the parity suite enforces it).
     """
     t = start_iteration
     n = len(surviving_mask)
-    # Identical initialization to the sequential path.
+    # Unfrozen survivors with at least one unfrozen surviving neighbor.
     unfrozen = surviving_mask & (freeze_at == _NEVER)
     live_edge = unfrozen[eu] & unfrozen[ev]
     live_degree = np.bincount(eu[live_edge], minlength=n) + np.bincount(
@@ -849,9 +803,25 @@ def _direct_simulation_dist(
     active_degree[active_ids] = live_degree[active_ids]
     frozen_load = np.zeros(n, dtype=np.float64)
     loads = vertex_loads(t)
+    # Association: loads[v] - (deg * w0) * growth**t.
     frozen_load[active_ids] = loads[active_ids] - (
         active_degree[active_ids] * w0
     ) * (growth**t)
+
+    if executor is None or not executor.distributed:
+        state = direct_state(
+            0, n, initially_active, active_degree, frozen_load, oracle, w0, growth
+        )
+        return _direct_loop(
+            lambda now, prev: [
+                direct_step(state, csr.indptr, csr.indices, now, prev)
+            ],
+            t,
+            freeze_at,
+            freeze_iteration,
+            cluster,
+            max_iterations,
+        )
 
     key = executor.open_session(
         "matching-direct", {"indptr": csr.indptr, "indices": csr.indices}
@@ -871,35 +841,129 @@ def _direct_simulation_dist(
             }
             for lo, hi in executor.partition(n)
         ]
-        counts = executor.scatter_step(
+        executor.scatter_step(
             "matching.direct_init", payloads, phase="direct-simulation"
         )
-        total = sum(counts)
-        prev = np.empty(0, dtype=np.int64)
-        steps = 0
-        while total:
-            results = executor.broadcast_step(
+        return _direct_loop(
+            lambda now, prev: executor.broadcast_step(
                 "matching.direct_step",
-                {"session": key, "t": t, "prev": prev},
+                {"session": key, "t": now, "prev": prev},
                 phase="direct-simulation",
-            )
-            total = sum(count for _, count in results)
-            if total == 0:
-                # Everyone went inactive while applying the previous
-                # iteration's freezes: the sequential loop would have
-                # exited at the top without charging this round.
-                break
-            if steps >= max_iterations:
-                raise RuntimeError(
-                    "direct Central-Rand simulation exceeded its iteration cap"
-                )
-            prev = np.concatenate([newly for newly, _ in results])
-            freeze_at[prev] = t
-            for v in prev.tolist():
-                freeze_iteration[v] = t
-            t += 1
-            steps += 1
-            cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
+            ),
+            t,
+            freeze_at,
+            freeze_iteration,
+            cluster,
+            max_iterations,
+        )
     finally:
         executor.close_session(key)
-    return t
+
+
+def _direct_loop(
+    step,
+    t: int,
+    freeze_at: np.ndarray,
+    freeze_iteration: Dict[int, int],
+    cluster: MPCCluster,
+    max_iterations: int,
+) -> int:
+    """Drive ``step(t, prev) -> [(newly, active_count), ...]`` to the end.
+
+    Termination and the iteration cap gate on the summed active count
+    *before* any round is charged or any freeze applied: a step that
+    finds every vertex inactive ends the loop without charging a round.
+    """
+    prev = np.empty(0, dtype=np.int64)
+    steps = 0
+    while True:
+        results = step(t, prev)
+        if sum(count for _, count in results) == 0:
+            return t
+        if steps >= max_iterations:
+            raise RuntimeError(
+                "direct Central-Rand simulation exceeded its iteration cap"
+            )
+        prev = np.concatenate([newly for newly, _ in results])
+        freeze_at[prev] = t
+        freeze_iteration.update(dict.fromkeys(prev.tolist(), t))
+        t += 1
+        steps += 1
+        cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
+
+
+def direct_state(
+    lo: int,
+    hi: int,
+    init_mask: np.ndarray,
+    degree: np.ndarray,
+    load: np.ndarray,
+    oracle: ThresholdOracle,
+    w0: float,
+    growth: float,
+) -> Dict[str, object]:
+    """Mutable direct-simulation state for the owned vertex slice ``[lo, hi)``.
+
+    ``init_mask`` is the full initially-active mask; ``degree`` and
+    ``load`` are the owned slices (copied).
+    """
+    return {
+        "lo": lo,
+        "hi": hi,
+        # Filters adjacency rows to the live active-active edges.
+        "init_mask": init_mask,
+        "active": init_mask[lo:hi].copy(),
+        "degree": np.array(degree, dtype=np.int64),
+        "load": np.array(load, dtype=np.float64),
+        "oracle": oracle,
+        "w0": float(w0),
+        "growth": float(growth),
+    }
+
+
+def direct_step(
+    state: Dict, indptr: np.ndarray, indices: np.ndarray, t: int, prev: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """One direct Central-Rand iteration on the owned slice of ``state``.
+
+    1. *Apply* the previous iteration's global freeze list ``prev``:
+       every occurrence of an owned vertex in a newly-frozen vertex's
+       adjacency row adds ``w_{t-1}`` to its frozen load and decrements
+       its active degree.  Rows are filtered by the initially-active
+       mask, which leaves exactly the live edges (an edge with both
+       endpoints initially active is live).  All increments of one step
+       are the same value, so ``np.add.at`` gives the bits a
+       per-neighbour loop would, in any order.
+    2. Drop owned vertices whose active degree reached zero.
+    3. If none is left, return ``(empty, 0)``: the caller ends the loop
+       before charging a round.
+    4. *Decide* iteration ``t`` with one batched oracle call and return
+       the newly-frozen owned ids (ascending) and the active count.
+
+    Updates land on every initially-active occurrence, including
+    vertices that already froze or went inactive.  Those never re-enter
+    the active set, so their (divergent) cells are never read.
+    """
+    lo = state["lo"]
+    hi = state["hi"]
+    if prev.size:
+        w_prev = state["w0"] * state["growth"] ** (t - 1)
+        hits = gather_rows(indices, indptr, prev)
+        hits = hits[state["init_mask"][hits]]
+        own = hits[(hits >= lo) & (hits < hi)] - lo
+        if own.size:
+            np.add.at(state["load"], own, w_prev)
+            np.subtract.at(state["degree"], own, 1)
+        state["active"] &= state["degree"] != 0
+
+    count = int(np.count_nonzero(state["active"]))
+    if count == 0:
+        return prev[:0], 0
+
+    w_t = state["w0"] * state["growth"] ** t
+    local = np.flatnonzero(state["active"])
+    estimates = state["load"][local] + state["degree"][local] * w_t
+    act = local + lo
+    newly = act[state["oracle"].crosses_batch(act, t, estimates)]
+    state["active"][newly - lo] = False
+    return newly, count

@@ -20,11 +20,12 @@ round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Iterable, Mapping, Set
 
-from repro.graph.graph import Edge, Graph, canonical_edge
+import numpy as np
+
+from repro.graph.graph import Edge, Graph
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import require
 
 # The paper's dampening constant: proposals fire with probability x_e / 10.
 PROPOSAL_DAMPENING = 10.0
@@ -59,56 +60,87 @@ def round_fractional_matching_detailed(
     candidates: Iterable[int],
     seed: SeedLike = None,
 ) -> RoundingOutcome:
-    """As :func:`round_fractional_matching` but with process statistics."""
-    rng = make_rng(seed)
-    candidate_list = sorted(set(candidates))
-    incident: Dict[int, List[Tuple[int, float]]] = {v: [] for v in candidate_list}
-    candidate_set = set(candidate_list)
-    for (u, v), x in weights.items():
-        if x <= 0.0:
-            continue
-        if u in candidate_set:
-            incident[u].append((v, x))
-        if v in candidate_set:
-            incident[v].append((u, x))
+    """As :func:`round_fractional_matching` but with process statistics.
 
-    proposed: Set[Edge] = set()
-    touch_count: Dict[int, int] = {}
-    for v in candidate_list:
-        choice = _draw_proposal(incident[v], rng)
-        if choice is None:
-            continue
-        edge = canonical_edge(v, choice)
-        if edge in proposed:
-            continue  # u and v proposed the same edge; count it once
-        proposed.add(edge)
-        for endpoint in edge:
-            touch_count[endpoint] = touch_count.get(endpoint, 0) + 1
-
-    good: Set[Edge] = {
-        edge
-        for edge in proposed
-        if touch_count[edge[0]] == 1 and touch_count[edge[1]] == 1
-    }
-    return RoundingOutcome(
-        matching=good,
-        proposals=len(proposed),
-        collisions=len(proposed) - len(good),
+    The map's iteration order is the proposal order (see
+    :func:`round_edge_arrays`).
+    """
+    edges = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+    x = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+    return round_edge_arrays(
+        edges[:, 0],
+        edges[:, 1],
+        x,
+        np.array(sorted(set(candidates)), dtype=np.int64),
+        seed,
     )
 
 
-def _draw_proposal(
-    incident: List[Tuple[int, float]], rng
-) -> Optional[int]:
-    """Sample ``X_v``: neighbor ``u`` w.p. ``x_{uv}/10``, else ``None``.
+def round_edge_arrays(
+    eu: np.ndarray,
+    ev: np.ndarray,
+    x: np.ndarray,
+    candidates: np.ndarray,
+    seed: SeedLike = None,
+) -> RoundingOutcome:
+    """Lemma 5.1 rounding over edge arrays ``(eu, ev, x)``.
 
-    The incident weights sum to at most 1, so the null probability is at
-    least ``1 - 1/10``.
+    ``candidates`` is ``C~``, sorted ascending without repeats.  Each
+    candidate ``v``, in that order, draws one ``rng.random()`` roll and
+    walks its incident positive-weight edges in array order, adding
+    ``x / 10`` to a running sum; it proposes the first neighbour whose sum
+    exceeds the roll, or nothing.  The running sums are accumulated one
+    incident position at a time across all candidates, so each
+    candidate's sum is the same sequence of float additions as the scalar
+    walk (a global cumsum minus offsets would change low bits).
     """
-    roll = rng.random()
-    cumulative = 0.0
-    for u, x in incident:
-        cumulative += x / PROPOSAL_DAMPENING
-        if roll < cumulative:
-            return u
-    return None
+    if len(candidates) == 0:
+        return RoundingOutcome(matching=set(), proposals=0, collisions=0)
+    random = make_rng(seed).random
+    rolls = np.array([random() for _ in range(len(candidates))], dtype=np.float64)
+
+    # Incident entries: each edge offers itself to u, then to v, in edge
+    # order; a stable sort groups them by candidate without reordering.
+    keep = x > 0.0
+    ends = np.column_stack((eu[keep], ev[keep])).ravel()
+    others = np.column_stack((ev[keep], eu[keep])).ravel()
+    shares = np.repeat(x[keep] / PROPOSAL_DAMPENING, 2)
+    group = np.minimum(np.searchsorted(candidates, ends), len(candidates) - 1)
+    offered = candidates[group] == ends
+    order = np.argsort(group[offered], kind="stable")
+    group = group[offered][order]
+    others = others[offered][order]
+    shares = shares[offered][order]
+    counts = np.bincount(group, minlength=len(candidates))
+    starts = np.cumsum(counts) - counts
+
+    # Sweep incident positions; ``longest`` lists candidates by count,
+    # so the ones with a p-th entry are a prefix of it.
+    longest = np.argsort(-counts, kind="stable")
+    sorted_counts = counts[longest]
+    cumulative = np.zeros(len(candidates), dtype=np.float64)
+    chosen = np.zeros(len(candidates), dtype=bool)
+    partner = np.zeros(len(candidates), dtype=np.int64)
+    for position in range(int(counts.max(initial=0))):
+        rows = longest[: np.count_nonzero(sorted_counts > position)]
+        slots = starts[rows] + position
+        cumulative[rows] += shares[slots]
+        fired = ~chosen[rows] & (rolls[rows] < cumulative[rows])
+        chosen[rows[fired]] = True
+        partner[rows[fired]] = others[slots[fired]]
+
+    # H: distinct proposed edges (an edge proposed by both endpoints
+    # counts once); an edge is good when no other edge of H touches it.
+    lo = np.minimum(candidates[chosen], partner[chosen])
+    hi = np.maximum(candidates[chosen], partner[chosen])
+    proposed = np.unique(np.column_stack((lo, hi)), axis=0)
+    _, slot_of, touches = np.unique(
+        proposed.ravel(), return_inverse=True, return_counts=True
+    )
+    good = (touches[slot_of].reshape(-1, 2) == 1).all(axis=1)
+    matching = set(zip(proposed[good, 0].tolist(), proposed[good, 1].tolist()))
+    return RoundingOutcome(
+        matching=matching,
+        proposals=len(proposed),
+        collisions=len(proposed) - len(matching),
+    )

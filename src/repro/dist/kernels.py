@@ -8,6 +8,7 @@ free of code objects.
 
 The solver kernels here wrap the *existing* machine-local MPC phase logic
 — :func:`repro.core.matching_mpc._machine_insertions`,
+:func:`repro.core.matching_mpc.direct_step`,
 :func:`repro.core.greedy_mis.greedy_mis_on_prefix_csr`,
 :func:`repro.baselines.filtering.filtering_maximal_matching` — unchanged;
 the distributed executor only changes *where* those units run, never what
@@ -196,94 +197,43 @@ def _matching_machines(ctx, payload: Any) -> List[List[Tuple[int, int]]]:
 # ---------------------------------------------------------------------------
 #
 # The driver partitions the vertex range over the workers.  Each worker
-# owns the mutable per-vertex state (active flag, active degree, frozen
-# load) for its slice and reads the immutable CSR adjacency from the
-# session's shared arrays.  One step per iteration:
-#
-#   1. *apply* the previous iteration's global freeze list: every
-#      occurrence of an owned vertex in a newly-frozen vertex's (active-
-#      filtered) adjacency row adds the previous weight w_{t-1} to its
-#      frozen load and decrements its active degree — ``np.add.at`` with
-#      repeated indices performs the same per-accumulator sequence of
-#      equal-value additions as the sequential neighbor loop, so the
-#      float results are bit-identical;
-#   2. drop owned vertices whose active degree reached zero;
-#   3. report the owned active count (the driver's allreduce decides
-#      termination and round charging *before* consuming decisions);
-#   4. *decide* iteration t through the same ThresholdOracle batch call
-#      the sequential path uses and return the newly-frozen owned ids.
-#
-# Updates land unconditionally on every initially-active occurrence:
-# vertices that already froze or went inactive can never re-enter the
-# active set, so their (divergent) load/degree cells are never read —
-# only currently-active cells matter, and those receive exactly the
-# sequential increments.
+# owns the mutable per-vertex state for its slice and reads the immutable
+# CSR adjacency from the session's shared arrays.  One step per
+# iteration runs :func:`repro.core.matching_mpc.direct_step` — the same
+# function the in-process path calls on the whole range.
 
 
 @kernel("matching.direct_init", stateful=True)
 def _direct_init(ctx, payload: Any) -> int:
+    from repro.core.matching_mpc import direct_state
+
     session = ctx.session(payload["session"])
-    lo = int(payload["lo"])
-    hi = int(payload["hi"])
-    active_mask = np.asarray(payload["active"], dtype=bool)
-    state = {
-        "lo": lo,
-        "hi": hi,
-        # Full initially-active mask: filters adjacency rows to the live
-        # active-active edges the sequential neighbor lists contain.
-        "init_mask": active_mask,
-        "active": active_mask[lo:hi].copy(),
-        "degree": np.array(payload["degree"], dtype=np.int64),
-        "load": np.array(payload["load"], dtype=np.float64),
-        "oracle": payload["oracle"],
-        "w0": float(payload["w0"]),
-        "growth": float(payload["growth"]),
-    }
+    state = direct_state(
+        int(payload["lo"]),
+        int(payload["hi"]),
+        np.asarray(payload["active"], dtype=bool),
+        payload["degree"],
+        payload["load"],
+        payload["oracle"],
+        payload["w0"],
+        payload["growth"],
+    )
     session.state["direct"] = state
     return int(state["active"].sum())
 
 
 @kernel("matching.direct_step", stateful=True)
 def _direct_step(ctx, payload: Any) -> Tuple[np.ndarray, int]:
+    from repro.core.matching_mpc import direct_step
+
     session = ctx.session(payload["session"])
-    state = session.state["direct"]
-    indptr = session.arrays["indptr"]
-    indices = session.arrays["indices"]
-    lo = state["lo"]
-    hi = state["hi"]
-    t = int(payload["t"])
-    prev = np.asarray(payload["prev"], dtype=np.int64)
-
-    if prev.size:
-        w_prev = state["w0"] * state["growth"] ** (t - 1)
-        # Vectorized multi-row CSR gather of every neighbor of prev.
-        # Order within `hits` is irrelevant: all increments this step
-        # equal w_prev, and equal-value np.add.at accumulation is
-        # bitwise order-independent per cell (see the header comment).
-        starts = indptr[prev]
-        counts = indptr[prev + 1] - starts
-        ends_cum = np.cumsum(counts)
-        total = int(ends_cum[-1]) if counts.size else 0
-        bases = np.repeat(starts - (ends_cum - counts), counts)
-        hits = indices[bases + np.arange(total, dtype=np.int64)]
-        hits = hits[state["init_mask"][hits]]
-        own = hits[(hits >= lo) & (hits < hi)] - lo
-        if own.size:
-            np.add.at(state["load"], own, w_prev)
-            np.subtract.at(state["degree"], own, 1)
-        state["active"] &= state["degree"] != 0
-
-    count = int(state["active"].sum())
-    if count == 0:
-        return prev[:0], 0
-
-    w_t = state["w0"] * state["growth"] ** t
-    act = np.flatnonzero(state["active"]).astype(np.int64) + lo
-    estimates = state["load"][act - lo] + state["degree"][act - lo] * w_t
-    crossed = state["oracle"].crosses_batch(act, t, estimates)
-    newly = act[crossed]
-    state["active"][newly - lo] = False
-    return newly, count
+    return direct_step(
+        session.state["direct"],
+        session.arrays["indptr"],
+        session.arrays["indices"],
+        int(payload["t"]),
+        np.asarray(payload["prev"], dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,40 @@ class RngStream:
         return out
 
 
+def randrange_batch(rng: random.Random, bound: int, count: int) -> np.ndarray:
+    """``[rng.randrange(bound) for _ in range(count)]`` from one bulk draw.
+
+    Returns the same values and leaves ``rng`` in the same state as the
+    scalar loop.  CPython's ``randrange(bound)`` rejection-samples
+    ``getrandbits(k)``, ``k = bound.bit_length()``; for ``k <= 32`` each
+    attempt consumes one Mersenne-Twister word and keeps its top ``k``
+    bits.  ``getrandbits(32 * w)`` returns ``w`` consecutive words with
+    word ``i`` in bits ``[32 i, 32 i + 32)``, so the attempts can be
+    replayed in NumPy.  The draw over-reads, so the generator is rewound
+    and advanced by exactly the words the accepted draws used.
+    """
+    bits = bound.bit_length()
+    if not 0 < bits <= 32:
+        raise ValueError(f"bound must lie in [1, 2**32), got {bound!r}")
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    state = rng.getstate()
+    chunks = []
+    accepted = 0
+    while accepted < count:
+        # Each attempt is accepted with probability >= 1/2.
+        words = 2 * (count - accepted) + 64
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        chunk = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
+        chunks.append(chunk)
+        accepted += int(np.count_nonzero(chunk < bound))
+    attempts = np.concatenate(chunks)
+    hits = np.flatnonzero(attempts < bound)[:count]
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(hits[-1]) + 1))
+    return attempts[hits].astype(np.int64)
+
+
 def random_permutation(n: int, seed: SeedLike = None) -> list:
     """A uniformly random permutation of ``range(n)``."""
     rng = make_rng(seed)

@@ -9,6 +9,9 @@ counts, and communication accounting alike.  Regenerate deliberately with
     PYTHONPATH=src python tests/test_backend_parity.py
 
 only when an *intentional* behavior change lands (and say so in the PR).
+The n=2000 MPC pins were captured from the set-based integral matching
+(graph copy + ``isolate`` residual, per-neighbour direct simulation, dict
+rounding) before it became array-native; they hold for both executors.
 
 The module also property-tests the array-based substrate validation
 (Lenzen routing loads, clique bandwidth) and the batched SHA-threshold
@@ -36,9 +39,14 @@ def _fingerprint(payload) -> str:
     ).hexdigest()
 
 
-def _solve_fingerprint(task, backend, n, p, graph_seed, solve_seed) -> str:
+def _solve_fingerprint(
+    task, backend, n, p, graph_seed, solve_seed, executor=None
+) -> str:
     graph = gnp_random_graph(n, p, seed=graph_seed)
-    report = solve(task, graph, backend=backend, seed=solve_seed)
+    report = solve(task, graph, backend=backend, seed=solve_seed, executor=executor)
+    # Executor metadata (worker count, phase walls) describes the run, not
+    # its output; every executor must reproduce the same fingerprint.
+    extras = {k: v for k, v in report.extras.items() if k != "executor"}
     return _fingerprint(
         {
             "task": report.task,
@@ -47,7 +55,7 @@ def _solve_fingerprint(task, backend, n, p, graph_seed, solve_seed) -> str:
             "rounds": report.rounds,
             "max_machine_words": report.max_machine_words,
             "total_comm_words": report.total_comm_words,
-            "extras": report.extras,
+            "extras": extras,
         }
     )
 
@@ -98,6 +106,23 @@ SOLVE_CASES = {
     "matching/mpc": ("matching", "mpc", 200, 0.1, 20, 14),
 }
 
+# The integral matching's multi-pass residual loop and its long direct
+# Central-Rand phase only get exercised at a few thousand vertices, so the
+# MPC tasks are also pinned on G(n=2000, average degree 20) — once per
+# executor, against one shared pin: the in-process run and the 2-worker
+# process pool must produce the same bytes.
+LARGE_MPC_TASKS = (
+    "matching",
+    "fractional_matching",
+    "vertex_cover",
+    "one_plus_eps_matching",
+)
+LARGE_MPC_CASES = {
+    f"{task}/mpc/n2000/seed{seed}": (task, "mpc", 2000, 20 / 1999, 21, seed)
+    for task in LARGE_MPC_TASKS
+    for seed in (1, 2)
+}
+
 BASELINE_CASES = {
     "luby": (_luby_fingerprint, (250, 0.08, 16, 10)),
     "israeli_itai": (_israeli_itai_fingerprint, (250, 0.08, 17, 11)),
@@ -107,20 +132,28 @@ BASELINE_CASES = {
 PINS = {
     "fractional/congested_clique": "39cafaa66fc21ef350646cceae45ed09d5e5a9c5cb0142a22a75716e764ca600",
     "fractional/mpc": "94564401bfdca5a758a92cc29c3f3a1fa9d810d4d0c178e4b684d898b427f4d7",
+    "fractional_matching/mpc/n2000/seed1": "bee3b3850b08b0d83ab2012f5f309cab36fe6d37a7796e516688176c1b45b929",
+    "fractional_matching/mpc/n2000/seed2": "ae6df85db448a9c5b5282ac2202c478cb75ea8095df8a3dd476d2cbb4ee0e75d",
     "israeli_itai": "47eed39d4c0274eab55fd49bc7baa038b5f9bf392daff924d51e9025e5ce019c",
     "luby": "f77e102d6259b7e96d985e94f818c0e25b6a9ab7b1558000d56a391d3e5b927c",
     "matching/mpc": "600ca0bb1111ac7914bd9cf264091ba89508ae35a31bd3c087995f1e4a10cf90",
+    "matching/mpc/n2000/seed1": "612be53a32ae4020225ce9fb9be35e0f23bc619aba56e5ea82813157bc59befc",
+    "matching/mpc/n2000/seed2": "5205e8ca17fd722d6351f8767984eebab631dce60753e4290efd3cf59c1a8c33",
     "matching/pregel": "2150036e7c7f24af1f32535b5a3ca2680d0009e2a49772a5e4187763b7c7a689",
     "mis/congested_clique/dense": "32e519c87499c20714a7c5f8214d66f978682d2950d2e0df6b2a18c863e232e2",
     "mis/congested_clique/sparse": "569124578f790bece8ba77369c6de5116a22127c620bbeeaee31c53680c469ef",
     "mis/pregel": "cf0e631933eb1381de63f9c463be415227e2977c13be702caff1567919515f9e",
+    "one_plus_eps_matching/mpc/n2000/seed1": "101b6513c8b0bf08ca848804f7121dddc0d29407faaa07a70596fd3db2e58997",
+    "one_plus_eps_matching/mpc/n2000/seed2": "c20694260d8cb50c9590f6f2562a8af27e4eb81e34bd157d8a87ef0a6aba46a2",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
+    "vertex_cover/mpc/n2000/seed1": "62a53e8fd711c6bb82a7875583c257822c0f8e20959d4a84b967adc885af9ff9",
+    "vertex_cover/mpc/n2000/seed2": "63e36c0bbcd3a53a1ca421fe401cfd52a45e9bc7098106158a1828ac0c18cccb",
 }
 
 
 def _all_fingerprints():
     out = {}
-    for name, args in SOLVE_CASES.items():
+    for name, args in {**SOLVE_CASES, **LARGE_MPC_CASES}.items():
         out[name] = _solve_fingerprint(*args)
     for name, (fn, args) in BASELINE_CASES.items():
         out[name] = fn(*args)
@@ -137,6 +170,15 @@ def test_pinned_output(name):
     assert got == PINS[name], (
         f"{name}: output fingerprint changed — the vectorized backend no "
         "longer reproduces the pre-rewrite seeded output"
+    )
+
+
+@pytest.mark.parametrize("executor", [None, "parallel"])
+@pytest.mark.parametrize("name", sorted(LARGE_MPC_CASES))
+def test_pinned_large_mpc_output(name, executor):
+    got = _solve_fingerprint(*LARGE_MPC_CASES[name], executor=executor)
+    assert got == PINS[name], (
+        f"{name} (executor={executor}): output fingerprint changed"
     )
 
 

@@ -94,3 +94,38 @@ class TestProcess:
     def test_rounds_positive(self):
         g = gnp_random_graph(100, 0.1, seed=11)
         assert mpc_maximum_matching(g, seed=11).rounds > 0
+
+
+class TestCSRInput:
+    """The mask residual needs no ``Graph.copy()``, so CSR inputs solve.
+
+    Below ``repro.verify.oracles.MATCHING_ORACLE_CAP`` (400 vertices)
+    ``verify=True`` still crashes on ``CSRGraph`` and ``MMapCSRGraph``
+    inputs, inside the Blossom oracle (it walks ``neighbors_view``); that
+    belongs to the façade's input contract and is not fixed here, so
+    these cases stay above the cap.
+    """
+
+    @pytest.mark.parametrize("task", ["matching", "one_plus_eps_matching"])
+    def test_certifies_on_csr_input(self, task):
+        from repro.api import solve
+        from repro.graph.csr import as_csr
+
+        g = gnp_random_graph(500, 0.02, seed=4)
+        report = solve(task, as_csr(g), backend="mpc", seed=2, verify=True)
+        assert report.valid and report.verified
+        assert is_matching(g, report.solution)
+
+    @pytest.mark.parametrize("task", ["matching", "one_plus_eps_matching"])
+    def test_mmap_input_matches_csr_input(self, task, tmp_path):
+        from repro.api import solve
+        from repro.graph.csr import as_csr
+        from repro.ooc.format import load_csr, save_csr
+
+        csr = as_csr(gnp_random_graph(500, 0.02, seed=5))
+        save_csr(csr, tmp_path)
+        mapped = solve(task, load_csr(tmp_path), backend="mpc", seed=3)
+        in_ram = solve(task, csr, backend="mpc", seed=3)
+        assert mapped.valid
+        assert mapped.solution == in_ram.solution
+        assert mapped.rounds == in_ram.rounds
