@@ -124,7 +124,8 @@ def solve_cell(task: str, directory: str) -> None:
                 "rounds": report.rounds,
                 "solution_size": report.size,
                 "valid": report.valid,
-                "rng": report.config.get("rng"),
+                # The matching family has no rng knob: always counter.
+                "rng": report.config.get("rng", "counter"),
                 # Read at the very end so load, solve, AND ground-truth
                 # validation are all under the high-water mark.
                 "peak_rss_bytes": peak_rss_bytes(),

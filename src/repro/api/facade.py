@@ -105,14 +105,15 @@ def solve(
         baselines, exact solvers) ignore it, so sweep-wide budgets work
         with ``backends="all"``.
     rng:
-        Randomness mode override: ``"sha"`` (the byte-pinned default) or
-        ``"counter"`` (the vectorized order-free generator behind the
+        MIS randomness mode override: ``"sha"`` (the byte-pinned default)
+        or ``"counter"`` (the vectorized order-free generator behind the
         out-of-core rung — deterministic per seed, not byte-identical to
-        sha; see OUT_OF_CORE.md).  Mirrors ``budget`` semantics:
-        backends with no config (``greedy``, ``pregel`` baselines, exact
-        solvers) ignore it so sweep-wide settings work, a typed config
-        without an ``rng`` field raises, and the resolved mode is
-        stamped into ``report.config``.
+        sha; see OUT_OF_CORE.md); the resolved mode is stamped into
+        ``report.config``.  The matching family always draws from the
+        counter generator: it accepts ``"counter"`` and rejects the
+        retired ``"sha"``.  Mirrors ``budget`` semantics: backends with
+        no config (``greedy``, ``pregel`` baselines, exact solvers)
+        ignore it so sweep-wide settings work.
     verify:
         ``False`` (default) skips verification; ``True`` runs the
         :mod:`repro.verify` certificate under the default
@@ -387,11 +388,14 @@ def _resolve_config(
             )
         resolved = dataclasses.replace(resolved, memory_factor=float(budget))
     if rng is not None:
-        if not hasattr(resolved, "rng"):
-            raise TypeError(
-                f"backend {entry.backend!r} config has no rng mode to override"
+        if hasattr(resolved, "rng"):
+            resolved = dataclasses.replace(resolved, rng=rng)
+        elif rng != "counter":
+            raise ValueError(
+                f"rng={rng!r} is retired outside MIS: backend "
+                f"{entry.backend!r} for task {entry.task!r} has no SHA draw "
+                "path and accepts only rng='counter'"
             )
-        resolved = dataclasses.replace(resolved, rng=rng)
     return resolved
 
 

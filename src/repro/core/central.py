@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle, fixed_oracle
 from repro.graph.graph import Edge, Graph
@@ -152,11 +154,13 @@ def run_freezing_process(
                 f"freezing process exceeded {max_iterations} iterations; "
                 "this indicates a termination bug or a degenerate epsilon"
             )
-        to_freeze = []
-        for v in active:
-            load = frozen_load[v] + active_degree[v] * weight_t
-            if load >= oracle.threshold(v, iteration):
-                to_freeze.append(v)
+        # The definition ``load >= T_{v,t}`` on every active vertex, with
+        # no band short-circuit, so the reference stays independent of
+        # ThresholdOracle.crosses_batch that the MPC path decides with.
+        candidates = list(active)
+        loads = [frozen_load[v] + active_degree[v] * weight_t for v in candidates]
+        crossed = np.asarray(loads) >= oracle.thresholds_batch(candidates, iteration)
+        to_freeze = [v for v, hit in zip(candidates, crossed.tolist()) if hit]
         for v in to_freeze:
             frozen[v] = iteration
             active.discard(v)

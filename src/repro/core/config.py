@@ -44,13 +44,16 @@ class MISConfig:
         or ``"ghaffari"`` (the desire-level process of [Gha16], closer to
         what [Gha17] compresses).
     rng:
-        ``"sha"`` (default) draws from the byte-pinned SHA-256 streams;
+        ``"sha"`` (default) draws the rank permutation and the sparsified
+        finish from the seeded Mersenne-Twister generator, byte-pinned;
         ``"counter"`` uses the vectorized counter-based generator of
         :mod:`repro.utils.counter_rng` — statistically equivalent (audited
         by ``repro.verify``) but not byte-identical to the seeded pins.
         Counter mode also enables the residency-bounded solve path used
         for out-of-core graphs (see OUT_OF_CORE.md); it requires the
-        ``"luby"`` sparse strategy.
+        ``"luby"`` sparse strategy.  Only MIS has this choice: the
+        matching family (:class:`MatchingConfig`) always draws from the
+        counter generator.
     """
 
     alpha: float = 0.75
@@ -110,11 +113,11 @@ class MatchingConfig:
     threshold_low / threshold_high:
         The random freezing threshold interval; the paper uses
         ``[1-4ε, 1-2ε]``.
-    rng:
-        ``"sha"`` (default) keeps the byte-pinned SHA-256 draws;
-        ``"counter"`` switches thresholds and machine assignment to the
-        vectorized counter-based generator (statistically equivalent,
-        not byte-identical — see OUT_OF_CORE.md).
+
+    The thresholds ``T_{v,t}`` and the Line (d) machine assignment are
+    keyed draws of the counter generator (:mod:`repro.utils.counter_rng`),
+    pure functions of ``(seed, vertex, round)``; there is no randomness
+    mode to choose.
     """
 
     epsilon: float = 0.1
@@ -122,7 +125,6 @@ class MatchingConfig:
     degree_floor_exponent: float = 2.0
     memory_factor: float = 8.0
     max_direct_iterations: int = 10_000
-    rng: str = "sha"
 
     def __post_init__(self) -> None:
         require_epsilon(self.epsilon)
@@ -132,10 +134,6 @@ class MatchingConfig:
         )
         require(self.memory_factor > 0, "memory_factor must be positive")
         require(self.max_direct_iterations >= 1, "max_direct_iterations must be >= 1")
-        require(
-            self.rng in ("sha", "counter"),
-            f"rng must be 'sha' or 'counter', got {self.rng!r}",
-        )
 
     @property
     def threshold_low(self) -> float:

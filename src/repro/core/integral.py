@@ -18,24 +18,15 @@ leftover polylog-size matching via the LMSV11 filtering algorithm.
 
 Residual layout.  The residual graph is never copied or mutated: it is
 one vertex mask ``matched`` over the input's canonical CSR edge rows, and
-each pass runs on ``csr.filter_edges(~matched)``.  The rounding walks
-each candidate's edges in the ``edges()`` order of a set-based residual
-(``graph.copy()`` with the matched vertices ``isolate()``-d after every
-pass; the canonical row order for a CSR input), and the outputs are
-byte-pinned to that order:
-
-* deleting from a Python set never reorders the remaining elements, so
-  every pass's residual ``edges()`` order is a subsequence of the
-  copy's first order; :func:`~repro.core.matching_mpc.edge_order` with
-  ``copied=True`` reads that order once, and each pass filters it by the
-  live-edge mask;
-* the per-pass weights come from the array core
-  :func:`~repro.core.matching_mpc.fractional_matching_arrays` as
-  ``(inside, x)`` over the residual's canonical rows and are gathered
-  into residual order.
+each pass runs on ``csr.filter_edges(~matched)``.  The residual's rows are
+the input's live rows in ascending order, so the per-pass weights of the
+array core :func:`~repro.core.matching_mpc.fractional_matching_arrays`,
+``(inside, x)`` over the residual's rows, map back to input rows with one
+gather.  The rounding walks the weighted edges in that canonical order
+for every input representation.
 
 Float association.  The pass weight is the left-to-right Python ``sum``
-of the weights in residual order.  The candidate loads ``C~`` are one
+of the weights in row order.  The candidate loads ``C~`` are one
 ``np.bincount`` over the interleaved ``(u0, v0, u1, v1, ...)`` endpoints,
 which adds in exactly the order of the ``FractionalMatching.vertex_loads``
 loop (``bincount(u) + bincount(v)`` would not).  The rounding sums are
@@ -52,11 +43,7 @@ import numpy as np
 
 from repro.baselines.filtering import filtering_maximal_matching
 from repro.core.config import MatchingConfig
-from repro.core.matching_mpc import (
-    edge_order,
-    fractional_matching_arrays,
-    weights_in_order,
-)
+from repro.core.matching_mpc import fractional_matching_arrays
 from repro.core.rounding import round_edge_arrays
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph
@@ -123,7 +110,6 @@ def mpc_maximum_matching(
     edges = csr.edge_array()
     eu = edges[:, 0]
     ev = edges[:, 1]
-    order = edge_order(graph, csr, copied=True)
     matched = np.zeros(n, dtype=bool)
     residual = csr
     matching: Set[Edge] = set()
@@ -146,12 +132,9 @@ def mpc_maximum_matching(
         comm_words += fractional.total_comm_words
         peak_words = max(peak_words, fractional.peak_words)
 
-        # The residual's rows are the input's live rows; list the weighted
-        # ones in residual edges() order.
-        weighted = np.zeros(len(eu), dtype=bool)
-        weighted[np.flatnonzero(~(matched[eu] | matched[ev]))[inside]] = True
-        rows, wx = weights_in_order(order, weighted, x)
-        wu, wv = eu[rows], ev[rows]
+        # The residual's rows are the input's live rows, ascending.
+        rows = np.flatnonzero(~(matched[eu] | matched[ev]))[inside]
+        wu, wv, wx = eu[rows], ev[rows], x
         weight = sum(wx.tolist())
 
         ends = np.column_stack((wu, wv)).ravel()

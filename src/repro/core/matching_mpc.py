@@ -27,27 +27,26 @@ aggregation of Line (g), the active-subgraph extraction, the direct
 simulation, and the final weight readout — is a vectorized pass over
 those arrays.  Freezing decisions go through
 :meth:`ThresholdOracle.crosses_batch`, which only materializes the
-(SHA-derived) threshold when the load estimate lands inside the random
-band.  The owner draws of Line (d) come from one bulk
-:func:`~repro.utils.rng.randrange_batch` call that reproduces the scalar
-``randrange`` loop value for value and leaves the generator in the same
-state.  :func:`fractional_matching_arrays` is the array core; it returns
+threshold when the load estimate lands inside the random band.
+
+Randomness.  Both random choices are keyed draws of the order-free
+counter generator (:mod:`repro.utils.counter_rng`): the thresholds
+``T_{v,t}`` are a pure function of ``(seed, v, t)``, and the Line (d)
+owner of vertex ``v`` in phase ``p`` a pure function of ``(seed, p, v)``.
+Nothing is consumed in an order, so the in-process path and every
+executor read the same values.
+
+:func:`fractional_matching_arrays` is the array core; it returns
 the weights as ``(inside, x)`` over the canonical CSR edge rows, and
 :func:`mpc_fractional_matching` wraps it in the public dict-based result.
 
-Output order.  The weight map is emitted in ``graph.edges()`` order,
-because downstream consumers (the Lemma 5.1 rounding, the total weight)
-iterate it and their results depend on that order.  For a
-:class:`~repro.graph.graph.Graph`, ``edges()`` walks each neighbour set in
-hash-table order; :func:`edge_order` reads that order once from the
-tables into canonical row positions, so the map is built with one gather.
-Removing elements from a Python set never reorders the rest, so the
-order of any edge-deleted copy is a subsequence of the copy's first
-order — the integral driver (:mod:`repro.core.integral`) relies on this.
+Output order.  The weight map lists the edges in canonical CSR row order
+(ascending ``(u, v)``, ``u < v``) for every input representation, so a
+``Graph``, a ``CSRGraph`` and an ``MMapCSRGraph`` of the same graph give
+the same bytes downstream (the Lemma 5.1 rounding, the total weight).
 
-Float association.  Every float below is computed with the same
-operation order as the scalar reference it replaced, because the outputs
-are byte-pinned:
+Float association.  Every float below is computed with one fixed
+operation order, because the outputs are byte-pinned across executors:
 
 * loads are ``bincount(eu) + bincount(ev)`` over canonical rows, and each
   ``bincount`` adds in row order;
@@ -56,17 +55,11 @@ are byte-pinned:
   any order, so the ``np.add.at`` gather equals a per-neighbour loop;
 * estimates are ``(m · deg) · w_t + y_old`` in the compressed phases and
   ``load + deg · w_t`` in the direct phase.
-
-``config.rng == "counter"`` (the out-of-core fast path) swaps the
-per-vertex machine-assignment draws and the threshold oracle onto the
-order-free counter generator (:mod:`repro.utils.counter_rng`).  Counter
-runs are deterministic per seed but not byte-identical to sha runs.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -82,7 +75,7 @@ from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import edge_words, id_words
 from repro.utils import counter_rng
-from repro.utils.rng import SeedLike, make_rng, randrange_batch
+from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
 
 # Cap on the phase count, far above the O(log log n) bound; converts a
@@ -207,8 +200,7 @@ def mpc_fractional_matching(
         executor=executor,
         governor=governor,
     )
-    rows, x = weights_in_order(edge_order(graph, csr), inside, x)
-    edges = csr.edge_array()[rows]
+    edges = csr.edge_array()[inside]
     weights: Dict[Edge, float] = dict(
         zip(zip(edges[:, 0].tolist(), edges[:, 1].tolist()), x.tolist())
     )
@@ -216,52 +208,6 @@ def mpc_fractional_matching(
         graph=graph, weights=weights, vertex_cover=result.vertex_cover
     )
     return result
-
-
-def edge_order(
-    graph: Union[Graph, CSRGraph], csr: CSRGraph, copied: bool = False
-) -> np.ndarray:
-    """Rows of ``csr.edge_array()`` listed in ``graph.edges()`` order.
-
-    ``csr`` is ``as_csr(graph)``.  A CSR graph yields its rows in order.
-    A :class:`~repro.graph.graph.Graph` yields, for each ``u`` ascending,
-    the neighbours ``v > u`` in the hash-table order of ``u``'s set; the
-    tables are read once with C-level ``array.extend``.  ``copied=True``
-    gives the order of ``graph.copy().edges()`` instead: ``set(s)`` can lay
-    out a different table than ``s`` had.
-    """
-    if isinstance(graph, CSRGraph):
-        return np.arange(csr.num_edges, dtype=np.int64)
-    n = graph.num_vertices
-    buffer = array("q")
-    degrees = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        row = graph.neighbors_view(v)
-        if copied:
-            row = set(row)
-        buffer.extend(row)
-        degrees[v] = len(row)
-    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    dst = np.frombuffer(buffer, dtype=np.int64)
-    forward = src < dst
-    canonical = csr.edge_array()
-    return np.searchsorted(
-        canonical[:, 0] * n + canonical[:, 1], src[forward] * n + dst[forward]
-    )
-
-
-def weights_in_order(
-    order: np.ndarray, inside: np.ndarray, x: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The weighted rows listed in ``order``, and their weights.
-
-    ``inside`` marks the weighted rows and ``x`` holds their weights in
-    ascending row order; ``order`` comes from :func:`edge_order`.
-    """
-    x_of = np.zeros(len(inside), dtype=np.float64)
-    x_of[inside] = x
-    rows = order[inside[order]]
-    return rows, x_of[rows]
 
 
 def fractional_matching_arrays(
@@ -292,10 +238,7 @@ def fractional_matching_arrays(
 
     if oracle is None:
         oracle = ThresholdOracle(
-            config.threshold_low,
-            config.threshold_high,
-            seed=rng.getrandbits(64),
-            mode=config.rng,
+            config.threshold_low, config.threshold_high, seed=rng.getrandbits(64)
         )
     growth = 1.0 / (1.0 - epsilon)
     w0 = (1.0 - 2.0 * epsilon) / n
@@ -305,14 +248,9 @@ def fractional_matching_arrays(
     if governor is not None:
         governor.bind(cluster)
 
-    counter_mode = config.rng == "counter"
     # The machine-assignment key is drawn once up front so per-phase owner
     # draws are an order-free pure function of (key, phase, vertex).
-    owner_key = (
-        counter_rng.derive_key(rng.getrandbits(64), "matching-owner")
-        if counter_mode
-        else 0
-    )
+    owner_key = counter_rng.derive_key(rng.getrandbits(64), "matching-owner")
 
     # One-time edge materialization: every per-phase scan below is a flat
     # pass over these canonical (u < v) endpoint arrays.
@@ -388,20 +326,15 @@ def fractional_matching_arrays(
 
         # Line (d): i.i.d. random vertex partitioning; one exchange ships
         # each induced subgraph (memory validated by the substrate).  The
-        # sha owner draws run over ``active_ids`` in ascending order (the
-        # order is load-bearing for reproducibility); counter mode
-        # evaluates the same partition as a pure function of
-        # (owner_key, phase, vertex).  Under governance the draw is
-        # retried with a doubled part count when multinomial variance
-        # lands one induced subgraph over the soft budget anyway (nothing
-        # has shipped yet); the ungoverned path runs the body exactly once.
+        # owner of a vertex is a pure function of (owner_key, phase,
+        # vertex).  Under governance the draw is retried with a doubled
+        # part count when multinomial variance lands one induced subgraph
+        # over the soft budget anyway (nothing has shipped yet); the
+        # ungoverned path runs the body exactly once.
         while True:
-            if counter_mode:
-                owner_vals = counter_rng.integers(
-                    owner_key, active_ids, phases, num_machines
-                )
-            else:
-                owner_vals = randrange_batch(rng, num_machines, len(active_ids))
+            owner_vals = counter_rng.integers(
+                owner_key, active_ids, phases, num_machines
+            )
             owner_of = np.full(n, -1, dtype=np.int64)
             owner_of[active_ids] = owner_vals
             grouping = np.argsort(owner_vals, kind="stable")

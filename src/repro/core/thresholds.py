@@ -14,48 +14,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils import counter_rng
-from repro.utils.rng import RngStream, SeedLike, make_rng
+from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import require
 
 
 class ThresholdOracle:
     """Deterministic oracle for the thresholds ``T_{v,t}``.
 
-    ``mode="sha"`` (default) draws from the byte-pinned SHA-256 stream;
-    ``mode="counter"`` computes the same pure function of ``(seed, v, t)``
-    with the vectorized counter-based generator
-    (:mod:`repro.utils.counter_rng`) — different values, same
-    distribution, same band short-circuits.
+    ``T_{v,t}`` is ``low + (high - low) · u`` with ``u`` the order-free
+    counter draw (:mod:`repro.utils.counter_rng`) for vertex ``v`` in
+    round ``t`` under a key derived from ``seed``.  Nothing is consumed,
+    so callers may ask for any ``(v, t)`` in any order, on any process,
+    and get the same value.
     """
 
-    def __init__(
-        self,
-        low: float,
-        high: float,
-        seed: SeedLike = None,
-        mode: str = "sha",
-    ) -> None:
+    def __init__(self, low: float, high: float, seed: SeedLike = None) -> None:
         require(low <= high, f"threshold interval empty: [{low}, {high}]")
-        require(
-            mode in ("sha", "counter"),
-            f"mode must be 'sha' or 'counter', got {mode!r}",
-        )
         self._low = low
         self._high = high
-        self._mode = mode
-        if mode == "sha":
-            self._stream = RngStream(seed, namespace="central-rand-thresholds")
-            self._key = 0
-        else:
-            self._stream = None
-            self._key = counter_rng.derive_key(
-                make_rng(seed).getrandbits(64), "central-rand-thresholds"
-            )
-
-    @property
-    def mode(self) -> str:
-        """``"sha"`` or ``"counter"`` — stamped into RunReport configs."""
-        return self._mode
+        self._key = counter_rng.derive_key(
+            make_rng(seed).getrandbits(64), "central-rand-thresholds"
+        )
 
     @property
     def low(self) -> float:
@@ -69,53 +48,29 @@ class ThresholdOracle:
 
     def threshold(self, vertex: int, iteration: int) -> float:
         """The threshold ``T_{v,t}`` — identical for every caller."""
-        if self._low == self._high:
-            return self._low
-        if self._mode == "counter":
-            return float(self.thresholds_batch([vertex], iteration)[0])
-        return self._stream.uniform(self._low, self._high, vertex, iteration)
+        return float(self.thresholds_batch([vertex], iteration)[0])
 
     def crosses(self, vertex: int, iteration: int, estimate: float) -> bool:
-        """Whether ``estimate >= T_{v,t}``, computing the threshold lazily.
-
-        ``T_{v,t}`` always lies in ``[low, high]``, so an estimate outside
-        the band decides without materializing the draw.  Because the
-        threshold is a *pure* function of ``(seed, v, t)`` — not a consumed
-        stream — skipping the computation leaves every other draw, and
-        therefore every output, bit-for-bit unchanged.  This short-circuit
-        is the matching simulation's hottest-path fix: early iterations
-        have loads far below ``low``, and each materialized draw costs a
-        SHA-256 plus a fresh Mersenne-Twister seeding.
-        """
-        if estimate < self._low:
-            return False
-        if estimate >= self._high:
-            return True
+        """Whether ``estimate >= T_{v,t}`` — the definition that
+        :meth:`crosses_batch` short-circuits."""
         return estimate >= self.threshold(vertex, iteration)
 
     def thresholds_batch(self, vertices, iteration: int) -> np.ndarray:
-        """``[self.threshold(v, iteration) for v in vertices]``, batched.
-
-        The SHA-derived draws for the whole batch are materialized through
-        one batched hashing pass
-        (:meth:`~repro.utils.rng.RngStream.uniform_batch`) instead of
-        per-``(v, t)`` scalar oracle calls — values are bit-for-bit identical
-        to the scalar method.
-        """
+        """``[self.threshold(v, iteration) for v in vertices]``, batched."""
         vs = np.asarray(vertices, dtype=np.int64)
         if self._low == self._high:
             return np.full(len(vs), self._low, dtype=np.float64)
-        if self._mode == "counter":
-            unit = counter_rng.uniform01(self._key, vs, iteration)
-            return self._low + (self._high - self._low) * unit
-        return self._stream.uniform_batch(self._low, self._high, vs, iteration)
+        unit = counter_rng.uniform01(self._key, vs, iteration)
+        return self._low + (self._high - self._low) * unit
 
     def crosses_batch(self, vertices, iteration: int, estimates) -> np.ndarray:
-        """Vectorized :meth:`crosses` for one iteration's vertex batch.
+        """Whether each ``estimates[i] >= T_{vertices[i], iteration}``.
 
-        Estimates outside the ``[low, high]`` band decide without touching
-        the oracle; only the in-band subset materializes thresholds (via
-        :meth:`thresholds_batch`).  Decisions equal the scalar method's.
+        ``T_{v,t}`` always lies in ``[low, high]``, so an estimate outside
+        the band decides without materializing the draw; only the in-band
+        subset goes through :meth:`thresholds_batch`.  Because the
+        threshold is a pure function of ``(seed, v, t)``, skipping it
+        changes no decision and no other draw.
         """
         vs = np.asarray(vertices, dtype=np.int64)
         est = np.asarray(estimates, dtype=np.float64)

@@ -1,30 +1,28 @@
-"""Counter-based fast randomness for the out-of-core solve paths.
+"""Counter-based fast randomness.
 
-The seeded-pin RNG (:mod:`repro.utils.rng`) derives every draw from a
-SHA-256 stream, which keeps runs byte-identical across refactors but
-costs ~1 µs per draw — the "draw-bound" wall documented in
-PERFORMANCE.md.  At the out-of-core scale (n = 10M) a single Luby round
-wants 10M draws, so the opt-in ``rng="counter"`` mode replaces the
-stream with a *counter-based* generator: the value for entity ``e`` in
-round ``r`` under stream key ``k`` is a pure function ``mix(k, r, e)``
-computed by a vectorized SplitMix64-style finalizer over whole NumPy
-arrays at memory-bandwidth speed.
+The value for entity ``e`` in round ``r`` under stream key ``k`` is a
+pure function ``mix(k, r, e)`` computed by a vectorized SplitMix64-style
+finalizer over whole NumPy arrays at memory-bandwidth speed.  It is the
+only generator of the matching family (the Central-Rand thresholds and
+the Line (d) machine assignment of :mod:`repro.core.matching_mpc`), and
+MIS's opt-in ``rng="counter"`` mode: at the out-of-core scale
+(n = 10M) a single Luby round wants 10M draws, which the SHA-256 stream
+of :mod:`repro.utils.rng` (~1 µs per draw) cannot serve.
 
 Properties the solve paths rely on:
 
 * **Deterministic** — the same ``(seed, namespace, counter, entities)``
   always produces the same floats, on any graph representation
-  (in-RAM ``CSRGraph`` or ``repro.ooc.MMapCSRGraph``), so counter-mode
-  runs are reproducible even though they are not byte-identical to the
-  SHA-pinned runs.
+  (``Graph``, in-RAM ``CSRGraph`` or ``repro.ooc.MMapCSRGraph``) and on
+  any executor.
 * **Order-free** — the value for an entity does not depend on how many
   other entities drew before it, so chunked/partitioned evaluation over
   an out-of-core graph gives the same numbers as a single pass.
 * **Statistically sound, not cryptographic** — SplitMix64's finalizer
   passes BigCrush as a sequential generator; here each (key, counter)
   pair selects a stream offset and entities index into that stream.
-  Statistical equivalence to the SHA mode is what ``repro.verify``'s
-  differential sweep and the whp audits check (see OUT_OF_CORE.md).
+  ``repro.verify``'s sweep and the whp audits check the guarantees the
+  solvers built on it certify (see OUT_OF_CORE.md and PERFORMANCE.md).
 
 Permutations use NumPy's counter-based Philox bit generator so that the
 10M-vertex shuffle needs no Python-level loop.

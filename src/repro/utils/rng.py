@@ -57,11 +57,11 @@ class RngStream:
     """A labelled family of generators for multi-round algorithms.
 
     Algorithms that need "fresh, independent randomness per (entity, round)"
-    — e.g. the per-vertex, per-iteration thresholds ``T_{v,t}`` of
-    Central-Rand — draw them through an :class:`RngStream` so the value is a
-    pure function of ``(seed, entity, round)``.  This is what lets the MPC
-    simulation and the centralized reference algorithm consume *the same*
-    thresholds, as the paper's coupling argument (Section 4.4.3) requires.
+    — e.g. the per-vertex draws of a Pregel superstep — draw them through
+    an :class:`RngStream` so the value is a pure function of
+    ``(seed, entity, round)``, whichever order the entities are visited
+    in.  (The Central-Rand thresholds use the vectorized counter
+    generator of :mod:`repro.utils.counter_rng` for the same property.)
     """
 
     def __init__(self, seed: SeedLike = None, namespace: str = "") -> None:
@@ -92,13 +92,12 @@ class RngStream:
 
     # -- batched draws ------------------------------------------------------
     #
-    # The per-(entity, round) draws of the vectorized hot paths (Pregel
-    # superstep kernels, the Central-Rand threshold band) arrive thousands
-    # at a time.  The scalar path pays per call for namespace formatting,
-    # a hashlib object, and a freshly *constructed* ``random.Random``; the
-    # batch path assembles the whole batch's key material in one pass and
-    # drains it through a single fused hash→reseed→draw loop over one
-    # reused C-core generator.  The values are bit-for-bit identical to
+    # The per-(entity, round) draws of the batched Pregel superstep
+    # kernels arrive thousands at a time.  The scalar path pays per call
+    # for namespace formatting, a hashlib object, and a freshly
+    # *constructed* ``random.Random``; the batch path assembles the whole
+    # batch's key material in one pass and drains it through a single
+    # fused hash→reseed→draw loop over one reused C-core generator.  The values are bit-for-bit identical to
     # the scalar methods — each draw is still SHA-256(material) feeding a
     # Mersenne-Twister seed — so callers can batch freely without
     # perturbing seeded outputs.
@@ -125,55 +124,6 @@ class RngStream:
             reseed(from_bytes(sha(part).digest()[:8], "big"))
             out[i] = draw()
         return out
-
-    def uniform_batch(
-        self, lo: float, hi: float, entities: Sequence[int], *key: object
-    ) -> np.ndarray:
-        """``[self.uniform(lo, hi, e, *key) for e in entities]``, batched.
-
-        The affine transform below is ``random.Random.uniform``'s own
-        ``a + (b - a) * random()``, applied elementwise — NumPy float64
-        rounds identically to CPython floats, so this stays bit-for-bit
-        equal to the scalar method.
-        """
-        out = self.random_batch(entities, *key)
-        out *= hi - lo
-        out += lo
-        return out
-
-
-def randrange_batch(rng: random.Random, bound: int, count: int) -> np.ndarray:
-    """``[rng.randrange(bound) for _ in range(count)]`` from one bulk draw.
-
-    Returns the same values and leaves ``rng`` in the same state as the
-    scalar loop.  CPython's ``randrange(bound)`` rejection-samples
-    ``getrandbits(k)``, ``k = bound.bit_length()``; for ``k <= 32`` each
-    attempt consumes one Mersenne-Twister word and keeps its top ``k``
-    bits.  ``getrandbits(32 * w)`` returns ``w`` consecutive words with
-    word ``i`` in bits ``[32 i, 32 i + 32)``, so the attempts can be
-    replayed in NumPy.  The draw over-reads, so the generator is rewound
-    and advanced by exactly the words the accepted draws used.
-    """
-    bits = bound.bit_length()
-    if not 0 < bits <= 32:
-        raise ValueError(f"bound must lie in [1, 2**32), got {bound!r}")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    state = rng.getstate()
-    chunks = []
-    accepted = 0
-    while accepted < count:
-        # Each attempt is accepted with probability >= 1/2.
-        words = 2 * (count - accepted) + 64
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        chunk = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
-        chunks.append(chunk)
-        accepted += int(np.count_nonzero(chunk < bound))
-    attempts = np.concatenate(chunks)
-    hits = np.flatnonzero(attempts < bound)[:count]
-    rng.setstate(state)
-    rng.getrandbits(32 * (int(hits[-1]) + 1))
-    return attempts[hits].astype(np.int64)
 
 
 def random_permutation(n: int, seed: SeedLike = None) -> list:

@@ -83,9 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("sha", "counter"),
         default=None,
         help=(
-            "randomness mode threaded into every run; 'counter' audits "
+            "MIS randomness mode threaded into every run; 'counter' audits "
             "the out-of-core fast generator against the same certificates "
-            "and cross-backend agreement bands (default: backend configs)"
+            "and cross-backend agreement bands (default: backend configs). "
+            "Applies to MIS runs only: every other task has a single mode "
+            "and runs it under either setting"
         ),
     )
     parser.add_argument(

@@ -6,18 +6,21 @@ library's baselines — Blossom for maximum matching (polynomial, usable up
 to a few hundred vertices) and the brute-force solvers in
 :mod:`repro.baselines.exact` (exponential, usable only on tiny graphs).
 Each oracle returns ``None`` above its size cap instead of silently
-burning CPU; callers record the check as skipped-by-size.
+burning CPU; callers record the check as skipped-by-size.  The exact
+solvers walk set-based adjacency, so a CSR input (``CSRGraph`` or
+``MMapCSRGraph``) under the cap is converted with ``as_graph`` first.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.baselines.blossom import maximum_matching_size as _blossom_size
 from repro.baselines.exact import (
     brute_force_maximum_weight_matching,
     brute_force_minimum_vertex_cover,
 )
+from repro.graph.csr import CSRGraph, as_graph
 from repro.graph.graph import Graph
 from repro.graph.weighted import WeightedGraph
 
@@ -29,21 +32,21 @@ BRUTE_FORCE_EDGE_CAP = 24
 
 
 def maximum_matching_size(
-    graph: Graph, cap: int = MATCHING_ORACLE_CAP
+    graph: Union[Graph, CSRGraph], cap: int = MATCHING_ORACLE_CAP
 ) -> Optional[int]:
     """Exact maximum-matching size ``ν(G)`` via Blossom, or ``None``."""
     if graph.num_vertices > cap:
         return None
-    return _blossom_size(graph)
+    return _blossom_size(as_graph(graph))
 
 
 def minimum_vertex_cover_size(
-    graph: Graph, cap: int = BRUTE_FORCE_VERTEX_CAP
+    graph: Union[Graph, CSRGraph], cap: int = BRUTE_FORCE_VERTEX_CAP
 ) -> Optional[int]:
     """Exact minimum vertex-cover size, or ``None`` above the cap."""
     if graph.num_vertices > cap:
         return None
-    return len(brute_force_minimum_vertex_cover(graph))
+    return len(brute_force_minimum_vertex_cover(as_graph(graph)))
 
 
 def maximum_weight_matching_weight(

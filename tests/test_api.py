@@ -208,6 +208,24 @@ class TestSolveFacade:
         with pytest.raises(ValueError, match="positive"):
             solve("mis", path_graph(6), backend="greedy", budget=-1.0)
 
+    @pytest.mark.parametrize(
+        "task, backend",
+        [
+            (entry.task, entry.backend)
+            for entry in registry.entries()
+            if entry.config_factory is MatchingConfig
+        ],
+    )
+    def test_matching_family_rng(self, task, backend):
+        """Counter is the matching family's only mode; 'sha' is retired."""
+        graph = gnp_random_graph(60, 0.08, seed=5)
+        default = solve(task, graph, backend=backend, seed=3)
+        counter = solve(task, graph, backend=backend, seed=3, rng="counter")
+        assert counter.solution == default.solution
+        assert "rng" not in counter.config
+        with pytest.raises(ValueError, match="rng='sha' is retired"):
+            solve(task, graph, backend=backend, seed=3, rng="sha")
+
     def test_non_int_seed_rejected(self):
         import random
 

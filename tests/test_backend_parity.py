@@ -9,13 +9,14 @@ counts, and communication accounting alike.  Regenerate deliberately with
     PYTHONPATH=src python tests/test_backend_parity.py
 
 only when an *intentional* behavior change lands (and say so in the PR).
-The n=2000 MPC pins were captured from the set-based integral matching
-(graph copy + ``isolate`` residual, per-neighbour direct simulation, dict
-rounding) before it became array-native; they hold for both executors.
+The matching-family pins (``fractional/*``, ``matching/mpc`` and the
+n=2000 MPC cells) were re-captured on ``executor=None`` when the
+Central-Rand thresholds and the Line (d) owner draws moved onto the
+counter generator; they hold for both executors.
 
 The module also property-tests the array-based substrate validation
-(Lenzen routing loads, clique bandwidth) and the batched SHA-threshold
-helpers against their scalar/dict-based references.
+(Lenzen routing loads, clique bandwidth), the batched SHA stream and the
+threshold oracle against their scalar/dict-based references.
 """
 
 from __future__ import annotations
@@ -130,24 +131,24 @@ BASELINE_CASES = {
 }
 
 PINS = {
-    "fractional/congested_clique": "39cafaa66fc21ef350646cceae45ed09d5e5a9c5cb0142a22a75716e764ca600",
-    "fractional/mpc": "94564401bfdca5a758a92cc29c3f3a1fa9d810d4d0c178e4b684d898b427f4d7",
-    "fractional_matching/mpc/n2000/seed1": "bee3b3850b08b0d83ab2012f5f309cab36fe6d37a7796e516688176c1b45b929",
-    "fractional_matching/mpc/n2000/seed2": "ae6df85db448a9c5b5282ac2202c478cb75ea8095df8a3dd476d2cbb4ee0e75d",
+    "fractional/congested_clique": "2d68bcb6ea9372be42c5bd1925921cd16012ad51606a815a2a9c6b0fde097269",
+    "fractional/mpc": "915dea3467af3f0b92bdbe707c044a824786bae181b1e17c40e44c49deb5164c",
+    "fractional_matching/mpc/n2000/seed1": "de7389795bfbcfca3de64a249f853f3f9f9373fd6167ad28e96ffe2059988cfe",
+    "fractional_matching/mpc/n2000/seed2": "13a850611f7302c5677fadfef79e20c5fd3e04d28bb6fac20e7bf9433f14fb4a",
     "israeli_itai": "47eed39d4c0274eab55fd49bc7baa038b5f9bf392daff924d51e9025e5ce019c",
     "luby": "f77e102d6259b7e96d985e94f818c0e25b6a9ab7b1558000d56a391d3e5b927c",
-    "matching/mpc": "600ca0bb1111ac7914bd9cf264091ba89508ae35a31bd3c087995f1e4a10cf90",
-    "matching/mpc/n2000/seed1": "612be53a32ae4020225ce9fb9be35e0f23bc619aba56e5ea82813157bc59befc",
-    "matching/mpc/n2000/seed2": "5205e8ca17fd722d6351f8767984eebab631dce60753e4290efd3cf59c1a8c33",
+    "matching/mpc": "ee1223b675031b66e073f5302a55528a0b5076d01d4462ed6faab5e53e5dabb6",
+    "matching/mpc/n2000/seed1": "58368ad03a4bad092aacde144877adadaed6ce67c3dbeef3efbf555218c58d09",
+    "matching/mpc/n2000/seed2": "ce69825d424198b73be7cc8be39e7ad2dfc1951f5f0865fcdabb078279c7386f",
     "matching/pregel": "2150036e7c7f24af1f32535b5a3ca2680d0009e2a49772a5e4187763b7c7a689",
     "mis/congested_clique/dense": "32e519c87499c20714a7c5f8214d66f978682d2950d2e0df6b2a18c863e232e2",
     "mis/congested_clique/sparse": "569124578f790bece8ba77369c6de5116a22127c620bbeeaee31c53680c469ef",
     "mis/pregel": "cf0e631933eb1381de63f9c463be415227e2977c13be702caff1567919515f9e",
-    "one_plus_eps_matching/mpc/n2000/seed1": "101b6513c8b0bf08ca848804f7121dddc0d29407faaa07a70596fd3db2e58997",
-    "one_plus_eps_matching/mpc/n2000/seed2": "c20694260d8cb50c9590f6f2562a8af27e4eb81e34bd157d8a87ef0a6aba46a2",
+    "one_plus_eps_matching/mpc/n2000/seed1": "ea6a51f32e870b405cf0bb6c8bf068de63d188c6b797ba6e75568082773d0fb5",
+    "one_plus_eps_matching/mpc/n2000/seed2": "6f7dbfef682f9cf4ab6f416959b473b1ef196488e6f26e2d69b66af32f4c7db9",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
-    "vertex_cover/mpc/n2000/seed1": "62a53e8fd711c6bb82a7875583c257822c0f8e20959d4a84b967adc885af9ff9",
-    "vertex_cover/mpc/n2000/seed2": "63e36c0bbcd3a53a1ca421fe401cfd52a45e9bc7098106158a1828ac0c18cccb",
+    "vertex_cover/mpc/n2000/seed1": "ec9622f698f25b47aaee4f2de0acd1e9bafa6587580066499e546f23ac8f476a",
+    "vertex_cover/mpc/n2000/seed2": "ed497d362e25bea4cbec8edc0d99e948f2021a347e2fdf34aa3ec58d890694f7",
 }
 
 
@@ -268,15 +269,10 @@ def test_clique_round_array_validation_matches_dict_reference(batch):
     iteration=st.integers(min_value=0, max_value=500),
 )
 def test_rng_batch_matches_scalar_draws(seed, vertices, iteration):
-    """random_batch/uniform_batch are bit-for-bit the scalar methods."""
+    """random_batch is bit-for-bit the scalar method."""
     stream = RngStream(seed, namespace="parity")
     scalar = [stream.random(v, iteration) for v in vertices]
     assert stream.random_batch(vertices, iteration).tolist() == scalar
-    scalar_uniform = [stream.uniform(0.25, 0.75, v, iteration) for v in vertices]
-    assert (
-        stream.uniform_batch(0.25, 0.75, vertices, iteration).tolist()
-        == scalar_uniform
-    )
 
 
 @settings(max_examples=50, deadline=None)

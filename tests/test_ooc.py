@@ -209,22 +209,16 @@ class TestCounterRng:
 
 
 class TestThresholdOracleCounter:
-    def test_mode_property_and_validation(self):
-        assert ThresholdOracle(0.2, 0.4, seed=0).mode == "sha"
-        assert ThresholdOracle(0.2, 0.4, seed=0, mode="counter").mode == "counter"
-        with pytest.raises(ValueError):
-            ThresholdOracle(0.2, 0.4, seed=0, mode="philox")
-
     def test_values_in_band_and_deterministic(self):
-        oracle = ThresholdOracle(0.2, 0.4, seed=5, mode="counter")
+        oracle = ThresholdOracle(0.2, 0.4, seed=5)
         vs = np.arange(500)
         draws = oracle.thresholds_batch(vs, 3)
         assert (draws >= 0.2).all() and (draws <= 0.4).all()
-        again = ThresholdOracle(0.2, 0.4, seed=5, mode="counter")
+        again = ThresholdOracle(0.2, 0.4, seed=5)
         assert np.array_equal(draws, again.thresholds_batch(vs, 3))
 
     def test_scalar_batch_parity_and_crosses(self):
-        oracle = ThresholdOracle(0.2, 0.4, seed=5, mode="counter")
+        oracle = ThresholdOracle(0.2, 0.4, seed=5)
         vs = np.arange(40)
         batch = oracle.thresholds_batch(vs, 2)
         for v in range(40):
@@ -234,24 +228,17 @@ class TestThresholdOracleCounter:
         for v in range(40):
             assert oracle.crosses(v, 2, estimates[v]) == decisions[v]
 
-    def test_counter_differs_from_sha(self):
-        sha = ThresholdOracle(0.2, 0.4, seed=5)
-        counter = ThresholdOracle(0.2, 0.4, seed=5, mode="counter")
-        vs = np.arange(100)
-        assert not np.array_equal(
-            sha.thresholds_batch(vs, 0), counter.thresholds_batch(vs, 0)
-        )
 
 
 class TestConfigRng:
     def test_validation(self):
         assert MISConfig().rng == "sha"
         assert MISConfig(rng="counter").rng == "counter"
-        assert MatchingConfig(rng="counter").rng == "counter"
         with pytest.raises(ValueError):
             MISConfig(rng="philox")
-        with pytest.raises(ValueError):
-            MatchingConfig(rng="philox")
+        # The matching family has no mode to choose.
+        with pytest.raises(TypeError):
+            MatchingConfig(rng="counter")
 
     def test_counter_requires_luby(self):
         with pytest.raises(ValueError):
@@ -273,7 +260,7 @@ def trio(tmp_path_factory):
 
 
 class TestSolveParity:
-    @pytest.mark.parametrize("task", ["mis", "fractional_matching"])
+    @pytest.mark.parametrize("task", ["mis"])
     def test_sha_byte_parity_across_representations(self, trio, task):
         plain, csr, mapped = trio
         reports = [
@@ -284,6 +271,20 @@ class TestSolveParity:
         assert all(r.valid for r in reports)
         assert all(r.config["rng"] == "sha" for r in reports)
 
+    @pytest.mark.parametrize(
+        "task",
+        ["fractional_matching", "vertex_cover", "matching", "one_plus_eps_matching"],
+    )
+    def test_byte_parity_across_representations(self, trio, task):
+        plain, csr, mapped = trio
+        reports = [
+            solve(task, g, backend="mpc", seed=23) for g in (plain, csr, mapped)
+        ]
+        assert reports[0].solution == reports[1].solution == reports[2].solution
+        assert reports[0].rounds == reports[1].rounds == reports[2].rounds
+        assert reports[0].extras == reports[1].extras == reports[2].extras
+        assert all(r.valid for r in reports)
+
     @pytest.mark.parametrize("task", ["mis", "fractional_matching"])
     def test_counter_mode_representation_independent(self, trio, task):
         _, csr, mapped = trio
@@ -293,7 +294,8 @@ class TestSolveParity:
         assert a.solution == b.solution == c.solution
         assert a.rounds == b.rounds
         assert a.valid and b.valid
-        assert a.config["rng"] == "counter"
+        if task == "mis":
+            assert a.config["rng"] == "counter"
 
     def test_counter_mis_solution_is_canonical_list(self, trio):
         _, _, mapped = trio
@@ -321,6 +323,29 @@ class TestSolveParity:
         # configless backends ignore the sweep-wide setting
         report = solve("mis", plain, backend="greedy", seed=0, rng="counter")
         assert report.valid
+
+    @pytest.mark.parametrize(
+        "task", ["matching", "fractional_matching", "one_plus_eps_matching"]
+    )
+    @pytest.mark.parametrize("kind", ["csr", "mmap"])
+    def test_verify_ratio_oracles_on_csr_inputs(self, trio, task, kind):
+        """Under the oracle cap the exact ratio checks run on CSR inputs too."""
+        plain, csr, mapped = trio
+        graph = csr if kind == "csr" else mapped
+        report = solve(task, graph, backend="mpc", seed=5, verify=True)
+        assert report.verified
+        reference = solve(task, plain, backend="mpc", seed=5, verify=True)
+        assert report.verification == reference.verification
+
+    @pytest.mark.parametrize("kind", ["csr", "mmap"])
+    def test_verify_cover_oracle_on_small_csr_inputs(self, tmp_path, kind):
+        """The brute-force cover oracle (n <= 12) also takes CSR inputs."""
+        csr = small_csr(n=10, degree=3.0)
+        graph = csr if kind == "csr" else load_csr(save_csr(csr, tmp_path / "g"))
+        report = solve("vertex_cover", graph, backend="mpc", seed=5, verify=True)
+        checks = {c["name"]: c for c in report.verification["checks"]}
+        assert report.verified
+        assert "OPT=" in checks["cover_ratio"]["detail"]
 
     def test_verify_certificate_in_counter_mode(self, trio):
         plain, _, _ = trio

@@ -7,8 +7,10 @@ arithmetic will trip them even if every invariant still holds.  If a
 change is intentional (e.g. an algorithmic fix), update the pins in the
 same commit and say why.
 
-The library's randomness is built on ``random.Random`` and SHA-256-keyed
-streams, both stable across Python versions, so these pins are portable.
+The library's randomness is built on ``random.Random``, SHA-256-keyed
+streams and the SplitMix64 counter generator (the matching family's
+thresholds and machine assignment), all stable across Python versions,
+so these pins are portable.
 """
 
 import pytest
@@ -38,14 +40,14 @@ class TestPinnedOutputs:
 
     def test_fractional_matching_pin(self, pinned_graph):
         result = mpc_fractional_matching(pinned_graph, seed=123)
-        assert result.weight == pytest.approx(32.981127, abs=1e-5)
+        assert result.weight == pytest.approx(32.419767, abs=1e-5)
         assert len(result.vertex_cover) == 81
-        assert result.rounds == 30
+        assert result.rounds == 29
 
     def test_integral_matching_pin(self, pinned_graph):
         result = mpc_maximum_matching(pinned_graph, seed=123)
-        assert len(result.matching) == 47
-        assert sorted(result.matching)[:4] == [(0, 82), (1, 24), (2, 48), (3, 83)]
+        assert len(result.matching) == 43
+        assert sorted(result.matching)[:4] == [(1, 65), (2, 12), (3, 60), (4, 83)]
 
     def test_central_pin(self, pinned_graph):
         result = central_fractional_matching(pinned_graph, epsilon=0.1, seed=123)

@@ -1,5 +1,6 @@
 """Unit tests for the threshold oracle."""
 
+import numpy as np
 import pytest
 
 from repro.core.thresholds import ThresholdOracle, fixed_oracle
@@ -42,3 +43,28 @@ class TestThresholdOracle:
         draws = [oracle.threshold(v, 0) for v in range(2000)]
         mean = sum(draws) / len(draws)
         assert abs(mean - 0.5) < 0.03
+
+    def test_order_free(self):
+        """A draw depends on (seed, v, t) only: any batch order or split
+        of the vertices reads the same thresholds."""
+        oracle = ThresholdOracle(0.6, 0.8, seed=7)
+        vs = np.arange(300)
+        whole = oracle.thresholds_batch(vs, 4)
+        shuffled = np.random.default_rng(0).permutation(vs)
+        assert np.array_equal(oracle.thresholds_batch(shuffled, 4), whole[shuffled])
+        split = np.concatenate(
+            [oracle.thresholds_batch(vs[:100], 4), oracle.thresholds_batch(vs[100:], 4)]
+        )
+        assert np.array_equal(split, whole)
+
+    def test_crosses_batch_is_the_definition(self):
+        """The band short-circuit decides exactly ``est >= T_{v,t}``,
+        including estimates on and next to the band ends."""
+        oracle = ThresholdOracle(0.6, 0.8, seed=11)
+        vs = np.arange(400)
+        edges = np.array([0.6, 0.8, np.nextafter(0.6, 0), np.nextafter(0.8, 1)])
+        estimates = np.concatenate(
+            [np.linspace(0.5, 0.9, 396), edges]
+        )
+        expected = estimates >= oracle.thresholds_batch(vs, 9)
+        assert np.array_equal(oracle.crosses_batch(vs, 9, estimates), expected)

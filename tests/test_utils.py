@@ -9,7 +9,6 @@ from repro.utils.rng import (
     child_rng,
     make_rng,
     random_permutation,
-    randrange_batch,
 )
 from repro.utils.trace import Trace, maybe_record
 from repro.utils.validation import (
@@ -60,29 +59,6 @@ class TestRng:
         perm = random_permutation(100, seed=3)
         assert sorted(perm) == list(range(100))
         assert perm != list(range(100))  # astronomically unlikely to be id
-
-
-class TestRandrangeBatch:
-    """The bulk owner draw must equal CPython's scalar ``randrange`` loop.
-
-    It replays ``getrandbits`` word by word, so it depends on CPython's
-    Mersenne-Twister word layout; CI runs it on every supported Python.
-    """
-
-    @pytest.mark.parametrize("bound", [2, 3, 7, 64, 65, 1000])
-    @pytest.mark.parametrize("count", [0, 1, 5000])
-    def test_matches_scalar_values_and_state(self, bound, count):
-        scalar = random.Random(bound * 7919 + count)
-        batch = random.Random(bound * 7919 + count)
-        expected = [scalar.randrange(bound) for _ in range(count)]
-        assert randrange_batch(batch, bound, count).tolist() == expected
-        assert batch.getstate() == scalar.getstate()
-
-    def test_bound_out_of_range(self):
-        with pytest.raises(ValueError):
-            randrange_batch(random.Random(0), 0, 3)
-        with pytest.raises(ValueError):
-            randrange_batch(random.Random(0), 2**32, 3)
 
 
 class TestTrace:

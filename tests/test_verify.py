@@ -104,6 +104,30 @@ class TestCheckers:
         results = {c.name: c.passed for c in checkers.check_mis(graph, {0})}
         assert results["mis_independent"] and not results["mis_maximal"]
 
+    @pytest.mark.parametrize(
+        "chosen, independent, maximal",
+        [({0, 2}, True, True), ({0}, True, False), ({0, 1}, False, False)],
+    )
+    def test_mis_certificate_dict(self, monkeypatch, chosen, independent, maximal):
+        """One adjacency pass certifies a valid MIS; the dict is as before."""
+        graph = path_graph(4)
+        expected = {
+            "ok": independent and maximal,
+            "checks": [
+                {"name": "mis_independent", "passed": independent},
+                {"name": "mis_maximal", "passed": maximal},
+            ],
+        }
+        if not independent:
+            expected["checks"][0]["detail"] = "two chosen vertices are adjacent"
+        if not maximal:
+            expected["checks"][1]["detail"] = "some vertex could still be added"
+        if maximal:
+            # The maximality pass already refutes adjacency.
+            monkeypatch.setattr(checkers, "is_independent_set", None)
+        certificate = Certificate(checks=checkers.check_mis(graph, chosen))
+        assert certificate.to_dict() == expected
+
     def test_matching_checks(self):
         graph = path_graph(5)
         assert checkers.check_matching(graph, [(0, 1), (2, 3)])[0].passed
@@ -310,6 +334,24 @@ class TestDifferential:
         assert outcome.runs == len(outcome.reports)
         rows = outcome.summary_rows()
         assert all(row["verified"] == row["runs"] for row in rows)
+
+    @pytest.mark.parametrize("mode", ["sha", "counter"])
+    def test_sweep_wide_rng_reaches_mis_only(self, mode):
+        """A sweep-wide mode sets MIS runs; single-mode tasks run theirs."""
+        outcome = differential_sweep(
+            ["mis", "fractional_matching", "one_plus_eps_matching"],
+            "all",
+            families=("gnp_sparse",),
+            sizes=(24,),
+            seeds=(0,),
+            rng=mode,
+        )
+        assert outcome.ok, [f.to_dict() for f in outcome.failures]
+        stamped = {
+            (r.task, r.backend): r.config.get("rng") for r in outcome.reports
+        }
+        assert stamped[("mis", "mpc")] == mode
+        assert stamped[("fractional_matching", "mpc")] is None
 
     def test_tight_policy_fails_budgets(self):
         tight = BudgetPolicy(loglog_factor=1e-6, rounds_offset=0.0, log_factor=1e-6)
