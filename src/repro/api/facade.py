@@ -30,7 +30,7 @@ from repro.api.report import (
     RunReport,
     canonical_solution,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_graph
 from repro.graph.graph import Graph
 from repro.graph.properties import (
     is_matching,
@@ -125,14 +125,15 @@ def solve(
     trace:
         Optional :class:`Trace` receiving the backend's instrumentation.
     executor:
-        ``None`` (default, fully in-process), ``"local"`` (the
-        :mod:`repro.dist` driver over the in-process reference transport
-        — the behavior benchmarks compare against), ``"parallel"`` (a
-        multiprocessing worker pool with shared-memory graph arrays), or
-        a reusable :class:`repro.dist.DistExecutor` instance.  Only
-        MPC-backend entries accept it; outputs and budget audits are
-        byte-identical across executors for a fixed seed (see
-        DISTRIBUTED.md).
+        Where the MPC solvers' machine phases run: ``None`` (default,
+        one in-process worker; no ``extras["executor"]`` record),
+        ``"local"`` (``workers`` in-process workers over the reference
+        transport, with per-phase walls in ``extras["executor"]``),
+        ``"parallel"`` (a multiprocessing worker pool with shared-memory
+        graph arrays), or a reusable :class:`repro.dist.DistExecutor`
+        instance.  Only MPC-backend entries accept it; outputs and
+        budget audits are byte-identical across executors for a fixed
+        seed (see DISTRIBUTED.md).
     workers:
         Worker count for a string ``executor`` (default 2).  With an
         executor instance it must match the instance (or be ``None``);
@@ -245,8 +246,13 @@ def solve(
                 None,
                 None,
             )
+            # The sequential references walk set-based adjacency, so an
+            # out-of-core (CSR / mmap) input is converted here.
             output = degraded_entry.fn(
-                prepared, config=fallback_config, seed=seed, trace=trace
+                prepared if entry.weighted else as_graph(prepared),
+                config=fallback_config,
+                seed=seed,
+                trace=trace,
             )
         elapsed = time.perf_counter() - started
     finally:
@@ -266,7 +272,6 @@ def solve(
         extras["executor"] = {
             "kind": dist_executor.kind,
             "workers": dist_executor.workers,
-            "distributed": dist_executor.distributed,
             "supervised": recovery_log is not None,
             "phase_walls": dist_executor.phase_walls(),
         }

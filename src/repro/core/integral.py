@@ -45,6 +45,7 @@ from repro.baselines.filtering import filtering_maximal_matching
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import fractional_matching_arrays
 from repro.core.rounding import round_edge_arrays
+from repro.dist.executor import in_process
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph
 from repro.mpc.spec import ClusterSpec
@@ -90,9 +91,10 @@ def mpc_maximum_matching(
 ) -> IntegralMatchingResult:
     """Compute a ``(2+O(ε))``-approximate integral matching of ``graph``.
 
-    ``executor`` (an optional :class:`repro.dist.DistExecutor`) is handed
-    to every per-pass fractional solve; rounding and cleanup stay
-    driver-side (their sequential RNG order is load-bearing).  A
+    ``executor`` (an optional :class:`repro.dist.DistExecutor`; ``None``
+    = one in-process worker, built once here) is handed to every per-pass
+    fractional solve; rounding and cleanup stay driver-side (their
+    sequential RNG order is load-bearing).  A
     ``governor`` is likewise handed to every pass — its peak-hold
     estimator persists across passes, so imbalance measured in pass 1
     informs the partition sizing of pass 2.
@@ -105,6 +107,7 @@ def mpc_maximum_matching(
         # generous so the fixed point, not the cap, ends the loop.
         max_passes = max(8, 4 * int(math.log(1.0 / config.epsilon) + 1))
 
+    executor = in_process(executor)
     csr = as_csr(graph)
     n = csr.num_vertices
     edges = csr.edge_array()

@@ -33,8 +33,8 @@ Randomness.  Both random choices are keyed draws of the order-free
 counter generator (:mod:`repro.utils.counter_rng`): the thresholds
 ``T_{v,t}`` are a pure function of ``(seed, v, t)``, and the Line (d)
 owner of vertex ``v`` in phase ``p`` a pure function of ``(seed, p, v)``.
-Nothing is consumed in an order, so the in-process path and every
-executor read the same values.
+Nothing is consumed in an order, so every executor and every worker
+count reads the same values.
 
 :func:`fractional_matching_arrays` is the array core; it returns
 the weights as ``(inside, x)`` over the canonical CSR edge rows, and
@@ -61,13 +61,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import MatchingConfig
 from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle
+from repro.dist.executor import in_process
 from repro.govern.governor import governed_broadcast
 from repro.graph.csr import CSRGraph, as_csr, gather_rows
 from repro.graph.graph import Edge, Graph
@@ -175,11 +176,11 @@ def mpc_fractional_matching(
         :func:`repro.core.central.run_freezing_process` to couple the two
         processes (used by the Lemma 4.15 concentration experiment).
     executor:
-        Optional :class:`repro.dist.DistExecutor`.  When it is
-        distributed, the per-machine phase blocks and the direct
-        Central-Rand iterations run on its workers (outputs and round
-        accounting byte-identical to the in-process path — see
-        DISTRIBUTED.md); otherwise this sequential reference path runs.
+        Optional :class:`repro.dist.DistExecutor` the per-machine phase
+        blocks and the direct Central-Rand iterations run on; ``None``
+        runs them on one in-process worker.  Outputs and round
+        accounting are byte-identical across executors (see
+        DISTRIBUTED.md).
     governor:
         Optional :class:`repro.govern.Governor`.  Watches per-phase load
         and intervenes before the word budget is breached: raises the
@@ -225,6 +226,7 @@ def fractional_matching_arrays(
     ``csr.edge_array()`` whose endpoints both survived, and ``x`` holds
     their weights in row order.  ``result.matching.weights`` is left
     empty; callers build the edge order they need from the arrays.
+    ``executor`` is as in :func:`mpc_fractional_matching`.
     """
     config = config or MatchingConfig()
     epsilon = config.epsilon
@@ -235,6 +237,7 @@ def fractional_matching_arrays(
         empty = FractionalMatching(graph=csr, weights={}, vertex_cover=set())
         result = MatchingMPCResult(matching=empty, rounds=0, phases=0, iterations=0)
         return result, np.zeros(csr.num_edges, dtype=bool), np.empty(0)
+    executor = in_process(executor)
 
     if oracle is None:
         oracle = ThresholdOracle(
@@ -376,59 +379,41 @@ def fractional_matching_arrays(
         _ship_partitions(cluster, local_edge_counts, phases, governor=governor)
         machine_edges_per_phase.append(max(local_edge_counts, default=0))
 
-        # Lines (e): every machine simulates I iterations locally.  With a
-        # distributed executor the machine blocks are scattered over the
-        # workers and the freeze insertions merged back in machine order —
-        # exactly the order the sequential loop produces.
-        if executor is not None and executor.distributed:
-            local_of = np.full(n, -1, dtype=np.int64)
-            for part in parts:
-                if len(part):
-                    local_of[part] = np.arange(len(part), dtype=np.int64)
-            tasks = []
-            for index, part in enumerate(parts):
-                if len(part) == 0:
-                    continue
-                lo, hi = boundaries[index], boundaries[index + 1]
-                tasks.append(
-                    (
-                        part,
-                        local_of[local_u[lo:hi]],
-                        local_of[local_v[lo:hi]],
-                        y_old[part],
-                    )
+        # Lines (e): every machine simulates I iterations locally.  The
+        # machine blocks are scattered over the executor's workers and
+        # the freeze insertions merged back in machine order.
+        local_of = np.full(n, -1, dtype=np.int64)
+        for part in parts:
+            local_of[part] = np.arange(len(part), dtype=np.int64)
+        tasks = []
+        for index, part in enumerate(parts):
+            if len(part) == 0:
+                continue
+            lo, hi = boundaries[index], boundaries[index + 1]
+            tasks.append(
+                (
+                    part,
+                    local_of[local_u[lo:hi]],
+                    local_of[local_v[lo:hi]],
+                    y_old[part],
                 )
-            results = executor.map_tasks(
-                "matching.machines",
-                tasks,
-                shared={
-                    "oracle": oracle,
-                    "start": t,
-                    "iterations": iterations,
-                    "machines": num_machines,
-                    "w0": w0,
-                    "growth": growth,
-                },
-                phase="compressed-phases",
             )
-            for insertions in results:
-                for v, frozen_t in insertions:
-                    freeze_iteration[v] = frozen_t
-        else:
-            for index, part in enumerate(parts):
-                _simulate_machine(
-                    part=part,
-                    edges_u=local_u[boundaries[index] : boundaries[index + 1]],
-                    edges_v=local_v[boundaries[index] : boundaries[index + 1]],
-                    y_old=y_old,
-                    oracle=oracle,
-                    freeze_iteration=freeze_iteration,
-                    start_iteration=t,
-                    iterations=iterations,
-                    num_machines=num_machines,
-                    w0=w0,
-                    growth=growth,
-                )
+        results = executor.map_tasks(
+            "matching.machines",
+            tasks,
+            shared={
+                "oracle": oracle,
+                "start": t,
+                "iterations": iterations,
+                "machines": num_machines,
+                "w0": w0,
+                "growth": growth,
+            },
+            phase="compressed-phases",
+        )
+        for insertions in results:
+            for v, frozen_t in insertions:
+                freeze_iteration[v] = frozen_t
         t += iterations
         d *= (1.0 - epsilon) ** iterations
         phases += 1
@@ -591,53 +576,6 @@ def _scatter_waves(messages: List[tuple], soft_words: int) -> List[List[tuple]]:
     return [wave for wave in waves if wave]
 
 
-def _simulate_machine(
-    part: Sequence[int],
-    edges_u: np.ndarray,
-    edges_v: np.ndarray,
-    y_old: np.ndarray,
-    oracle: ThresholdOracle,
-    freeze_iteration: Dict[int, int],
-    start_iteration: int,
-    iterations: int,
-    num_machines: int,
-    w0: float,
-    growth: float,
-) -> None:
-    """Run ``iterations`` local Central-Rand steps on one machine's part.
-
-    ``edges_u``/``edges_v`` are this machine's local induced edges (both
-    endpoints assigned here).  Mutates ``freeze_iteration`` with the
-    vertices this machine froze.
-
-    The whole part is decided per iteration through one
-    :meth:`ThresholdOracle.crosses_batch` call — local degrees live in a
-    part-relabelled array and shrink by masking dead edges, so no
-    adjacency sets are materialized.  Freezing decisions are identical to
-    the historical per-vertex loop (the threshold is a pure function of
-    ``(seed, v, t)`` and the estimate arithmetic is unchanged).
-    """
-    if len(part) == 0:
-        return
-    part_ids = np.asarray(part, dtype=np.int64)
-    local_of = np.full(len(y_old), -1, dtype=np.int64)
-    local_of[part_ids] = np.arange(len(part_ids), dtype=np.int64)
-    insertions = _machine_insertions(
-        part_ids=part_ids,
-        local_u=local_of[edges_u],
-        local_v=local_of[edges_v],
-        y_part=y_old[part_ids],
-        oracle=oracle,
-        start_iteration=start_iteration,
-        iterations=iterations,
-        num_machines=num_machines,
-        w0=w0,
-        growth=growth,
-    )
-    for v, now in insertions:
-        freeze_iteration[v] = now
-
-
 def _machine_insertions(
     part_ids: np.ndarray,
     local_u: np.ndarray,
@@ -652,12 +590,16 @@ def _machine_insertions(
 ) -> List[tuple]:
     """One machine's local Central-Rand block, as ``(vertex, t)`` freezes.
 
-    The machine-local unit of :func:`_simulate_machine`, factored so the
-    distributed executor can run it on a worker (via the
-    ``matching.machines`` kernel) and replay the returned insertions in
-    the driver — list order equals the sequential mutation order.
-    ``local_u``/``local_v`` are the machine's induced edges relabelled to
-    part positions; ``y_part`` is the frozen-load slice for the part.
+    Runs ``iterations`` local Central-Rand steps on one machine's part
+    (the ``matching.machines`` kernel); the driver replays the returned
+    insertions in list order.  ``local_u``/``local_v`` are the machine's
+    induced edges (both endpoints assigned here) relabelled to part
+    positions; ``y_part`` is the frozen-load slice for the part.
+
+    The whole part is decided per iteration through one
+    :meth:`ThresholdOracle.crosses_batch` call — local degrees live in a
+    part-relabelled array and shrink by masking dead edges, so no
+    adjacency sets are materialized.
     """
     insertions: List[tuple] = []
     k = len(part_ids)
@@ -704,21 +646,21 @@ def _direct_simulation(
     growth: float,
     max_iterations: int,
     vertex_loads,
-    executor=None,
+    executor,
 ) -> int:
     """Line (4): simulate Central-Rand directly, one MPC round per iteration.
 
     Returns the final global iteration counter.  Every iteration is one
-    :func:`direct_step` over the vertex range.  In process, one state
-    owns all of ``[0, n)``.  With a distributed executor, the range is
-    partitioned contiguously over the workers; each worker owns the
+    :func:`direct_step` per worker.  The vertex range is partitioned
+    contiguously over the executor's workers; each worker owns the
     mutable per-vertex state (active flag, active degree, frozen load)
-    for its slice and reads the immutable CSR adjacency from shared
-    memory.  Per iteration the driver broadcasts the previous iteration's
-    global freeze list, sums the surviving active counts, and merges the
-    newly-frozen ids — charging exactly one cluster round per executed
-    iteration.  The two paths run the same arithmetic on the same cells,
-    so their outputs are identical (the parity suite enforces it).
+    for its slice and reads the immutable CSR adjacency from the
+    session.  Per iteration the driver broadcasts the previous
+    iteration's global freeze list, sums the surviving active counts,
+    and merges the newly-frozen ids — charging exactly one cluster round
+    per executed iteration.  Every cell gets the same arithmetic
+    whichever worker owns it, so the outputs do not depend on the
+    worker count (the parity suite enforces it).
     """
     t = start_iteration
     n = len(surviving_mask)
@@ -741,21 +683,6 @@ def _direct_simulation(
         active_degree[active_ids] * w0
     ) * (growth**t)
 
-    if executor is None or not executor.distributed:
-        state = direct_state(
-            0, n, initially_active, active_degree, frozen_load, oracle, w0, growth
-        )
-        return _direct_loop(
-            lambda now, prev: [
-                direct_step(state, csr.indptr, csr.indices, now, prev)
-            ],
-            t,
-            freeze_at,
-            freeze_iteration,
-            cluster,
-            max_iterations,
-        )
-
     key = executor.open_session(
         "matching-direct", {"indptr": csr.indptr, "indices": csr.indices}
     )
@@ -777,52 +704,32 @@ def _direct_simulation(
         executor.scatter_step(
             "matching.direct_init", payloads, phase="direct-simulation"
         )
-        return _direct_loop(
-            lambda now, prev: executor.broadcast_step(
+        # Termination and the iteration cap gate on the summed active
+        # count *before* any round is charged or any freeze applied: a
+        # step that finds every vertex inactive ends the loop without
+        # charging a round.
+        prev = np.empty(0, dtype=np.int64)
+        steps = 0
+        while True:
+            results = executor.broadcast_step(
                 "matching.direct_step",
-                {"session": key, "t": now, "prev": prev},
+                {"session": key, "t": t, "prev": prev},
                 phase="direct-simulation",
-            ),
-            t,
-            freeze_at,
-            freeze_iteration,
-            cluster,
-            max_iterations,
-        )
+            )
+            if sum(count for _, count in results) == 0:
+                return t
+            if steps >= max_iterations:
+                raise RuntimeError(
+                    "direct Central-Rand simulation exceeded its iteration cap"
+                )
+            prev = np.concatenate([newly for newly, _ in results])
+            freeze_at[prev] = t
+            freeze_iteration.update(dict.fromkeys(prev.tolist(), t))
+            t += 1
+            steps += 1
+            cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
     finally:
         executor.close_session(key)
-
-
-def _direct_loop(
-    step,
-    t: int,
-    freeze_at: np.ndarray,
-    freeze_iteration: Dict[int, int],
-    cluster: MPCCluster,
-    max_iterations: int,
-) -> int:
-    """Drive ``step(t, prev) -> [(newly, active_count), ...]`` to the end.
-
-    Termination and the iteration cap gate on the summed active count
-    *before* any round is charged or any freeze applied: a step that
-    finds every vertex inactive ends the loop without charging a round.
-    """
-    prev = np.empty(0, dtype=np.int64)
-    steps = 0
-    while True:
-        results = step(t, prev)
-        if sum(count for _, count in results) == 0:
-            return t
-        if steps >= max_iterations:
-            raise RuntimeError(
-                "direct Central-Rand simulation exceeded its iteration cap"
-            )
-        prev = np.concatenate([newly for newly, _ in results])
-        freeze_at[prev] = t
-        freeze_iteration.update(dict.fromkeys(prev.tolist(), t))
-        t += 1
-        steps += 1
-        cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
 
 
 def direct_state(

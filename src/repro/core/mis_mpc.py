@@ -39,8 +39,8 @@ from typing import List, Optional, Set, Union
 import numpy as np
 
 from repro.core.config import MISConfig
-from repro.core.greedy_mis import greedy_mis_on_prefix_csr
 from repro.core.sparsified_mis import sparsified_mis
+from repro.dist.executor import in_process
 from repro.govern.governor import governed_broadcast
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Graph
@@ -186,10 +186,11 @@ def mis_mpc(
     machines is chosen as ``ceil(total_words / S) + 1`` so the input fits,
     matching the ``S * m = Θ(N)`` regime of Section 1.1.1.
 
-    With a distributed ``executor``, each phase's single-leader greedy
-    prefix walk runs on a worker against the shared CSR + rank arrays
-    (a pure function of its inputs, so output-neutral); the permutation
-    draw, residual masks, and cluster accounting stay driver-side.
+    Each phase's single-leader greedy prefix walk runs as one
+    ``mis.prefix_greedy`` task on the ``executor`` (in process when it
+    is ``None``) against the session's CSR + rank arrays — a pure
+    function of its inputs, so output-neutral; the permutation draw,
+    residual masks, and cluster accounting stay driver-side.
 
     A ``governor`` (:class:`repro.govern.Governor`) chunks over-budget
     bulk operations — the permutation broadcast, the per-phase prefix
@@ -248,10 +249,12 @@ def mis_mpc(
 
     shipped_sizes: List[int] = []
     previous_cutoff = 0
-    distributed = executor is not None and executor.distributed
+    executor = in_process(executor)
     session_key = None
     try:
-        if distributed and cutoffs:
+        if cutoffs:
+            # Only prefix phases read the session: the pure-sparse regime
+            # installs nothing, so it stays residency-bounded.
             session_key = executor.open_session(
                 "mis",
                 {
@@ -276,17 +279,14 @@ def mis_mpc(
             )
             shipped_sizes.append(len(prefix_edges))
 
-            if distributed:
-                # The single-leader phase: one worker walks the prefix
-                # against the shared CSR/rank arrays.
-                [new_mis] = executor.map_tasks(
-                    "mis.prefix_greedy",
-                    [prefix],
-                    shared={"session": session_key},
-                    phase="mis-prefix",
-                )
-            else:
-                new_mis = greedy_mis_on_prefix_csr(csr, ranks, prefix)
+            # The single-leader phase: one worker walks the prefix
+            # against the shared CSR/rank arrays.
+            [new_mis] = executor.map_tasks(
+                "mis.prefix_greedy",
+                [prefix],
+                shared={"session": session_key},
+                phase="mis-prefix",
+            )
             broadcast_vertex_set(
                 cluster,
                 new_mis.tolist(),

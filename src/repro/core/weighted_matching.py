@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.filtering import filtering_maximal_matching
+from repro.dist.executor import in_process
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.spec import ClusterSpec
@@ -67,19 +68,16 @@ def _filter_class(
     available: List[Edge],
     words_per_machine: int,
     class_seed: int,
-    governor=None,
-    context: str = "weighted: class filtering",
+    sizes: Optional[List[int]],
 ) -> Tuple[Set[Edge], int]:
-    """Run one weight class through filtering, chunked if over budget.
+    """Run one weight class through filtering, in ``len(sizes)`` batches.
 
-    The ungoverned (or in-budget) path is byte-identical to calling
+    ``sizes`` is the governor's chunk plan for the class (``None`` = in
+    budget): the unchunked path is byte-identical to calling
     :func:`filtering_maximal_matching` directly.  Over-budget classes are
     split into sequential sub-batches; each batch drops edges already
     matched by earlier batches, so the union stays maximal on the class.
     """
-    sizes = None
-    if governor is not None:
-        sizes = governor.plan_chunks(edge_words(len(available)), context)
     if sizes is None:
         outcome = filtering_maximal_matching(
             Graph(n, available),
@@ -132,10 +130,10 @@ def mpc_weighted_matching(
     optimum restricted to kept edges, hence ``(2+O(ε))`` overall.
 
     Classes are sequentially dependent (each sees the previous classes'
-    matched vertices), so a distributed ``executor`` dispatches each
-    class's filtering run to a worker; the per-class seed is drawn
-    driver-side in the same RNG position as the sequential path, keeping
-    the outputs identical.
+    matched vertices), so each class's filtering run is one
+    ``weighted.filtering`` task on the ``executor`` (in process when it
+    is ``None``); the per-class seed and the governor's chunk plan are
+    drawn driver-side, so every executor computes the same classes.
 
     With a ``governor``, a weight class whose participating edge set
     exceeds the soft per-machine budget is chunked into sequential
@@ -153,7 +151,7 @@ def mpc_weighted_matching(
     matching: Set[Edge] = set()
     rounds = 0
     per_class: List[int] = []
-    distributed = executor is not None and executor.distributed
+    executor = in_process(executor)
     spec = ClusterSpec.from_graph(graph, memory_factor)
     words_per_machine = spec.words_per_machine
     if governor is not None:
@@ -167,21 +165,17 @@ def mpc_weighted_matching(
             per_class.append(0)
             continue
         class_seed = rng.getrandbits(64)
-        if distributed:
-            [(class_matching, class_rounds)] = executor.map_tasks(
-                "weighted.filtering",
-                [(n, available, words_per_machine, class_seed)],
-                phase="weight-classes",
+        sizes = None
+        if governor is not None:
+            sizes = governor.plan_chunks(
+                edge_words(len(available)),
+                f"weighted: class {class_index} filtering",
             )
-        else:
-            class_matching, class_rounds = _filter_class(
-                n,
-                available,
-                words_per_machine,
-                class_seed,
-                governor=governor,
-                context=f"weighted: class {class_index} filtering",
-            )
+        [(class_matching, class_rounds)] = executor.map_tasks(
+            "weighted.filtering",
+            [(n, available, words_per_machine, class_seed, sizes)],
+            phase="weight-classes",
+        )
         rounds += class_rounds
         per_class.append(len(class_matching))
         for u, v in class_matching:

@@ -1,16 +1,15 @@
-"""``repro.dist`` — true parallel execution of the MPC cluster.
+"""``repro.dist`` — execution of the MPC cluster's machine-local work.
 
 The simulated :class:`~repro.mpc.cluster.MPCCluster` stays the model's
 source of truth (round charging, word budgets, per-machine memory
-audits); this package is the *execution* substrate that runs the
-machine-local work of the MPC solvers on real workers:
+audits); this package is the *execution* substrate.  Every MPC solver
+runs its machine-local work through it, in process or on real workers:
 
 * :mod:`repro.dist.transport` — the :class:`Transport` protocol with an
-  in-process reference (:class:`LocalTransport`), a persistent
-  shared-memory multiprocessing pool (:class:`MultiprocessTransport`),
-  and a documented mpi4py mapping (:class:`MPITransport`);
-* :mod:`repro.dist.kernels` — the named worker kernels wrapping the
-  existing machine-local phase logic unchanged;
+  in-process reference (:class:`LocalTransport`) and a persistent
+  shared-memory multiprocessing pool (:class:`MultiprocessTransport`);
+* :mod:`repro.dist.kernels` — the named worker kernels: the solvers'
+  machine-local phase units;
 * :mod:`repro.dist.executor` — the phase-structured driver
   (:class:`DistExecutor`) the solvers program against;
 * :mod:`repro.dist.faults` — deterministic fault injection
@@ -22,8 +21,9 @@ machine-local work of the MPC solvers on real workers:
   :func:`repro.api.batch.solve_many`).
 
 Entry point: ``solve(task, graph, backend="mpc", executor="parallel",
-workers=K)`` — outputs and budget audits are byte-identical to the
-sequential simulator under fixed seeds (see DISTRIBUTED.md).
+workers=K)`` — outputs and budget audits are byte-identical to
+``executor=None`` (one in-process worker) under fixed seeds (see
+DISTRIBUTED.md).
 """
 
 from repro.dist.errors import (
@@ -40,12 +40,7 @@ from repro.dist.faults import (
     RecoveryLog,
     SupervisedTransport,
 )
-from repro.dist.transport import (
-    LocalTransport,
-    MPITransport,
-    MultiprocessTransport,
-    Transport,
-)
+from repro.dist.transport import LocalTransport, MultiprocessTransport, Transport
 
 __all__ = [
     "ChaosTransport",
@@ -57,7 +52,6 @@ __all__ = [
     "FaultPolicy",
     "FaultSpec",
     "LocalTransport",
-    "MPITransport",
     "MultiprocessTransport",
     "RecoveryLog",
     "SupervisedTransport",

@@ -7,17 +7,13 @@ driver shape of the reference cluster harness (SNIPPETS.md Snippet 1:
 allreduce the active counts, barrier per phase, gather at the root),
 with the transport abstraction underneath choosing where the work runs.
 
-Two execution modes share the class:
-
-* ``distributed=False`` (the ``executor="local"`` default over
-  :class:`~repro.dist.transport.LocalTransport`) — the solvers keep
-  their plain sequential code path untouched; the executor only
-  contributes run metadata.  This is the reference behavior benchmarks
-  compare against.
-* ``distributed=True`` (``executor="parallel"``, or any transport with
-  process isolation) — the solvers partition their machine-local units
-  across the transport's workers.  Outputs are byte-identical to the
-  sequential simulator by construction, and the parity suite enforces it.
+Every MPC solver runs its machine phases through this class.  The
+transport only decides *where* the kernels run: in the driver process
+(:class:`~repro.dist.transport.LocalTransport`, which is what
+``executor=None`` and ``executor="local"`` use) or on worker processes
+(``executor="parallel"``).  The kernels and the driver-side merge are the
+same either way, so outputs are byte-identical across transports and
+worker counts, and the parity suite enforces it.
 
 Executors are reusable across ``solve`` calls: the scaling harness builds
 one per worker count and amortizes pool startup over every repeat.
@@ -29,15 +25,10 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dist.errors import DistExecutionError
-from repro.dist.transport import (
-    LocalTransport,
-    MPITransport,
-    MultiprocessTransport,
-    Transport,
-)
+from repro.dist.transport import LocalTransport, MultiprocessTransport, Transport
 
 #: Executor names accepted by the façade.
-EXECUTOR_KINDS = ("local", "parallel", "mpi")
+EXECUTOR_KINDS = ("local", "parallel")
 
 _DEFAULT_WORKERS = 2
 
@@ -45,19 +36,9 @@ _DEFAULT_WORKERS = 2
 class DistExecutor:
     """Phase-structured driver over a :class:`Transport`."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        kind: Optional[str] = None,
-        distributed: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, transport: Transport, kind: Optional[str] = None) -> None:
         self._transport = transport
         self.kind = kind or type(transport).__name__
-        # Overridable so tests can force the kernel-partitioned path
-        # through LocalTransport (in-process, no multiprocessing).
-        self.distributed = (
-            transport.distributed if distributed is None else bool(distributed)
-        )
         self._session_counter = 0
         self._phase_walls: Dict[str, Dict[str, float]] = {}
         self._closed = False
@@ -104,7 +85,7 @@ class DistExecutor:
     def partition(self, n: int) -> List[Tuple[int, int]]:
         """Contiguous ``[lo, hi)`` vertex ranges, one per worker.
 
-        Balanced to within one vertex.  The solvers' distributed paths
+        Balanced to within one vertex.  The solvers' machine phases
         are range-invariant (the parity suite runs several worker
         counts), so this split only affects load balance, not outputs.
         """
@@ -129,7 +110,7 @@ class DistExecutor:
 
         Tasks are chunked contiguously; results come back flattened in
         task order regardless of which worker ran each one, so callers
-        can merge them exactly as the sequential loop would have.
+        merge them the same way for every worker count.
         """
         chunks = self._chunk(tasks)
         payloads = [{"tasks": chunk, "shared": shared or {}} for chunk in chunks]
@@ -211,6 +192,18 @@ class DistExecutor:
 ExecutorLike = Union[str, DistExecutor, None]
 
 
+def in_process(executor: Optional[DistExecutor]) -> DistExecutor:
+    """``executor``, or one in-process worker when it is ``None``.
+
+    What an MPC solver calls once per solve, so ``executor=None`` runs
+    the same kernels as every other executor, inline in the driver over
+    ``LocalTransport(1)``.
+    """
+    if executor is None:
+        return DistExecutor(LocalTransport(1), kind="local")
+    return executor
+
+
 def _coerce_policy(fault_policy: Any) -> Optional["FaultPolicy"]:
     from repro.dist.faults import FaultPolicy
 
@@ -254,7 +247,8 @@ def resolve_executor(
     Returns ``(executor_or_None, owned)`` — ``owned`` tells the caller
     whether it created (and must close) the executor.  Accepted values:
     ``None``, a reusable :class:`DistExecutor` instance, or one of
-    ``"local"`` / ``"parallel"`` / ``"mpi"``.
+    ``"local"`` / ``"parallel"``.  ``None`` stays ``None``: the solver
+    then builds its own in-process executor (:func:`in_process`).
 
     ``fault_policy`` / ``fault_plan`` opt the ``"parallel"`` executor
     into the supervised path (:mod:`repro.dist.faults`): the policy sets
@@ -324,9 +318,6 @@ def resolve_executor(
             DistExecutor(MultiprocessTransport(workers), kind="parallel"),
             True,
         )
-    if executor == "mpi":
-        # Raises NotImplementedError with the documentation pointer.
-        return DistExecutor(MPITransport(workers), kind="mpi"), True
     raise ValueError(
         f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}"
     )

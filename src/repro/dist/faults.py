@@ -34,7 +34,7 @@ Three layers, composing bottom-up:
   ``step_partial``, bounded retries with exponential backoff, worker
   respawn with journal replay for stateful kernels, and — when the
   budget is gone — mid-solve degradation onto :class:`LocalTransport`,
-  continuing the solve sequentially without losing a byte.  Every
+  continuing the solve in process without losing a byte.  Every
   recovery action lands in the :class:`RecoveryLog`, which the facade
   surfaces as ``RunReport.extras["faults"]``.
 """
@@ -233,10 +233,6 @@ class ChaosTransport(Transport):
         return self._inner
 
     @property
-    def distributed(self) -> bool:  # type: ignore[override]
-        return self._inner.distributed
-
-    @property
     def workers(self) -> int:
         return self._inner.workers
 
@@ -417,8 +413,6 @@ class SupervisedTransport(Transport):
     :func:`repro.dist.kernels.is_stateful`): stateless phases leave no
     worker-resident trace, so replaying them would be pure waste.
     """
-
-    distributed = True
 
     def __init__(
         self, inner: Transport, policy: Optional[FaultPolicy] = None

@@ -6,14 +6,14 @@ name inside each worker (the registry is populated at module import, so
 forked and spawned workers see the same table), which keeps step payloads
 free of code objects.
 
-The solver kernels here wrap the *existing* machine-local MPC phase logic
-— :func:`repro.core.matching_mpc._machine_insertions`,
+The solver kernels here are the machine-local MPC phase units —
+:func:`repro.core.matching_mpc._machine_insertions`,
 :func:`repro.core.matching_mpc.direct_step`,
 :func:`repro.core.greedy_mis.greedy_mis_on_prefix_csr`,
-:func:`repro.baselines.filtering.filtering_maximal_matching` — unchanged;
-the distributed executor only changes *where* those units run, never what
-they compute, which is what keeps ``executor="parallel"`` byte-identical
-to the sequential simulator.
+:func:`repro.core.weighted_matching._filter_class` — and the only way
+the solvers run them.  The transport changes *where* those units run,
+never what they compute, which is what keeps ``executor="parallel"``
+byte-identical to ``executor=None``.
 
 Worker-resident state (the direct-simulation vertex slices) lives in
 ``ctx.session(key).state`` and survives across steps until the session is
@@ -168,8 +168,8 @@ def _matching_machines(ctx, payload: Any) -> List[List[Tuple[int, int]]]:
     ``payload["tasks"]`` is a list of ``(part_ids, local_u, local_v,
     y_part)`` machine inputs; ``payload["shared"]`` carries the oracle and
     the phase constants.  Returns one freeze-insertion list per task, in
-    task order — the driver replays them machine-by-machine, reproducing
-    the sequential simulator's ``freeze_iteration`` updates exactly.
+    task order — the driver replays them machine-by-machine, so the
+    ``freeze_iteration`` updates do not depend on the worker count.
     """
     from repro.core.matching_mpc import _machine_insertions
 
@@ -193,14 +193,14 @@ def _matching_machines(ctx, payload: Any) -> List[List[Tuple[int, int]]]:
 
 
 # ---------------------------------------------------------------------------
-# matching: distributed direct Central-Rand simulation (Line (4))
+# matching: direct Central-Rand simulation (Line (4))
 # ---------------------------------------------------------------------------
 #
 # The driver partitions the vertex range over the workers.  Each worker
 # owns the mutable per-vertex state for its slice and reads the immutable
 # CSR adjacency from the session's shared arrays.  One step per
-# iteration runs :func:`repro.core.matching_mpc.direct_step` — the same
-# function the in-process path calls on the whole range.
+# iteration runs :func:`repro.core.matching_mpc.direct_step` (with one
+# worker, on the whole range).
 
 
 @kernel("matching.direct_init", stateful=True)
@@ -273,19 +273,16 @@ def _mis_prefix_greedy(ctx, payload: Any) -> List[np.ndarray]:
 def _weighted_filtering(ctx, payload: Any) -> List[Tuple[list, int]]:
     """Run the LMSV11 filtering maximal matching on one weight class.
 
-    Tasks are ``(n, edges, words_per_machine, seed)``; the per-class seed
-    is drawn by the driver (in the same RNG position as the sequential
-    path), so the worker-side run is deterministic and identical.
+    Tasks are ``(n, edges, words_per_machine, seed, sizes)``; the
+    per-class seed and the chunk plan ``sizes`` (``None`` = unchunked)
+    come from the driver, so the run is a pure function of the task.
     """
-    from repro.baselines.filtering import filtering_maximal_matching
-    from repro.graph.graph import Graph
+    from repro.core.weighted_matching import _filter_class
 
     results = []
-    for n, edges, words_per_machine, class_seed in payload["tasks"]:
-        outcome = filtering_maximal_matching(
-            Graph(n, edges),
-            words_per_machine=words_per_machine,
-            seed=class_seed,
+    for n, edges, words_per_machine, class_seed, sizes in payload["tasks"]:
+        matching, rounds = _filter_class(
+            n, edges, words_per_machine, class_seed, sizes
         )
-        results.append((sorted(outcome.matching), outcome.rounds))
+        results.append((sorted(matching), rounds))
     return results

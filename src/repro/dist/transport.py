@@ -17,12 +17,11 @@ traffic between the driver and them:
 
 :class:`LocalTransport` is the in-process reference implementation: the
 same sessions, the same kernels, run sequentially in the driver process.
-It defines the semantics the real transports must reproduce,
-``executor="local"`` benchmarks against it, and the supervision layer
-(:mod:`repro.dist.faults`) degrades onto it when the worker pool is
-beyond saving.  :class:`MPITransport` documents how the same interface
-maps onto ``mpi4py`` without importing it (the container has no MPI
-stack).
+It defines the semantics the real transports must reproduce; it is
+what ``executor=None`` (one worker) and ``executor="local"`` run on, and
+the supervision layer (:mod:`repro.dist.faults`) degrades onto it when
+the worker pool is beyond saving.  DISTRIBUTED.md sketches how the same
+interface maps onto ``mpi4py``.
 
 Failure surface (the contract the fault tests pin):
 
@@ -124,11 +123,6 @@ class WorkerContext:
 class Transport:
     """Abstract transport; see the module docstring for the contract."""
 
-    #: Whether workers execute in separate processes.  The executor layer
-    #: uses this to decide between the plain sequential solver path
-    #: (reference behavior) and the kernel-partitioned distributed path.
-    distributed = False
-
     @property
     def workers(self) -> int:
         raise NotImplementedError
@@ -162,17 +156,18 @@ class LocalTransport(Transport):
     two agree.
     """
 
-    distributed = False
-
     def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        self._num_workers = workers
         self._contexts = [WorkerContext(i, workers) for i in range(workers)]
         self._closed = False
 
     @property
     def workers(self) -> int:
-        return len(self._contexts)
+        # Stored, like MultiprocessTransport's, so run-report metadata
+        # read after close() still has the count.
+        return self._num_workers
 
     def install(self, key: str, arrays: Dict[str, np.ndarray]) -> None:
         self._ensure_open()
@@ -485,8 +480,6 @@ class MultiprocessTransport(Transport):
     layer (:class:`repro.dist.faults.SupervisedTransport`) instead uses
     :meth:`step_partial` + :meth:`respawn_worker` to recover in place.
     """
-
-    distributed = True
 
     def __init__(
         self,
@@ -925,36 +918,3 @@ class MultiprocessTransport(Transport):
             self.close()
         except Exception:
             pass
-
-
-class MPITransport(Transport):
-    """How the same interface maps onto ``mpi4py`` (documentation stub).
-
-    The container image has no MPI stack, so this class only records the
-    mapping a real deployment would implement behind the identical
-    driver-facing API (see DISTRIBUTED.md for the full sketch):
-
-    * construction — ``MPI.COMM_WORLD`` with the driver on rank 0 and
-      ``workers = comm.Get_size() - 1``; worker ranks sit in the same
-      install/drop/step/close command loop as
-      :func:`_worker_main`, driven by ``comm.bcast`` of the command tuple.
-    * ``install`` — one ``comm.Bcast`` per array (dtype/shape first, then
-      the raw buffer); node-local ranks may further share one copy via
-      ``MPI.Win.Allocate_shared``.
-    * ``step`` — ``comm.scatter`` of the payload list (driver contributes
-      a ``None`` slot), kernel execution on each rank, ``comm.gather`` of
-      the results; the gather is the per-phase barrier.
-    * ``close`` — broadcast the close command, then ``comm.Barrier``.
-
-    Failure mapping: a dead rank surfaces as an ``MPI.Exception`` /
-    aborted communicator, which the driver wraps in
-    :class:`DistExecutionError` exactly like a dead pipe.
-    """
-
-    distributed = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        raise NotImplementedError(
-            "MPITransport is a documented mapping, not an implementation: "
-            "this environment has no mpi4py. See DISTRIBUTED.md."
-        )

@@ -2,8 +2,8 @@
 
 The load-bearing contract is *byte-identity*: for a fixed seed, every MPC
 solver must produce the same solution, the same round count, and the same
-communication/memory audit whether it runs fully in-process
-(``executor=None``), through the in-process reference transport
+communication/memory audit whether its kernels run on one in-process
+worker (``executor=None``), on several in-process workers
 (``executor="local"``), or partitioned over real worker processes
 (``executor="parallel"``).  The fault tests pin the other contract: a
 worker failure of any kind surfaces as :class:`DistExecutionError`, never
@@ -25,7 +25,6 @@ from repro.dist import (
     DistExecutor,
     DistTimeoutError,
     LocalTransport,
-    MPITransport,
     MultiprocessTransport,
     resolve_executor,
 )
@@ -151,10 +150,6 @@ class TestMultiprocessTransport:
             with pytest.raises(ValueError, match="already installed"):
                 transport.install("s", {"x": np.arange(3)})
 
-    def test_mpi_transport_is_a_documented_stub(self):
-        with pytest.raises(NotImplementedError, match="DISTRIBUTED.md"):
-            MPITransport(2)
-
 
 # ---------------------------------------------------------------------------
 # pool plumbing (shared with repro.api.batch)
@@ -253,7 +248,7 @@ class TestResolveExecutor:
 
     def test_string_kinds_are_owned(self):
         executor, owned = resolve_executor("local", workers=3)
-        assert owned and executor.workers == 3 and not executor.distributed
+        assert owned and executor.workers == 3 and executor.kind == "local"
         executor.close()
 
     def test_instance_is_not_owned(self):
@@ -263,17 +258,14 @@ class TestResolveExecutor:
             with pytest.raises(ValueError, match="conflicts"):
                 resolve_executor(instance, workers=4)
 
-    def test_unknown_string_raises(self):
+    @pytest.mark.parametrize("name", ["cluster", "mpi"])
+    def test_unknown_string_raises(self, name):
         with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("cluster")
+            resolve_executor(name)
 
     def test_wrong_type_raises(self):
         with pytest.raises(TypeError):
             resolve_executor(42)
-
-    def test_mpi_is_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            resolve_executor("mpi")
 
     def test_bad_worker_count_raises(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -281,7 +273,7 @@ class TestResolveExecutor:
 
 
 # ---------------------------------------------------------------------------
-# parity suite: distributed == sequential, byte for byte
+# parity suite: every executor and worker count, byte for byte
 # ---------------------------------------------------------------------------
 
 MPC_TASKS = [t for t in registry.tasks() if "mpc" in registry.backends(t)]
@@ -310,14 +302,13 @@ class TestParity:
     @pytest.mark.parametrize("task", MPC_TASKS)
     @pytest.mark.parametrize("n,seed", PARITY_CASES)
     def test_kernel_path_matches_sequential(self, task, n, seed):
-        # LocalTransport with distributed=True forces the partitioned
-        # kernel path in-process: full logic coverage without process
-        # startup per case.
+        # Two in-process workers split every machine phase: full
+        # partition coverage without process startup per case.
         graph = _graph_for(task, n)
         baseline = report_snapshot(
             solve(task, graph, backend="mpc", seed=seed)
         )
-        with DistExecutor(LocalTransport(2), distributed=True) as executor:
+        with DistExecutor(LocalTransport(2)) as executor:
             distributed = report_snapshot(
                 solve(task, graph, backend="mpc", seed=seed, executor=executor)
             )
@@ -357,17 +348,18 @@ class TestParity:
         )
         assert local == baseline
 
-    def test_worker_count_invariance(self):
-        graph = gnp_random_graph(200, 0.04, seed=9)
-        snapshots = []
+    @pytest.mark.parametrize("task", MPC_TASKS)
+    def test_worker_count_invariance(self, task):
+        graph = _graph_for(task, 200, seed=9)
+        snapshots = [
+            report_snapshot(solve(task, graph, backend="mpc", seed=13))
+        ]
         for workers in (1, 2, 3):
-            with DistExecutor(
-                LocalTransport(workers), distributed=True
-            ) as executor:
+            with DistExecutor(LocalTransport(workers)) as executor:
                 snapshots.append(
                     report_snapshot(
                         solve(
-                            "fractional_matching",
+                            task,
                             graph,
                             backend="mpc",
                             seed=13,
@@ -375,7 +367,7 @@ class TestParity:
                         )
                     )
                 )
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert all(snapshot == snapshots[0] for snapshot in snapshots[1:])
 
     def test_budget_audit_identical_under_parallel(self):
         # verify=True attaches the BudgetPolicy certificate (round budget,
@@ -533,7 +525,6 @@ class TestFacadeExecutor:
         info = report.extras["executor"]
         assert info["kind"] == "parallel"
         assert info["workers"] == 2
-        assert info["distributed"] is True
         phases = {w["phase"] for w in info["phase_walls"]}
         assert "direct-simulation" in phases
 
@@ -543,7 +534,9 @@ class TestFacadeExecutor:
             "fractional_matching", graph, backend="mpc", seed=5, executor="local"
         )
         info = report.extras["executor"]
-        assert info["kind"] == "local" and info["distributed"] is False
+        assert info["kind"] == "local" and info["workers"] == 2
+        phases = {w["phase"] for w in info["phase_walls"]}
+        assert {"compressed-phases", "direct-simulation"} <= phases
 
     def test_non_mpc_backend_rejects_executor(self):
         graph = gnp_random_graph(40, 0.1, seed=7)
@@ -560,14 +553,9 @@ class TestFacadeExecutor:
         with pytest.raises(ValueError, match="unknown executor"):
             solve("mis", graph, backend="mpc", executor="cloud")
 
-    def test_mpi_executor_not_implemented(self):
-        graph = gnp_random_graph(40, 0.1, seed=7)
-        with pytest.raises(NotImplementedError):
-            solve("mis", graph, backend="mpc", executor="mpi")
-
     def test_executor_instance_reused_across_solves(self):
         graph = gnp_random_graph(80, 0.1, seed=7)
-        with DistExecutor(LocalTransport(2), distributed=True) as executor:
+        with DistExecutor(LocalTransport(2)) as executor:
             first = solve(
                 "fractional_matching",
                 graph,

@@ -479,7 +479,7 @@ class TestFaultKnobs:
             )
 
     def test_fault_policy_rejects_existing_executor_instance(self):
-        with DistExecutor(LocalTransport(2), distributed=True) as executor:
+        with DistExecutor(LocalTransport(2)) as executor:
             with pytest.raises(ValueError, match="rewrap"):
                 resolve_executor(executor, fault_policy=True)
 

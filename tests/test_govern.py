@@ -342,6 +342,34 @@ class TestFacadeGovernance:
         # degradation story.
         assert report.backend == "mpc"
 
+    @pytest.mark.parametrize("representation", ["csr", "mmap"])
+    @pytest.mark.parametrize(
+        "task,fallback",
+        [
+            ("mis", "greedy"),
+            ("fractional_matching", "central"),
+            ("vertex_cover", "greedy"),
+            ("matching", "greedy"),
+            ("one_plus_eps_matching", "greedy"),
+        ],
+    )
+    def test_forced_degrade_on_out_of_core_input(
+        self, task, fallback, representation, tmp_path
+    ):
+        from repro.graph.csr import CSRGraph
+        from repro.ooc.format import load_csr, save_csr
+
+        graph = CSRGraph.from_graph(gnp_random_graph(300, 0.03, seed=1))
+        if representation == "mmap":
+            save_csr(graph, tmp_path)
+            graph = load_csr(tmp_path)
+        report = solve(
+            task, graph, backend="mpc", seed=0, budget=0.05,
+            governance={"allow_sparsify": False, "allow_chunk": False},
+        )
+        assert report.valid
+        assert report.extras["governance"]["degraded_to"] == fallback
+
     def test_every_rung_disabled_preserves_failure(self):
         policy = {
             "allow_sparsify": False,

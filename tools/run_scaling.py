@@ -1,7 +1,7 @@
 """Scaling benchmark for ``repro.dist``: parallel executor vs local.
 
 Times the MPC solvers through the façade with ``executor="local"`` (the
-sequential in-process reference) and ``executor="parallel"`` at several
+same kernels on in-process workers) and ``executor="parallel"`` at several
 worker counts, on the same deterministic graph ladder the other perf
 suites use, and emits ``BENCH_dist.json`` (suite ``"dist"``; cells keyed
 ``task/family/n/mode`` with mode ``local`` or ``parallel-wK``).
