@@ -11,8 +11,9 @@ covering load + solve + validation) next to ``indices_file_bytes`` (the
 on-disk denominator), and ``tools/bench_diff.py --fail-rss-over`` gates
 on it.
 
-Solves run ``rng="counter"`` — the sha stream's ~1 µs/draw wall makes
-the 10M rung infeasible otherwise (see PERFORMANCE.md).
+Solves draw from the counter generator, the only one the MPC solvers
+use; cells keep their ``"rng": "counter"`` stamp so older baselines stay
+comparable.
 
 Usage::
 
@@ -114,9 +115,7 @@ def solve_cell(task: str, directory: str) -> None:
     from repro.ooc import load_csr
 
     graph = load_csr(directory)
-    report = solve(
-        task, graph, backend="mpc", seed=SOLVE_SEED, rng="counter"
-    )
+    report = solve(task, graph, backend="mpc", seed=SOLVE_SEED)
     print(
         json.dumps(
             {
@@ -124,8 +123,8 @@ def solve_cell(task: str, directory: str) -> None:
                 "rounds": report.rounds,
                 "solution_size": report.size,
                 "valid": report.valid,
-                # The matching family has no rng knob: always counter.
-                "rng": report.config.get("rng", "counter"),
+                # No solver has an rng knob any more: always counter.
+                "rng": "counter",
                 # Read at the very end so load, solve, AND ground-truth
                 # validation are all under the high-water mark.
                 "peak_rss_bytes": peak_rss_bytes(),

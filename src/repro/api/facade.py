@@ -43,8 +43,6 @@ from repro.utils.trace import Trace
 
 GraphLike = Union[Graph, WeightedGraph, CSRGraph]
 
-_RNG_MODES = ("sha", "counter")
-
 # Where rung 3 of the governance ladder lands: the sequential reference
 # solver for the task — no memory envelope to breach, quality still inside
 # the verify oracle bands.
@@ -66,7 +64,6 @@ def solve(
     config: Any = None,
     seed: Optional[int] = None,
     budget: Optional[float] = None,
-    rng: Optional[str] = None,
     verify: Any = False,
     trace: Optional[Trace] = None,
     executor: Any = None,
@@ -104,16 +101,6 @@ def solve(
         Backends without a memory model (``greedy``, ``pregel``
         baselines, exact solvers) ignore it, so sweep-wide budgets work
         with ``backends="all"``.
-    rng:
-        MIS randomness mode override: ``"sha"`` (the byte-pinned default)
-        or ``"counter"`` (the vectorized order-free generator behind the
-        out-of-core rung — deterministic per seed, not byte-identical to
-        sha; see OUT_OF_CORE.md); the resolved mode is stamped into
-        ``report.config``.  The matching family always draws from the
-        counter generator: it accepts ``"counter"`` and rejects the
-        retired ``"sha"``.  Mirrors ``budget`` semantics: backends with
-        no config (``greedy``, ``pregel`` baselines, exact solvers)
-        ignore it so sweep-wide settings work.
     verify:
         ``False`` (default) skips verification; ``True`` runs the
         :mod:`repro.verify` certificate under the default
@@ -189,7 +176,7 @@ def solve(
             f"support an executor (only the MPC-backend solvers do)"
         )
     prepared = _prepare_graph(entry, graph)
-    resolved_config = _resolve_config(entry, config, budget, rng)
+    resolved_config = _resolve_config(entry, config, budget)
 
     gov_policy = GovernancePolicy.from_any(governance)
     governor: Optional[Governor] = None
@@ -243,7 +230,6 @@ def solve(
             fallback_config = _resolve_config(
                 degraded_entry,
                 config if isinstance(config, dict) else None,
-                None,
                 None,
             )
             # The sequential references walk set-based adjacency, so an
@@ -364,13 +350,10 @@ def _resolve_config(
     entry: SolverEntry,
     config: Any,
     budget: Optional[float],
-    rng: Optional[str] = None,
 ) -> Any:
     """Normalize ``config`` to the backend's config dataclass (or None)."""
     if budget is not None and budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    if rng is not None and rng not in _RNG_MODES:
-        raise ValueError(f"rng must be one of {_RNG_MODES}, got {rng!r}")
     if entry.config_factory is None:
         # Loose overrides (dicts, budget) are sweep-wide hints: a backend
         # with no knobs ignores them so ``backends="all"`` sweeps work.  A
@@ -392,15 +375,6 @@ def _resolve_config(
                 f"backend {entry.backend!r} config has no memory budget to override"
             )
         resolved = dataclasses.replace(resolved, memory_factor=float(budget))
-    if rng is not None:
-        if hasattr(resolved, "rng"):
-            resolved = dataclasses.replace(resolved, rng=rng)
-        elif rng != "counter":
-            raise ValueError(
-                f"rng={rng!r} is retired outside MIS: backend "
-                f"{entry.backend!r} for task {entry.task!r} has no SHA draw "
-                "path and accepts only rng='counter'"
-            )
     return resolved
 
 

@@ -57,8 +57,9 @@ def luby_mis(
     while active:
         if rounds >= cap:
             raise RuntimeError("Luby's algorithm exceeded its round cap")
-        # Draws in set-iteration order — exactly the order the set-based
-        # luby_round consumed them, so seeded runs reproduce bit-for-bit.
+        # Draws in set-iteration order — exactly the order the historical
+        # set-based round consumed them, so seeded runs reproduce
+        # bit-for-bit.
         for v in active:
             draw[v] = rng.random()
         both = active_mask[src] & active_mask[dst]
@@ -79,5 +80,5 @@ def luby_mis(
         removed_mask &= active_mask
         active.difference_update(np.flatnonzero(removed_mask).tolist())
         active_mask &= ~removed_mask
-        maybe_record(trace, "luby_round", round=rounds, active=len(active))
+        maybe_record(trace, "luby_baseline_round", round=rounds, active=len(active))
     return LubyResult(mis=mis, rounds=rounds)

@@ -14,23 +14,21 @@ Follows Section 3.2's CONGESTED-CLIQUE simulation verbatim:
    exponentiation schedule as the MPC version (ball-doubling works
    identically in CONGESTED-CLIQUE).
 
-Hot-path layout: the input graph is never copied and never mutated.  The
+Hot-path layout: the input is converted once to a
+:class:`~repro.graph.csr.CSRGraph` and never copied or mutated.  The
 residual is an ``alive`` boolean mask (valid because greedy deletion only
 ever isolates vertices), routed edge messages are flat NumPy endpoint
 arrays validated by ``bincount`` (:func:`lenzen_route_arrays`), the
-leader's greedy runs on a prefix-induced CSR
-(:func:`greedy_mis_on_prefix_csr`), and the sparsified finish receives the
-residual as a mask-filtered CSR built directly from the adjacency sets —
-the prefix phases themselves touch only ``O(Σ deg(prefix ∪ winners))``
-adjacency entries, so no full-graph conversion is paid up front.  Outputs
-(MIS, rounds, routed volumes) are bit-for-bit identical to the historical
-tuple-routing implementation; ``tests/test_backend_parity.py`` pins this.
+leader's greedy runs on the CSR (:func:`greedy_mis_on_prefix_csr`), and
+the sparsified finish receives the residual as a mask-filtered CSR.  The
+permutation and the finish share their counter-keyed draws with the MPC
+algorithm (:func:`repro.core.mis_mpc.draw_ranks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from repro.congested_clique.routing import lenzen_route_arrays
 from repro.core.config import MISConfig
 from repro.core.greedy_mis import greedy_mis_on_prefix_csr
 from repro.core.sparsified_mis import sparsified_mis
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
@@ -47,9 +45,10 @@ from repro.utils.trace import Trace, maybe_record
 
 @dataclass
 class CCMISResult:
-    """Outcome of the CONGESTED-CLIQUE MIS algorithm."""
+    """Outcome of the CONGESTED-CLIQUE MIS algorithm; ``mis`` is an
+    ascending ``int64`` array."""
 
-    mis: Set[int]
+    mis: np.ndarray
     rounds: int
     prefix_phases: int
     max_routed_messages: int
@@ -57,26 +56,33 @@ class CCMISResult:
 
 
 def congested_clique_mis(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     seed: SeedLike = None,
     config: Optional[MISConfig] = None,
     trace: Optional[Trace] = None,
 ) -> CCMISResult:
     """Compute an MIS of ``graph`` on a simulated CONGESTED-CLIQUE network."""
+    from repro.core.mis_mpc import draw_ranks, rank_schedule  # avoids a cycle
+
     config = config or MISConfig()
     rng = make_rng(seed)
     n = graph.num_vertices
     if n == 0:
-        return CCMISResult(mis=set(), rounds=0, prefix_phases=0, max_routed_messages=0)
+        return CCMISResult(
+            mis=np.empty(0, dtype=np.int64),
+            rounds=0,
+            prefix_phases=0,
+            max_routed_messages=0,
+        )
 
     clique = CongestedClique(n, trace=trace)
+    csr = as_csr(graph)
+    cutoffs = rank_schedule(n, csr.max_degree(), config)
 
     # Leader samples the permutation and distributes ranks; players then
     # broadcast their own position so the full order is common knowledge.
-    permutation = list(range(n))
-    rng.shuffle(permutation)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[permutation] = np.arange(n, dtype=np.int64)
+    # The pure-sparse regime never reads a rank, so it draws none.
+    ranks = draw_ranks(rng, n) if cutoffs else None
     clique.round_of_messages_array(
         np.zeros(n, dtype=np.int64),
         np.arange(n, dtype=np.int64),
@@ -84,15 +90,12 @@ def congested_clique_mis(
     )
     clique.broadcast_round(context="mis: players broadcast ranks")
 
-    from repro.core.mis_mpc import rank_schedule  # local import avoids a cycle
-
-    # ``alive`` mirrors the historical residual graph (False = isolated by
-    # a removed closed neighborhood); ``decided`` additionally covers
-    # dominated prefix vertices whose edges survive.
+    # ``alive`` tracks the residual graph (False = isolated by a removed
+    # closed neighborhood); ``decided`` additionally covers dominated
+    # prefix vertices whose edges survive.
     alive = np.ones(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)
-    mis: Set[int] = set()
-    cutoffs = rank_schedule(n, graph.max_degree(), config)
+    in_mis = np.zeros(n, dtype=bool)
     routed_sizes: List[int] = []
     previous_cutoff = 0
 
@@ -100,18 +103,10 @@ def congested_clique_mis(
         window = (ranks >= previous_cutoff) & (ranks < cutoff) & ~decided
         prefix = np.flatnonzero(window)
         # Each prefix player routes its prefix-internal residual edges to
-        # the leader.  Prefix vertices are undecided, hence never isolated,
-        # so those residual edges coincide with original-graph edges — read
-        # straight off the adjacency sets, no residual copy needed.
-        endpoint_lo: List[int] = []
-        endpoint_hi: List[int] = []
-        for v in prefix.tolist():
-            for u in graph.neighbors_view(v):
-                if u > v and window[u]:
-                    endpoint_lo.append(v)
-                    endpoint_hi.append(u)
-        senders = np.asarray(endpoint_lo, dtype=np.int64)
-        partners = np.asarray(endpoint_hi, dtype=np.int64)
+        # the leader, from the lower endpoint.  Prefix vertices are
+        # undecided, hence never isolated, so those residual edges
+        # coincide with original-graph edges.
+        senders = csr.induced_edges(window)[:, 0]
         # The leader receives the whole prefix subgraph — O(n) messages
         # w.h.p. (Lemma 3.1), i.e. a constant number of Lenzen invocations,
         # each of which is volume-validated by the routing scheme.
@@ -125,12 +120,9 @@ def congested_clique_mis(
             )
         routed_sizes.append(len(senders))
 
-        # Leader's greedy over the prefix, on the prefix-induced CSR (the
-        # greedy outcome depends only on prefix-internal adjacency).
-        prefix_csr = CSRGraph.from_edge_array(
-            n, np.column_stack((senders, partners))
-        )
-        new_mis = greedy_mis_on_prefix_csr(prefix_csr, ranks, prefix)
+        # Leader's greedy over the prefix (its outcome depends only on the
+        # prefix-internal adjacency the leader received).
+        new_mis = greedy_mis_on_prefix_csr(csr, ranks, prefix)
         clique.round_of_messages_array(
             np.zeros(len(prefix), dtype=np.int64),
             prefix,
@@ -140,13 +132,12 @@ def congested_clique_mis(
 
         # The chosen vertices are independent, so their closed
         # neighborhoods can be removed (and marked decided) in one batch.
-        mis.update(new_mis.tolist())
+        in_mis[new_mis] = True
+        chosen_neighbors = csr.neighbors_bulk(new_mis)
         alive[new_mis] = False
+        alive[chosen_neighbors] = False
         decided[new_mis] = True
-        for v in new_mis.tolist():
-            for u in graph.neighbors_view(v):
-                alive[u] = False
-                decided[u] = True
+        decided[chosen_neighbors] = True
         decided |= window
         previous_cutoff = cutoff
         maybe_record(
@@ -154,13 +145,12 @@ def congested_clique_mis(
             "cc_mis_phase",
             phase=phase_index,
             routed=len(senders),
-            mis_size=len(mis),
+            mis_size=int(np.count_nonzero(in_mis)),
         )
 
-    active = set(np.flatnonzero(~decided).tolist())
     finish = sparsified_mis(
-        CSRGraph.from_graph(graph, mask=alive),
-        active=active,
+        csr.filter_edges(alive) if cutoffs else csr,
+        active=~decided,
         seed=rng.getrandbits(64),
         rounds_factor=config.luby_rounds_factor,
         trace=trace,
@@ -171,10 +161,10 @@ def congested_clique_mis(
     clique.charge_rounds(
         finish.rounds_charged + 3, "mis: sparsified finish (compressed Luby)"
     )
-    mis |= finish.mis
+    in_mis[finish.mis] = True
 
     return CCMISResult(
-        mis=mis,
+        mis=np.flatnonzero(in_mis),
         rounds=clique.rounds,
         prefix_phases=len(cutoffs),
         max_routed_messages=max(routed_sizes, default=0),

@@ -43,17 +43,10 @@ class MISConfig:
         LOCAL process used by the sparsified finish: ``"luby"`` ([Lub86])
         or ``"ghaffari"`` (the desire-level process of [Gha16], closer to
         what [Gha17] compresses).
-    rng:
-        ``"sha"`` (default) draws the rank permutation and the sparsified
-        finish from the seeded Mersenne-Twister generator, byte-pinned;
-        ``"counter"`` uses the vectorized counter-based generator of
-        :mod:`repro.utils.counter_rng` — statistically equivalent (audited
-        by ``repro.verify``) but not byte-identical to the seeded pins.
-        Counter mode also enables the residency-bounded solve path used
-        for out-of-core graphs (see OUT_OF_CORE.md); it requires the
-        ``"luby"`` sparse strategy.  Only MIS has this choice: the
-        matching family (:class:`MatchingConfig`) always draws from the
-        counter generator.
+
+    The rank permutation and every finish draw are keyed draws of the
+    counter generator (:mod:`repro.utils.counter_rng`), pure functions of
+    ``(seed, vertex, round)``; there is no randomness mode to choose.
     """
 
     alpha: float = 0.75
@@ -61,7 +54,6 @@ class MISConfig:
     memory_factor: float = 8.0
     luby_rounds_factor: float = 2.0
     sparse_strategy: str = "luby"
-    rng: str = "sha"
 
     def __post_init__(self) -> None:
         require(0.0 < self.alpha < 1.0, f"alpha must be in (0,1), got {self.alpha}")
@@ -74,14 +66,6 @@ class MISConfig:
         require(
             self.sparse_strategy in ("luby", "ghaffari"),
             f"sparse_strategy must be 'luby' or 'ghaffari', got {self.sparse_strategy!r}",
-        )
-        require(
-            self.rng in ("sha", "counter"),
-            f"rng must be 'sha' or 'counter', got {self.rng!r}",
-        )
-        require(
-            not (self.rng == "counter" and self.sparse_strategy == "ghaffari"),
-            "rng='counter' supports only sparse_strategy='luby'",
         )
 
     def sparse_degree_threshold(self, n: int) -> int:

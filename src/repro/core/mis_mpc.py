@@ -3,7 +3,8 @@
 Simulates the randomized greedy MIS process (Section 3.1) by rank-prefix
 batching (Section 3.2):
 
-1. Pick a uniform random permutation ``π`` of the vertices.
+1. Pick a uniform random permutation ``π`` of the vertices
+   (:func:`draw_ranks`, one counter-keyed draw).
 2. Iteration ``i`` ships the residual subgraph induced by ranks up to
    ``r_i = n / Δ^(α^i)`` (``α = 3/4``) to a single machine, which walks the
    ranks greedily; the decisions are broadcast and every machine removes
@@ -24,29 +25,28 @@ adjacency sets.  The input is converted once to a
 :class:`~repro.graph.csr.CSRGraph` and the residual is an ``alive``
 boolean mask over it — valid because greedy deletion only ever *isolates*
 vertices, so the residual edge set is exactly "original edges with both
-endpoints alive".  Prefix selection, induced-edge extraction,
+endpoints alive".  Prefix selection, the shipped-edge count,
 closed-neighborhood removal, and the per-phase residual-degree scan are
-all vectorized kernels; outputs are bit-for-bit identical to the
-historical set-based implementation.
+all vectorized kernels, and the result is a vertex mask; no phase
+materializes an O(n) Python set or edge list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.core.config import MISConfig
-from repro.core.sparsified_mis import sparsified_mis
+from repro.core.sparsified_mis import ship_edges_to_leader, sparsified_mis
 from repro.dist.executor import in_process
 from repro.govern.governor import governed_broadcast
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Graph
 from repro.mpc.primitives import broadcast_vertex_set
 from repro.mpc.spec import ClusterSpec
-from repro.mpc.words import edge_words
 from repro.utils import counter_rng
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
@@ -59,9 +59,8 @@ class MISResult:
     Attributes
     ----------
     mis:
-        The computed maximal independent set — a set of vertex ids under
-        ``config.rng == "sha"``, an ascending ``int64`` array under
-        ``"counter"`` (out-of-core runs never materialize Python sets).
+        The computed maximal independent set, as an ascending ``int64``
+        array (out-of-core runs never materialize Python sets).
     rounds:
         Total MPC rounds consumed (measured by the cluster).
     prefix_phases:
@@ -73,7 +72,7 @@ class MISResult:
         Edge count shipped in each prefix phase, for the E2 experiment.
     """
 
-    mis: Union[Set[int], np.ndarray]
+    mis: np.ndarray
     rounds: int
     prefix_phases: int
     max_shipped_edges: int
@@ -81,67 +80,6 @@ class MISResult:
     luby_rounds_simulated: int = 0
     peak_words: int = 0
     total_comm_words: int = 0
-
-
-def _ship_prefix(
-    cluster,
-    prefix_edges: np.ndarray,
-    ranks: Optional[np.ndarray],
-    phase_index: int,
-    *,
-    counter_mode: bool,
-    governor=None,
-) -> None:
-    """Ship one phase's prefix-induced subgraph to the leader.
-
-    Ungoverned (or within the soft watermark): one
-    :meth:`~repro.mpc.cluster.MPCCluster.ship_to_machine`, exactly as
-    before.  Over the watermark, the shipment is split into sequential
-    rank-ordered sub-batches (each edge travels with its later-ranked
-    endpoint's batch — the only point of the walk that needs it), stored
-    under the same key so the leader's peak residency is the largest
-    single batch, not the total.  The greedy prefix walk decomposes
-    exactly over this order, so the chunked shipment is
-    solution-preserving.
-    """
-    count = len(prefix_edges)
-    words = edge_words(count)
-    context = f"mis: ship prefix phase {phase_index}"
-    sizes = None if governor is None else governor.plan_chunks(words, context)
-    if sizes is None:
-        cluster.ship_to_machine(
-            0,
-            "prefix_edges",
-            # Counter mode ships by count only — materializing an O(n)
-            # tuple list per phase defeats the residency budget; the
-            # word accounting is unchanged.
-            None
-            if counter_mode
-            else [(int(u), int(v)) for u, v in prefix_edges],
-            words,
-            context=context,
-        )
-        return
-    chunks = len(sizes)
-    if counter_mode or ranks is None:
-        ordered = prefix_edges
-    else:
-        pe_u = prefix_edges[:, 0]
-        pe_v = prefix_edges[:, 1]
-        later = np.where(ranks[pe_u] >= ranks[pe_v], pe_u, pe_v)
-        ordered = prefix_edges[np.argsort(ranks[later], kind="stable")]
-    bounds = np.linspace(0, count, chunks + 1).astype(np.int64)
-    for index in range(chunks):
-        lo, hi = int(bounds[index]), int(bounds[index + 1])
-        cluster.ship_to_machine(
-            0,
-            "prefix_edges",
-            None
-            if counter_mode
-            else [(int(u), int(v)) for u, v in ordered[lo:hi]],
-            edge_words(hi - lo),
-            context=f"{context} [chunk {index + 1}/{chunks}]",
-        )
 
 
 def rank_schedule(n: int, max_degree: int, config: MISConfig) -> List[int]:
@@ -170,6 +108,19 @@ def rank_schedule(n: int, max_degree: int, config: MISConfig) -> List[int]:
             # loud failure instead of an infinite loop.
             raise RuntimeError("rank schedule failed to reach the floor")
     return cutoffs
+
+
+def draw_ranks(rng, n: int) -> np.ndarray:
+    """The shared random permutation as ranks: ``rank[v]`` in ``[0, n)``, all
+    distinct.
+
+    One counter-keyed Philox draw (``"mis-permutation"``), no O(n) Python
+    shuffle; the MPC and CONGESTED-CLIQUE algorithms both sample it here.
+    """
+    key = counter_rng.derive_key(rng.getrandbits(64), "mis-permutation")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[counter_rng.permutation(key, n)] = np.arange(n, dtype=np.int64)
+    return ranks
 
 
 def mis_mpc(
@@ -207,12 +158,16 @@ def mis_mpc(
     rng = make_rng(seed)
     n = graph.num_vertices
     if n == 0:
-        return MISResult(mis=set(), rounds=0, prefix_phases=0, max_shipped_edges=0)
+        return MISResult(
+            mis=np.empty(0, dtype=np.int64),
+            rounds=0,
+            prefix_phases=0,
+            max_shipped_edges=0,
+        )
 
     spec = ClusterSpec.from_graph(graph, config.memory_factor, machines="fit")
     cluster = spec.build_cluster(trace=trace)
     csr = as_csr(graph)
-    counter_mode = config.rng == "counter"
     if governor is not None:
         governor.bind(cluster)
         from repro.graph.statistics import load_summary
@@ -220,24 +175,8 @@ def mis_mpc(
         governor.estimator.prime(load_summary(csr))
 
     cutoffs = rank_schedule(n, csr.max_degree(), config)
-    # Shared random permutation: rank[v] in [0, n), all distinct.  Counter
-    # mode draws it with the Philox generator (no O(n) Python shuffle) and
-    # skips it entirely in the pure-sparse regime, where no prefix phase
-    # ever reads a rank.
-    ranks: Optional[np.ndarray] = None
-    if counter_mode:
-        if cutoffs:
-            perm_key = counter_rng.derive_key(
-                rng.getrandbits(64), "mis-permutation"
-            )
-            permutation = counter_rng.permutation(perm_key, n)
-            ranks = np.empty(n, dtype=np.int64)
-            ranks[permutation] = np.arange(n, dtype=np.int64)
-    else:
-        permutation = list(range(n))
-        rng.shuffle(permutation)
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[permutation] = np.arange(n, dtype=np.int64)
+    # The pure-sparse regime never reads a rank, so it draws none.
+    ranks = draw_ranks(rng, n) if cutoffs else None
     governed_broadcast(cluster, n, "mis: broadcast permutation", governor)
 
     # ``alive`` tracks the residual graph (False = isolated by a removed
@@ -245,7 +184,7 @@ def mis_mpc(
     # prefix vertices whose edges survive.
     alive = np.ones(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)
-    mis: Set[int] = set()
+    in_mis = np.zeros(n, dtype=bool)
 
     shipped_sizes: List[int] = []
     previous_cutoff = 0
@@ -268,16 +207,15 @@ def mis_mpc(
             prefix = np.flatnonzero(window)
             # Prefix vertices are undecided, hence never isolated, so their
             # residual-induced edges coincide with original-graph edges.
-            prefix_edges = csr.induced_edges(window)
-            _ship_prefix(
+            shipped = csr.count_edges_within(window)
+            ship_edges_to_leader(
                 cluster,
-                prefix_edges,
-                ranks,
-                phase_index,
-                counter_mode=counter_mode,
-                governor=governor,
+                "prefix_edges",
+                shipped,
+                f"mis: ship prefix phase {phase_index}",
+                governor,
             )
-            shipped_sizes.append(len(prefix_edges))
+            shipped_sizes.append(shipped)
 
             # The single-leader phase: one worker walks the prefix
             # against the shared CSR/rank arrays.
@@ -296,7 +234,7 @@ def mis_mpc(
             # The chosen vertices are independent, so their closed
             # neighborhoods can be removed (and marked decided) in one batch,
             # reusing a single ragged neighbor gather for both masks.
-            mis.update(new_mis.tolist())
+            in_mis[new_mis] = True
             chosen_neighbors = csr.neighbors_bulk(new_mis)
             alive = alive.copy()
             alive[new_mis] = False
@@ -312,58 +250,33 @@ def mis_mpc(
                 "mis_prefix_phase",
                 phase=phase_index,
                 cutoff=cutoff,
-                shipped_edges=len(prefix_edges),
+                shipped_edges=shipped,
                 residual_max_degree=int(residual_degrees[alive].max())
                 if alive.any()
                 else 0,
-                mis_size=len(mis),
+                mis_size=int(np.count_nonzero(in_mis)),
             )
     finally:
         if session_key is not None:
             executor.close_session(session_key)
 
-    finish_seed = rng.getrandbits(64)
-    if counter_mode:
-        # With no prefix phases, `alive` is still all-True and
-        # filter_edges would only copy the (possibly out-of-core) arrays;
-        # pass the graph itself so the finish stays residency-bounded.
-        residual = csr.filter_edges(alive) if cutoffs else csr
-        finish = sparsified_mis(
-            residual,
-            active=~decided,
-            seed=finish_seed,
-            cluster=cluster,
-            rounds_factor=config.luby_rounds_factor,
-            trace=trace,
-            strategy=config.sparse_strategy,
-            rng_mode="counter",
-            governor=governor,
-        )
-        finish_ids = np.asarray(finish.mis, dtype=np.int64)
-        if mis:
-            prefix_ids = np.fromiter(mis, dtype=np.int64, count=len(mis))
-            mis_out: Union[Set[int], np.ndarray] = np.union1d(
-                prefix_ids, finish_ids
-            )
-        else:
-            mis_out = finish_ids
-    else:
-        active = set(np.flatnonzero(~decided).tolist())
-        finish = sparsified_mis(
-            csr.filter_edges(alive),
-            active=active,
-            seed=finish_seed,
-            cluster=cluster,
-            rounds_factor=config.luby_rounds_factor,
-            trace=trace,
-            strategy=config.sparse_strategy,
-            governor=governor,
-        )
-        mis |= finish.mis
-        mis_out = mis
+    # With no prefix phases, `alive` is still all-True and filter_edges
+    # would only copy the (possibly out-of-core) arrays; pass the graph
+    # itself so the finish stays residency-bounded.
+    finish = sparsified_mis(
+        csr.filter_edges(alive) if cutoffs else csr,
+        active=~decided,
+        seed=rng.getrandbits(64),
+        cluster=cluster,
+        rounds_factor=config.luby_rounds_factor,
+        trace=trace,
+        strategy=config.sparse_strategy,
+        governor=governor,
+    )
+    in_mis[finish.mis] = True
 
     return MISResult(
-        mis=mis_out,
+        mis=np.flatnonzero(in_mis),
         rounds=cluster.rounds,
         prefix_phases=len(cutoffs),
         max_shipped_edges=max(shipped_sizes, default=0),

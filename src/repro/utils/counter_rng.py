@@ -3,11 +3,13 @@
 The value for entity ``e`` in round ``r`` under stream key ``k`` is a
 pure function ``mix(k, r, e)`` computed by a vectorized SplitMix64-style
 finalizer over whole NumPy arrays at memory-bandwidth speed.  It is the
-only generator of the matching family (the Central-Rand thresholds and
-the Line (d) machine assignment of :mod:`repro.core.matching_mpc`), and
-MIS's opt-in ``rng="counter"`` mode: at the out-of-core scale
-(n = 10M) a single Luby round wants 10M draws, which the SHA-256 stream
-of :mod:`repro.utils.rng` (~1 µs per draw) cannot serve.
+only generator of the MPC and CONGESTED-CLIQUE solvers: the matching
+family's Central-Rand thresholds and Line (d) machine assignment
+(:mod:`repro.core.matching_mpc`), and MIS's rank permutation and
+sparsified-finish draws (:mod:`repro.core.mis_mpc`,
+:mod:`repro.core.sparsified_mis`).  At the out-of-core scale (n = 10M) a
+single Luby round wants 10M draws, which the SHA-256 stream of
+:mod:`repro.utils.rng` (~1 µs per draw) cannot serve.
 
 Properties the solve paths rely on:
 

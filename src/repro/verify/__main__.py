@@ -79,18 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="additive slack of the round budgets (default 8.0)",
     )
     parser.add_argument(
-        "--rng",
-        choices=("sha", "counter"),
-        default=None,
-        help=(
-            "MIS randomness mode threaded into every run; 'counter' audits "
-            "the out-of-core fast generator against the same certificates "
-            "and cross-backend agreement bands (default: backend configs). "
-            "Applies to MIS runs only: every other task has a single mode "
-            "and runs it under either setting"
-        ),
-    )
-    parser.add_argument(
         "--budget",
         type=float,
         default=None,
@@ -143,7 +131,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             sizes=[int(s) for s in _csv(args.sizes)],
             seeds=[int(s) for s in _csv(args.seeds)],
             policy=policy,
-            rng=args.rng,
             budget=args.budget,
             governance=_parse_governance(args.governance),
             on_report=on_report,

@@ -183,13 +183,6 @@ class DifferentialReport:
         return [grouped[key] for key in sorted(grouped)]
 
 
-def _has_rng_mode(entry) -> bool:
-    """Whether the backend's config carries a randomness-mode field."""
-    return entry.config_factory is not None and hasattr(
-        entry.config_factory(), "rng"
-    )
-
-
 def differential_sweep(
     tasks: Any = "all",
     backends: Any = "all",
@@ -199,7 +192,6 @@ def differential_sweep(
     seeds: Sequence[int] = (0, 1),
     policy: Optional[BudgetPolicy] = None,
     epsilon: float = 0.1,
-    rng: Optional[str] = None,
     budget: Optional[float] = None,
     governance: Any = None,
     on_report: Optional[Callable[[Any], None]] = None,
@@ -221,14 +213,6 @@ def differential_sweep(
     epsilon:
         ε used for the agreement bands (runs use backend-default configs,
         whose ε is 0.1).
-    rng:
-        Randomness-mode override threaded into every run whose backend
-        config has an ``rng`` field (see :func:`repro.api.solve`); only
-        MIS has a choice, so every other run keeps its single mode and a
-        sweep-wide ``"sha"`` stays valid.  ``"counter"`` is how the
-        out-of-core fast generator gets statistically validated:
-        counter-mode MIS runs must still certify and must sit inside the
-        same cross-backend agreement bands as the sha-pinned baselines.
     budget:
         Per-machine memory budget (units of ``n`` words) threaded into
         every run.  Combined with the adversarial families this is how
@@ -275,10 +259,6 @@ def differential_sweep(
         if not chosen:
             continue
         band = agreement_band(task, epsilon)
-        rng_for = {
-            backend: rng if _has_rng_mode(registry.get(task, backend)) else None
-            for backend in chosen
-        }
         for family in families:
             for n in sizes:
                 for seed in seeds:
@@ -296,7 +276,6 @@ def differential_sweep(
                                 instance,
                                 backend=backend,
                                 seed=seed,
-                                rng=rng_for[backend],
                                 budget=budget,
                                 governance=governance,
                                 verify=policy,

@@ -6,7 +6,7 @@ residency-bounded implementations.  Chunking only reorders exact
 integer/boolean work, so every kernel must return byte-identical arrays
 (same values, same dtype) for any graph and any chunk geometry — that
 equivalence is what lets the solvers run unchanged on either
-representation.
+representation, which the MIS test at the end checks end to end.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import MISConfig
+from repro.core.mis_mpc import mis_mpc
+from repro.core.sparsified_mis import STRATEGIES
+from repro.graph.properties import is_maximal_independent_set
 from tests.property.strategies import csr_disk_pairs, mask_of
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -125,3 +129,22 @@ def test_sample_vertices_parity(example, seed):
     assert_same_array(
         mapped.sample_vertices(0.4, seed), ram.sample_vertices(0.4, seed)
     )
+
+
+@SETTINGS
+@given(
+    csr_disk_pairs(),
+    st.sampled_from(STRATEGIES),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_mis_strategies_agree_across_representations(example, strategy, seed):
+    """Both finish processes return one maximal independent set, byte for
+    byte, from a Graph, a CSRGraph and an MMapCSRGraph of one instance."""
+    ram, mapped, _tmp = example
+    plain = ram.to_graph()
+    config = MISConfig(sparse_strategy=strategy)
+    results = [mis_mpc(g, seed=seed, config=config) for g in (plain, ram, mapped)]
+    assert is_maximal_independent_set(plain, results[0].mis)
+    for other in results[1:]:
+        assert_same_array(other.mis, results[0].mis)
+        assert other.rounds == results[0].rounds

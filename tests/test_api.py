@@ -210,21 +210,14 @@ class TestSolveFacade:
 
     @pytest.mark.parametrize(
         "task, backend",
-        [
-            (entry.task, entry.backend)
-            for entry in registry.entries()
-            if entry.config_factory is MatchingConfig
-        ],
+        [("mis", "mpc"), ("mis", "congested_clique"), ("matching", "mpc")],
     )
-    def test_matching_family_rng(self, task, backend):
-        """Counter is the matching family's only mode; 'sha' is retired."""
+    def test_no_rng_knob(self, task, backend):
+        """The counter generator is the only one: no mode to pick or report."""
         graph = gnp_random_graph(60, 0.08, seed=5)
-        default = solve(task, graph, backend=backend, seed=3)
-        counter = solve(task, graph, backend=backend, seed=3, rng="counter")
-        assert counter.solution == default.solution
-        assert "rng" not in counter.config
-        with pytest.raises(ValueError, match="rng='sha' is retired"):
-            solve(task, graph, backend=backend, seed=3, rng="sha")
+        assert "rng" not in solve(task, graph, backend=backend, seed=3).config
+        with pytest.raises(TypeError, match="rng"):
+            solve(task, graph, backend=backend, seed=3, rng="counter")
 
     def test_non_int_seed_rejected(self):
         import random

@@ -12,7 +12,9 @@ only when an *intentional* behavior change lands (and say so in the PR).
 The matching-family pins (``fractional/*``, ``matching/mpc`` and the
 n=2000 MPC cells) were re-captured on ``executor=None`` when the
 Central-Rand thresholds and the Line (d) owner draws moved onto the
-counter generator; they hold for both executors.
+counter generator; they hold for both executors.  The
+``mis/congested_clique/*`` pins were re-captured when MIS's rank
+permutation and sparsified finish moved onto the counter generator.
 
 The module also property-tests the array-based substrate validation
 (Lenzen routing loads, clique bandwidth), the batched SHA stream and the
@@ -141,8 +143,8 @@ PINS = {
     "matching/mpc/n2000/seed1": "58368ad03a4bad092aacde144877adadaed6ce67c3dbeef3efbf555218c58d09",
     "matching/mpc/n2000/seed2": "ce69825d424198b73be7cc8be39e7ad2dfc1951f5f0865fcdabb078279c7386f",
     "matching/pregel": "2150036e7c7f24af1f32535b5a3ca2680d0009e2a49772a5e4187763b7c7a689",
-    "mis/congested_clique/dense": "32e519c87499c20714a7c5f8214d66f978682d2950d2e0df6b2a18c863e232e2",
-    "mis/congested_clique/sparse": "569124578f790bece8ba77369c6de5116a22127c620bbeeaee31c53680c469ef",
+    "mis/congested_clique/dense": "93186594464b1d58171e110a8d093ef4695cfd733ecf4256709d3d9e21d1cdaa",
+    "mis/congested_clique/sparse": "c597f125f0408c12fbe20548c9781a9450f51dc147988201cd57c7aa4422995f",
     "mis/pregel": "cf0e631933eb1381de63f9c463be415227e2977c13be702caff1567919515f9e",
     "one_plus_eps_matching/mpc/n2000/seed1": "ea6a51f32e870b405cf0bb6c8bf068de63d188c6b797ba6e75568082773d0fb5",
     "one_plus_eps_matching/mpc/n2000/seed2": "6f7dbfef682f9cf4ab6f416959b473b1ef196488e6f26e2d69b66af32f4c7db9",

@@ -103,17 +103,17 @@ class TestCCMIS:
 
     def test_empty_graph(self):
         result = congested_clique_mis(Graph(0))
-        assert result.mis == set()
+        assert result.mis.tolist() == []
         assert result.rounds == 0
 
     def test_edgeless_graph_takes_all(self):
         graph = Graph(9)
         result = congested_clique_mis(graph, seed=1)
-        assert result.mis == set(range(9))
+        assert result.mis.tolist() == list(range(9))
 
     def test_determinism(self):
         graph = gnp_random_graph(100, 0.1, seed=11)
         a = congested_clique_mis(graph, seed=9)
         b = congested_clique_mis(graph, seed=9)
-        assert a.mis == b.mis
+        assert a.mis.tolist() == b.mis.tolist()
         assert a.rounds == b.rounds

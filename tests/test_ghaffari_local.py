@@ -1,83 +1,79 @@
-"""Unit tests for the Ghaffari desire-level LOCAL MIS process."""
+"""Unit tests for Ghaffari's desire-level process in the sparsified finish."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import MISConfig
-from repro.core.ghaffari_local import (
+from repro.core.mis_mpc import mis_mpc
+from repro.core.sparsified_mis import (
     DESIRE_CAP,
     INITIAL_DESIRE,
-    ghaffari_round,
-    run_ghaffari_process,
+    GhaffariDesires,
+    sparsified_mis,
 )
-from repro.core.mis_mpc import mis_mpc
-from repro.core.sparsified_mis import sparsified_mis
+from repro.graph.csr import as_csr
 from repro.graph.generators import cycle_graph, gnp_random_graph, star_graph
 from repro.graph.graph import Graph
 from repro.graph.properties import is_independent_set, is_maximal_independent_set
-from repro.utils.rng import make_rng
+from repro.utils import counter_rng
+
+
+def _one_round(process, graph, round_index=0, key=1):
+    """Run one round over every vertex; returns the winner ids."""
+    csr = as_csr(graph)
+    n = csr.num_vertices
+    active = np.ones(n, dtype=bool)
+    draw = counter_rng.uniform01(key, np.arange(n), round_index)
+    blocks = [(csr.src, np.asarray(csr.indices))]
+    return np.flatnonzero(process.winners(draw, active, blocks))
 
 
 class TestGhaffariRound:
     def test_winners_are_independent(self):
         g = gnp_random_graph(60, 0.2, seed=1)
-        active = set(g.vertices())
-        desire = {v: INITIAL_DESIRE for v in active}
-        winners = ghaffari_round(g, active, desire, make_rng(1))
+        winners = _one_round(GhaffariDesires(60), g)
         assert is_independent_set(g, winners)
 
     def test_desire_levels_update(self):
         """High effective degree halves desire; low doubles it (capped)."""
-        g = star_graph(10)
-        active = set(g.vertices())
-        desire = {v: INITIAL_DESIRE for v in active}
-        ghaffari_round(g, active, desire, make_rng(2))
+        process = GhaffariDesires(11)
+        _one_round(process, star_graph(10))
         # Center sees effective degree 10 * 0.5 = 5 >= 2: halved.
-        assert desire[0] == INITIAL_DESIRE / 2
+        assert process.desire[0] == INITIAL_DESIRE / 2
         # A leaf sees 0.5 < 2: doubled but capped at 1/2.
-        assert desire[1] == DESIRE_CAP
+        assert process.desire[1] == DESIRE_CAP
 
     def test_desire_never_exceeds_cap(self):
-        g = cycle_graph(8)
-        active = set(g.vertices())
-        desire = {v: INITIAL_DESIRE for v in active}
-        rng = make_rng(3)
-        for _ in range(20):
-            ghaffari_round(g, active, desire, rng)
-        assert all(p <= DESIRE_CAP + 1e-12 for p in desire.values())
+        process = GhaffariDesires(8)
+        for round_index in range(20):
+            _one_round(process, cycle_graph(8), round_index)
+        assert np.all(process.desire <= DESIRE_CAP)
 
 
 class TestGhaffariProcess:
     def test_clears_sparse_graph(self):
         g = gnp_random_graph(150, 0.03, seed=4)
-        residual = g.copy()
-        active = set(g.vertices())
-        mis, rounds = run_ghaffari_process(residual, active, make_rng(4), rounds=200)
-        assert not active  # everything decided
-        assert is_maximal_independent_set(g, mis)
-        assert rounds <= 200
+        outcome = sparsified_mis(g, seed=4, strategy="ghaffari", rounds_factor=20)
+        assert outcome.leftover_edges == 0  # the process decided everything
+        assert is_maximal_independent_set(g, outcome.mis)
 
     def test_respects_round_budget(self):
         g = gnp_random_graph(100, 0.1, seed=5)
-        residual = g.copy()
-        active = set(g.vertices())
-        _, rounds = run_ghaffari_process(residual, active, make_rng(5), rounds=3)
-        assert rounds <= 3
+        outcome = sparsified_mis(g, seed=5, strategy="ghaffari", rounds_factor=0.3)
+        assert outcome.luby_rounds_simulated <= 3
+        assert is_maximal_independent_set(g, outcome.mis)
 
 
 class TestStrategyIntegration:
-    def test_sparsified_with_ghaffari_is_maximal(self):
-        g = gnp_random_graph(200, 0.03, seed=6)
-        outcome = sparsified_mis(g, seed=6, strategy="ghaffari")
-        assert is_maximal_independent_set(g, outcome.mis)
-
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             sparsified_mis(Graph(3), strategy="magic")
 
     def test_mis_mpc_with_ghaffari_strategy(self):
-        g = gnp_random_graph(300, 0.1, seed=7)
+        g = gnp_random_graph(300, 0.3, seed=7)
         config = MISConfig(sparse_strategy="ghaffari")
         result = mis_mpc(g, seed=7, config=config)
+        assert result.prefix_phases > 0
         assert is_maximal_independent_set(g, result.mis)
 
     def test_config_validates_strategy(self):

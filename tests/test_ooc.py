@@ -231,18 +231,13 @@ class TestThresholdOracleCounter:
 
 
 class TestConfigRng:
-    def test_validation(self):
-        assert MISConfig().rng == "sha"
-        assert MISConfig(rng="counter").rng == "counter"
-        with pytest.raises(ValueError):
-            MISConfig(rng="philox")
-        # The matching family has no mode to choose.
+    def test_no_rng_field(self):
+        # Every solver draws from the counter generator: no mode to choose.
+        with pytest.raises(TypeError):
+            MISConfig(rng="counter")
         with pytest.raises(TypeError):
             MatchingConfig(rng="counter")
-
-    def test_counter_requires_luby(self):
-        with pytest.raises(ValueError):
-            MISConfig(rng="counter", sparse_strategy="ghaffari")
+        assert MISConfig(sparse_strategy="ghaffari").sparse_strategy == "ghaffari"
 
 
 @pytest.fixture(scope="module")
@@ -260,16 +255,18 @@ def trio(tmp_path_factory):
 
 
 class TestSolveParity:
-    @pytest.mark.parametrize("task", ["mis"])
-    def test_sha_byte_parity_across_representations(self, trio, task):
-        plain, csr, mapped = trio
+    @pytest.mark.parametrize("backend", ["mpc", "congested_clique"])
+    @pytest.mark.parametrize("strategy", ["luby", "ghaffari"])
+    def test_mis_byte_parity_across_representations(self, trio, backend, strategy):
+        config = {"sparse_strategy": strategy}
         reports = [
-            solve(task, g, backend="mpc", seed=23) for g in (plain, csr, mapped)
+            solve("mis", g, backend=backend, seed=23, config=config, verify=True)
+            for g in trio
         ]
         assert reports[0].solution == reports[1].solution == reports[2].solution
         assert reports[0].rounds == reports[1].rounds == reports[2].rounds
-        assert all(r.valid for r in reports)
-        assert all(r.config["rng"] == "sha" for r in reports)
+        assert reports[0].extras == reports[1].extras == reports[2].extras
+        assert all(r.valid and r.verified for r in reports)
 
     @pytest.mark.parametrize(
         "task",
@@ -285,44 +282,28 @@ class TestSolveParity:
         assert reports[0].extras == reports[1].extras == reports[2].extras
         assert all(r.valid for r in reports)
 
-    @pytest.mark.parametrize("task", ["mis", "fractional_matching"])
-    def test_counter_mode_representation_independent(self, trio, task):
-        _, csr, mapped = trio
-        a = solve(task, csr, backend="mpc", seed=23, rng="counter")
-        b = solve(task, mapped, backend="mpc", seed=23, rng="counter")
-        c = solve(task, csr, backend="mpc", seed=23, rng="counter")
-        assert a.solution == b.solution == c.solution
-        assert a.rounds == b.rounds
-        assert a.valid and b.valid
-        if task == "mis":
-            assert a.config["rng"] == "counter"
-
-    def test_counter_mis_solution_is_canonical_list(self, trio):
+    def test_mis_solution_is_canonical_list(self, trio):
         _, _, mapped = trio
-        report = solve("mis", mapped, backend="mpc", seed=1, rng="counter")
+        report = solve("mis", mapped, backend="mpc", seed=1)
         assert report.solution == sorted(report.solution)
         assert all(isinstance(v, int) for v in report.solution[:5])
 
-    def test_compaction_budget_does_not_change_output(self, trio, monkeypatch):
-        """Counter Luby is exact arithmetic: compacting earlier (tiny
-        budget) must not change a single chosen vertex."""
+    @pytest.mark.parametrize("strategy", ["luby", "ghaffari"])
+    def test_compaction_budget_does_not_change_output(
+        self, trio, monkeypatch, strategy
+    ):
+        """Compacting earlier (tiny budget) must not change a single
+        chosen vertex: the slots keep their order either way."""
         import importlib
 
         sp = importlib.import_module("repro.core.sparsified_mis")
 
         _, csr, _ = trio
-        base = solve("mis", csr, backend="mpc", seed=4, rng="counter")
+        config = {"sparse_strategy": strategy}
+        base = solve("mis", csr, backend="mpc", seed=4, config=config)
         monkeypatch.setattr(sp, "_COMPACT_SLOT_BUDGET", 8)
-        tiny = solve("mis", csr, backend="mpc", seed=4, rng="counter")
+        tiny = solve("mis", csr, backend="mpc", seed=4, config=config)
         assert base.solution == tiny.solution
-
-    def test_facade_rng_validation(self, trio):
-        plain, _, _ = trio
-        with pytest.raises(ValueError, match="rng"):
-            solve("mis", plain, backend="mpc", rng="philox")
-        # configless backends ignore the sweep-wide setting
-        report = solve("mis", plain, backend="greedy", seed=0, rng="counter")
-        assert report.valid
 
     @pytest.mark.parametrize(
         "task", ["matching", "fractional_matching", "one_plus_eps_matching"]
@@ -346,13 +327,6 @@ class TestSolveParity:
         checks = {c["name"]: c for c in report.verification["checks"]}
         assert report.verified
         assert "OPT=" in checks["cover_ratio"]["detail"]
-
-    def test_verify_certificate_in_counter_mode(self, trio):
-        plain, _, _ = trio
-        report = solve(
-            "mis", plain, backend="mpc", seed=3, rng="counter", verify=True
-        )
-        assert report.verified
 
 
 class TestBenchDiffOoc:

@@ -8,9 +8,9 @@ change is intentional (e.g. an algorithmic fix), update the pins in the
 same commit and say why.
 
 The library's randomness is built on ``random.Random``, SHA-256-keyed
-streams and the SplitMix64 counter generator (the matching family's
-thresholds and machine assignment), all stable across Python versions,
-so these pins are portable.
+streams and the SplitMix64 counter generator (the MPC and
+CONGESTED-CLIQUE solvers' draws), all stable across Python versions, so
+these pins are portable.
 """
 
 import pytest
@@ -34,9 +34,9 @@ class TestPinnedOutputs:
 
     def test_mis_pin(self, pinned_graph):
         result = mis_mpc(pinned_graph, seed=123)
-        assert len(result.mis) == 21
+        assert len(result.mis) == 23
         assert result.rounds == 9
-        assert sorted(result.mis)[:8] == [1, 6, 11, 15, 17, 20, 25, 26]
+        assert result.mis[:8].tolist() == [7, 17, 21, 25, 29, 30, 31, 36]
 
     def test_fractional_matching_pin(self, pinned_graph):
         result = mpc_fractional_matching(pinned_graph, seed=123)

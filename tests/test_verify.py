@@ -335,23 +335,19 @@ class TestDifferential:
         rows = outcome.summary_rows()
         assert all(row["verified"] == row["runs"] for row in rows)
 
-    @pytest.mark.parametrize("mode", ["sha", "counter"])
-    def test_sweep_wide_rng_reaches_mis_only(self, mode):
-        """A sweep-wide mode sets MIS runs; single-mode tasks run theirs."""
+    def test_mis_sweep_has_one_generator(self):
+        """MIS certifies on mpc and congested_clique with no mode to pick."""
         outcome = differential_sweep(
-            ["mis", "fractional_matching", "one_plus_eps_matching"],
-            "all",
+            ["mis"],
+            ["mpc", "congested_clique", "greedy"],
             families=("gnp_sparse",),
             sizes=(24,),
             seeds=(0,),
-            rng=mode,
         )
         assert outcome.ok, [f.to_dict() for f in outcome.failures]
-        stamped = {
-            (r.task, r.backend): r.config.get("rng") for r in outcome.reports
-        }
-        assert stamped[("mis", "mpc")] == mode
-        assert stamped[("fractional_matching", "mpc")] is None
+        assert all("rng" not in r.config for r in outcome.reports)
+        with pytest.raises(TypeError):
+            differential_sweep(["mis"], ["mpc"], rng="counter")
 
     def test_tight_policy_fails_budgets(self):
         tight = BudgetPolicy(loglog_factor=1e-6, rounds_offset=0.0, log_factor=1e-6)
