@@ -27,6 +27,7 @@ from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.mis_mpc import mis_mpc
 from repro.core.vertex_cover import cover_from_maximal_matching, mpc_vertex_cover
 from repro.core.weighted_matching import mpc_weighted_matching
+from repro.graph.csr import as_graph
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.mpc.words import edge_words
@@ -141,7 +142,7 @@ def _mis_pregel(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = luby_vertex_program(graph, seed=seed)
+    result = luby_vertex_program(as_graph(graph), seed=seed)
     return SolverOutput(
         solution=result.mis,
         rounds=result.rounds,
@@ -164,7 +165,7 @@ def _mis_greedy(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    return SolverOutput(solution=greedy_mis_sequential(graph, seed=seed))
+    return SolverOutput(solution=greedy_mis_sequential(as_graph(graph), seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def _fractional_mpc(
         governor=governor,
     )
     return SolverOutput(
-        solution=dict(result.matching.weights),
+        solution=result.matching.weights,
         rounds=result.rounds,
         max_machine_words=(
             result.peak_words if governor is not None else result.max_machine_edges
@@ -242,7 +243,7 @@ def _fractional_congested_clique(
         graph, config=config, seed=seed, trace=trace
     )
     return SolverOutput(
-        solution=dict(result.matching.weights),
+        solution=result.matching.weights,
         rounds=result.rounds,
         extras={
             "phases": result.phases,
@@ -269,14 +270,14 @@ def _fractional_central(
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = central_fractional_matching(
-        graph,
+        as_graph(graph),
         epsilon=config.epsilon,
         randomized_thresholds=True,
         seed=seed,
         trace=trace,
     )
     return SolverOutput(
-        solution=dict(result.matching.weights),
+        solution=result.matching.weights,
         extras={
             "iterations": result.iterations,
             "cover_size": len(result.vertex_cover),
@@ -346,7 +347,7 @@ def _matching_pregel(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = matching_vertex_program(graph, seed=seed)
+    result = matching_vertex_program(as_graph(graph), seed=seed)
     return SolverOutput(
         solution=result.matching,
         rounds=result.rounds,
@@ -386,7 +387,7 @@ def _matching_central(
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(
-        solution=blossom_maximum_matching(graph), extras={"exact": True}
+        solution=blossom_maximum_matching(as_graph(graph)), extras={"exact": True}
     )
 
 
@@ -449,7 +450,7 @@ def _cover_central(
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = central_fractional_matching(
-        graph,
+        as_graph(graph),
         epsilon=config.epsilon,
         randomized_thresholds=True,
         seed=seed,
@@ -548,7 +549,7 @@ def _one_plus_eps_greedy(
     start = greedy_maximal_matching(graph, seed=seed)
     k = max(1, math.ceil(1.0 / config.epsilon))
     improved = improve_matching(
-        graph, start, max_path_length=2 * k - 1, seed=seed, trace=trace
+        as_graph(graph), start, max_path_length=2 * k - 1, seed=seed, trace=trace
     )
     return SolverOutput(
         solution=improved.matching,
@@ -575,7 +576,7 @@ def _one_plus_eps_central(
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(
-        solution=blossom_maximum_matching(graph), extras={"exact": True}
+        solution=blossom_maximum_matching(as_graph(graph)), extras={"exact": True}
     )
 
 

@@ -23,21 +23,9 @@ from repro.api.registry import SolverEntry, registry
 from repro.dist.executor import resolve_executor
 from repro.govern import GovernanceDegraded, GovernancePolicy, Governor
 from repro.mpc.cluster import MemoryExceededError
-from repro.api.report import (
-    EDGE_SET,
-    FRACTIONAL,
-    VERTEX_SET,
-    RunReport,
-    canonical_solution,
-)
-from repro.graph.csr import CSRGraph, as_graph
+from repro.api.report import RunReport, canonical_solution
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.graph.properties import (
-    is_matching,
-    is_maximal_independent_set,
-    is_valid_fractional_matching,
-    is_vertex_cover,
-)
 from repro.graph.weighted import WeightedGraph
 from repro.utils.trace import Trace
 
@@ -232,10 +220,8 @@ def solve(
                 config if isinstance(config, dict) else None,
                 None,
             )
-            # The sequential references walk set-based adjacency, so an
-            # out-of-core (CSR / mmap) input is converted here.
             output = degraded_entry.fn(
-                prepared if entry.weighted else as_graph(prepared),
+                prepared,
                 config=fallback_config,
                 seed=seed,
                 trace=trace,
@@ -248,9 +234,15 @@ def solve(
             dist_executor.close()
     peak_rss = _peak_rss_bytes()
 
+    # Local import: repro.verify sits above the facade (its differential
+    # harness drives solve()), so the dependency must stay one-way at
+    # module-import time.
+    from repro.verify import BudgetPolicy, certify_report, check_solution
+
     solution = canonical_solution(entry.solution_kind, output.solution)
-    structure = prepared.structure if isinstance(prepared, WeightedGraph) else prepared
-    metrics = _quality_metrics(entry, prepared, structure, solution)
+    weighted = prepared if isinstance(prepared, WeightedGraph) else None
+    structure = prepared if weighted is None else weighted.structure
+    checked = check_solution(entry.task, structure, solution, weighted)
 
     extras = dict(output.extras)
     if dist_executor is not None:
@@ -279,7 +271,7 @@ def solve(
         num_edges=structure.num_edges,
         solution_kind=entry.solution_kind,
         solution=solution,
-        metrics=metrics,
+        metrics=checked.metrics(),
         rounds=output.rounds,
         max_machine_words=output.max_machine_words,
         seed=seed,
@@ -290,13 +282,10 @@ def solve(
         extras=extras,
     )
     if verify:
-        # Local import: repro.verify sits above the facade (its
-        # differential harness drives solve()), so the dependency must
-        # stay one-way at module-import time.
-        from repro.verify import BudgetPolicy, certify_report
-
         policy = verify if isinstance(verify, BudgetPolicy) else None
-        certificate = certify_report(prepared, report, entry=entry, policy=policy)
+        certificate = certify_report(
+            prepared, report, entry=entry, policy=policy, checked=checked
+        )
         report = dataclasses.replace(report, verification=certificate.to_dict())
     return report
 
@@ -386,31 +375,3 @@ def _config_snapshot(config: Any) -> Dict[str, Any]:
     snapshot["__type__"] = type(config).__name__
     return snapshot
 
-
-def _quality_metrics(
-    entry: SolverEntry,
-    prepared: GraphLike,
-    structure: Union[Graph, CSRGraph],
-    solution: Any,
-) -> Dict[str, Any]:
-    """Ground-truth validity and size/weight metrics for the solution."""
-    metrics: Dict[str, Any] = {"size": len(solution)}
-    if entry.solution_kind == VERTEX_SET:
-        # CSR validators take any iterable and build a mask — skipping the
-        # Python set matters at the out-of-core scale (an n=10M MIS as a
-        # set of ints costs hundreds of MB).
-        chosen = solution if isinstance(structure, CSRGraph) else set(solution)
-        if entry.task == "mis":
-            metrics["valid"] = is_maximal_independent_set(structure, chosen)
-        else:
-            metrics["valid"] = is_vertex_cover(structure, chosen)
-    elif entry.solution_kind == EDGE_SET:
-        edges = [(u, v) for u, v in solution]
-        metrics["valid"] = is_matching(structure, edges)
-        if isinstance(prepared, WeightedGraph):
-            metrics["weight"] = prepared.matching_weight(edges)
-    elif entry.solution_kind == FRACTIONAL:
-        weights = {(u, v): x for u, v, x in solution}
-        metrics["valid"] = is_valid_fractional_matching(structure, weights)
-        metrics["weight"] = sum(weights.values())
-    return metrics

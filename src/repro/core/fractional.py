@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.graph.graph import Edge, Graph, canonical_edge
+from repro.graph.properties import is_valid_fractional_matching, vertex_loads
 
 
 @dataclass
@@ -39,20 +40,11 @@ class FractionalMatching:
 
     def vertex_loads(self) -> Dict[int, float]:
         """Per-vertex load ``y_v = sum_{e ∋ v} x_e`` (zero-load omitted)."""
-        loads: Dict[int, float] = {}
-        for (u, v), x in self.weights.items():
-            loads[u] = loads.get(u, 0.0) + x
-            loads[v] = loads.get(v, 0.0) + x
-        return loads
+        return vertex_loads(self.weights)
 
     def is_valid(self, tolerance: float = 1e-9) -> bool:
         """LP feasibility: nonnegative weights on real edges, loads ≤ 1."""
-        for (u, v), x in self.weights.items():
-            if x < -tolerance or not self.graph.has_edge(u, v):
-                return False
-        return all(
-            load <= 1.0 + tolerance for load in self.vertex_loads().values()
-        )
+        return is_valid_fractional_matching(self.graph, self.weights, tolerance)
 
     def heavy_vertices(self, minimum_load: float) -> Set[int]:
         """Vertices with load at least ``minimum_load``.

@@ -5,7 +5,8 @@ and every run auditable against the paper's quantitative guarantees:
 
 * :mod:`repro.verify.checkers` — pure per-task validity + oracle-ratio
   checks (MIS maximality, matching validity, cover coverage, fractional
-  feasibility, approximation factors vs the exact baselines);
+  feasibility, approximation factors vs the exact baselines), behind the
+  one task → validator dispatch :func:`check_solution`;
 * :mod:`repro.verify.budgets` — :class:`BudgetPolicy` turning the
   paper's ``O(log log n)`` rounds / ``S = n^α`` memory claims into
   concrete audited budgets;
@@ -22,7 +23,7 @@ conformance sweep from the shell (see VERIFICATION.md).
 from repro.verify.budgets import BudgetPolicy, audit_budgets, loglog2
 from repro.verify.certificate import Certificate, CheckResult
 from repro.verify.certify import certify_report
-from repro.verify.checkers import certify_solution
+from repro.verify.checkers import check_solution, certify_solution
 from repro.verify.differential import (
     DEFAULT_FAMILIES,
     FAMILIES,
@@ -44,6 +45,7 @@ __all__ = [
     "audit_budgets",
     "certify_report",
     "certify_solution",
+    "check_solution",
     "differential_sweep",
     "loglog2",
 ]

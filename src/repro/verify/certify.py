@@ -3,7 +3,8 @@
 This is the glue the facade's ``verify=`` hook and the differential
 harness share: given the input graph and the :class:`RunReport` a solver
 produced, run every applicable invariant checker plus the budget
-auditors and bundle the results.
+auditors and bundle the results.  The façade passes in the structural
+checks it already ran for ``metrics``, so no validator runs twice.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Any, Optional
 from repro.graph.weighted import WeightedGraph
 from repro.verify.budgets import BudgetPolicy, audit_budgets
 from repro.verify.certificate import Certificate
-from repro.verify.checkers import certify_solution
+from repro.verify.checkers import CheckedSolution, certify_solution
 
 DEFAULT_EPSILON = 0.1
 
@@ -30,6 +31,7 @@ def certify_report(
     *,
     entry: Any = None,
     policy: Optional[BudgetPolicy] = None,
+    checked: Optional[CheckedSolution] = None,
 ) -> Certificate:
     """Invariant + ratio + budget checks for one run.
 
@@ -46,6 +48,9 @@ def certify_report(
         omitted); supplies the declared round-bound class.
     policy:
         Budget policy (default :class:`BudgetPolicy`).
+    checked:
+        The :func:`~repro.verify.checkers.check_solution` result for
+        ``report.solution`` when the caller already has it.
     """
     if entry is None:
         from repro.api.registry import registry
@@ -63,6 +68,7 @@ def certify_report(
             epsilon=report_epsilon(report),
             weighted_graph=weighted,
             heavy_removed=int(report.extras.get("heavy_removed", 0)),
+            checked=checked,
         )
     )
     certificate.extend(

@@ -24,9 +24,10 @@ reproduction's empirical bands.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Collection, Dict, Iterable, List, Mapping, Optional
 
-from repro.graph.graph import Edge, Graph, canonical_edge
+from repro.graph.graph import Edge, Graph
 from repro.graph.properties import (
     is_independent_set,
     is_matching,
@@ -52,13 +53,12 @@ def _skipped(name: str, reason: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_mis(graph: Graph, vertices: Iterable[int]) -> List[CheckResult]:
+def check_mis(graph: Graph, vertices: Collection[int]) -> List[CheckResult]:
     """Independence and maximality — the two halves of Theorem 1.1's object."""
-    chosen = set(vertices)
     # A maximal independent set is independent, so the separate
     # independence pass only runs to tell the two failures apart.
-    maximal = is_maximal_independent_set(graph, chosen)
-    independent = maximal or is_independent_set(graph, chosen)
+    maximal = is_maximal_independent_set(graph, vertices)
+    independent = maximal or is_independent_set(graph, vertices)
     return [
         CheckResult(
             name="mis_independent",
@@ -75,8 +75,7 @@ def check_mis(graph: Graph, vertices: Iterable[int]) -> List[CheckResult]:
 
 def check_matching(graph: Graph, edges: Iterable[Edge]) -> List[CheckResult]:
     """Edges exist in the graph and are pairwise vertex-disjoint."""
-    matching = [canonical_edge(u, v) for u, v in edges]
-    valid = is_matching(graph, matching)
+    valid = is_matching(graph, edges)
     return [
         CheckResult(
             name="matching_valid",
@@ -88,7 +87,7 @@ def check_matching(graph: Graph, edges: Iterable[Edge]) -> List[CheckResult]:
 
 def check_vertex_cover(graph: Graph, cover: Iterable[int]) -> List[CheckResult]:
     """Every edge has at least one endpoint in the cover."""
-    covered = is_vertex_cover(graph, set(cover))
+    covered = is_vertex_cover(graph, cover)
     return [
         CheckResult(
             name="cover_covers_all_edges",
@@ -234,7 +233,7 @@ def check_weighted_matching_ratio(
     optimum = oracles.maximum_weight_matching_weight(graph)
     if optimum is None:
         return [_skipped("weighted_ratio", "graph above brute-force cap")]
-    weight = graph.matching_weight([canonical_edge(u, v) for u, v in edges])
+    weight = graph.matching_weight(edges)
     passed = weight * factor >= optimum - TOLERANCE
     return [
         CheckResult(
@@ -273,6 +272,58 @@ def weighted_factor(epsilon: float) -> float:
     return 2.0 + 50.0 * epsilon
 
 
+@dataclass(frozen=True)
+class CheckedSolution:
+    """A canonical solution in the one form its checks read (vertex list,
+    edge list or ``{(u, v): x}`` map), with its structural checks."""
+
+    form: Any
+    checks: List[CheckResult]
+    weight: Optional[float] = None
+
+    def metrics(self) -> Dict[str, Any]:
+        """The report's quality metrics: ``size``, ``valid``, ``weight``."""
+        valid = all(check.passed for check in self.checks)
+        metrics: Dict[str, Any] = {"size": len(self.form), "valid": valid}
+        if self.weight is not None:
+            metrics["weight"] = self.weight
+        return metrics
+
+
+_STRUCTURAL = {
+    "mis": check_mis,
+    "vertex_cover": check_vertex_cover,
+    "fractional_matching": check_fractional_matching,
+    "matching": check_matching,
+    "one_plus_eps_matching": check_matching,
+    "weighted_matching": check_matching,
+}
+
+
+def check_solution(
+    task: str,
+    graph: Graph,
+    solution: Any,
+    weighted_graph: Optional[WeightedGraph] = None,
+) -> CheckedSolution:
+    """The structural checks for one task's canonical solution.
+
+    ``solution`` uses the canonical report shapes: a vertex list for
+    ``mis``/``vertex_cover``, an edge list for the matching tasks, and
+    ``[u, v, x]`` triples for ``fractional_matching``.  ``weight`` is the
+    left-to-right sum in canonical order, or ``w(M)`` on ``weighted_graph``.
+    """
+    if task not in _STRUCTURAL:
+        raise ValueError(f"unknown task {task!r}")
+    form, weight = solution, None
+    if task == "fractional_matching":
+        form = {(u, v): x for u, v, x in solution}
+        weight = sum(form.values())
+    elif task == "weighted_matching" and weighted_graph is not None:
+        weight = weighted_graph.matching_weight(form)
+    return CheckedSolution(form, _STRUCTURAL[task](graph, form), weight)
+
+
 def certify_solution(
     task: str,
     graph: Graph,
@@ -280,45 +331,32 @@ def certify_solution(
     epsilon: float = 0.1,
     weighted_graph: Optional[WeightedGraph] = None,
     heavy_removed: int = 0,
+    checked: Optional[CheckedSolution] = None,
 ) -> List[CheckResult]:
     """All validity + ratio checks for one task's canonical solution.
 
-    ``solution`` uses the canonical report shapes: a vertex list for
-    ``mis``/``vertex_cover``, an edge list for the matching tasks, and
-    ``[u, v, x]`` triples for ``fractional_matching``.
     ``weighted_graph`` supplies weights for ``weighted_matching``;
     ``heavy_removed`` is the run's reported Line (i) removal count
-    (discounted by the fractional lower band).
+    (discounted by the fractional lower band); ``checked`` is an existing
+    :func:`check_solution` result for ``solution``, reused rather than rerun.
     """
-    if task == "mis":
-        return check_mis(graph, solution)
+    if checked is None:
+        checked = check_solution(task, graph, solution, weighted_graph)
+    form, results = checked.form, list(checked.checks)
     if task == "vertex_cover":
-        return check_vertex_cover(graph, solution) + check_vertex_cover_ratio(
-            graph, solution, matching_factor(epsilon)
+        results += check_vertex_cover_ratio(graph, form, matching_factor(epsilon))
+    elif task == "matching":
+        results += check_matching_ratio(graph, form, matching_factor(epsilon))
+    elif task == "one_plus_eps_matching":
+        results += check_matching_ratio(
+            graph, form, one_plus_eps_factor(epsilon), name="one_plus_eps_ratio"
         )
-    if task == "matching":
-        edges = [(u, v) for u, v in solution]
-        return check_matching(graph, edges) + check_matching_ratio(
-            graph, edges, matching_factor(epsilon)
+    elif task == "weighted_matching" and weighted_graph is not None:
+        results += check_weighted_matching_ratio(
+            weighted_graph, form, weighted_factor(epsilon)
         )
-    if task == "one_plus_eps_matching":
-        edges = [(u, v) for u, v in solution]
-        return check_matching(graph, edges) + check_matching_ratio(
-            graph, edges, one_plus_eps_factor(epsilon), name="one_plus_eps_ratio"
+    elif task == "fractional_matching":
+        results += check_fractional_bands(
+            graph, form, matching_factor(epsilon), slack_vertices=heavy_removed
         )
-    if task == "weighted_matching":
-        edges = [(u, v) for u, v in solution]
-        results = check_matching(graph, edges)
-        if weighted_graph is not None:
-            results += check_weighted_matching_ratio(
-                weighted_graph, edges, weighted_factor(epsilon)
-            )
-        return results
-    if task == "fractional_matching":
-        weights: Mapping[Edge, float] = {
-            (int(u), int(v)): float(x) for u, v, x in solution
-        }
-        return check_fractional_matching(graph, weights) + check_fractional_bands(
-            graph, weights, matching_factor(epsilon), slack_vertices=heavy_removed
-        )
-    raise ValueError(f"unknown task {task!r}")
+    return results

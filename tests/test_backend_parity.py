@@ -63,6 +63,16 @@ def _solve_fingerprint(
     )
 
 
+def _report_fingerprint(task, backend, n, p, graph_seed, solve_seed) -> str:
+    """The whole verified report — metrics and certificate included —
+    minus the host-dependent wall time and RSS."""
+    graph = gnp_random_graph(n, p, seed=graph_seed)
+    report = solve(task, graph, backend=backend, seed=solve_seed, verify=True)
+    payload = report.to_dict()
+    del payload["wall_time_s"], payload["peak_rss_bytes"]
+    return _fingerprint(payload)
+
+
 def _luby_fingerprint(n, p, graph_seed, seed) -> str:
     result = luby_mis(gnp_random_graph(n, p, seed=graph_seed), seed=seed)
     return _fingerprint({"mis": sorted(result.mis), "rounds": result.rounds})
@@ -126,6 +136,14 @@ LARGE_MPC_CASES = {
     for seed in (1, 2)
 }
 
+# Whole-report pins: the four perfbench tasks with ``verify=True``, so the
+# quality metrics and the serialized certificate are pinned too.
+REPORT_CASES = {
+    f"report/{task}/mpc/n2000/seed{seed}": (task, "mpc", 2000, 20 / 1999, 21, seed)
+    for task in ("mis", "fractional_matching", "vertex_cover", "matching")
+    for seed in (1, 2)
+}
+
 BASELINE_CASES = {
     "luby": (_luby_fingerprint, (250, 0.08, 16, 10)),
     "israeli_itai": (_israeli_itai_fingerprint, (250, 0.08, 17, 11)),
@@ -149,6 +167,14 @@ PINS = {
     "one_plus_eps_matching/mpc/n2000/seed1": "ea6a51f32e870b405cf0bb6c8bf068de63d188c6b797ba6e75568082773d0fb5",
     "one_plus_eps_matching/mpc/n2000/seed2": "6f7dbfef682f9cf4ab6f416959b473b1ef196488e6f26e2d69b66af32f4c7db9",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
+    "report/fractional_matching/mpc/n2000/seed1": "73e63597961a522c4b48d50ba4704b7f1dcd72662d10e3f7a9019ecf63ef5a03",
+    "report/fractional_matching/mpc/n2000/seed2": "8772562775e3d631f64fe2178e9e40a07e7ad70c3a516926d78e171b3f5df9e4",
+    "report/matching/mpc/n2000/seed1": "37ff37397ab4ac75beb1b8da22ce43d12e478a3b3ed7f0bfec62ffed7bfececf",
+    "report/matching/mpc/n2000/seed2": "6c67faa402e0920ae20015c0232f863f1069fe66d805ba7c7859377fbe0cbf6b",
+    "report/mis/mpc/n2000/seed1": "9ee43984d1f3ed827f22024e7d0403ea81ab94d3067d389c57f26034c9d52c17",
+    "report/mis/mpc/n2000/seed2": "4047c425afeaf83374cc34682ac5fbe94062d0c3d5fe68c2a2bb425984d3dae1",
+    "report/vertex_cover/mpc/n2000/seed1": "0a6c2d05e762d37a82f4691e9a968817dce38f61024d7c997673cf3cd6fbe61f",
+    "report/vertex_cover/mpc/n2000/seed2": "11d57238933e8239f10795eca5e1180b424e9d6b9e7fa280b7e9b712ae3785ec",
     "vertex_cover/mpc/n2000/seed1": "ec9622f698f25b47aaee4f2de0acd1e9bafa6587580066499e546f23ac8f476a",
     "vertex_cover/mpc/n2000/seed2": "ed497d362e25bea4cbec8edc0d99e948f2021a347e2fdf34aa3ec58d890694f7",
 }
@@ -158,6 +184,8 @@ def _all_fingerprints():
     out = {}
     for name, args in {**SOLVE_CASES, **LARGE_MPC_CASES}.items():
         out[name] = _solve_fingerprint(*args)
+    for name, args in REPORT_CASES.items():
+        out[name] = _report_fingerprint(*args)
     for name, (fn, args) in BASELINE_CASES.items():
         out[name] = fn(*args)
     return out
@@ -183,6 +211,12 @@ def test_pinned_large_mpc_output(name, executor):
     assert got == PINS[name], (
         f"{name} (executor={executor}): output fingerprint changed"
     )
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_pinned_whole_report(name):
+    got = _report_fingerprint(*REPORT_CASES[name])
+    assert got == PINS[name], f"{name}: report fingerprint changed"
 
 
 # ---------------------------------------------------------------------------

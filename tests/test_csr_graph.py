@@ -25,6 +25,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph
+from repro.ooc import MMapCSRGraph, load_csr, save_csr
 
 
 # -- strategies (shared; see tests/property/strategies.py) ------------------
@@ -306,19 +307,29 @@ class TestKernelEquivalence:
 
 class TestEndToEndParity:
     """Every registered task × backend stays deterministic under a fixed
-    seed with the CSR hot paths in place, and solutions validate."""
+    seed with the CSR hot paths in place, and solutions validate and
+    certify on every input representation the façade accepts."""
 
+    @pytest.mark.parametrize("representation", ["graph", "csr", "mmap"])
     @pytest.mark.parametrize(
         "task,backend",
         [(entry.task, entry.backend) for entry in registry.entries()],
     )
-    def test_solve_deterministic_and_valid(self, task, backend):
+    def test_solve_deterministic_and_valid(
+        self, task, backend, representation, tmp_path
+    ):
         graph = gnp_random_graph(60, 0.15, seed=11)
-        first = solve(task, graph, backend=backend, seed=5)
-        second = solve(task, graph, backend=backend, seed=5)
+        if representation != "graph":
+            graph = CSRGraph.from_graph(graph)
+        if representation == "mmap":
+            graph = load_csr(save_csr(graph, tmp_path / "graph"))
+            assert isinstance(graph, MMapCSRGraph)
+        first = solve(task, graph, backend=backend, seed=5, verify=True)
+        second = solve(task, graph, backend=backend, seed=5, verify=True)
         assert first.solution == second.solution
         assert first.rounds == second.rounds
         assert first.valid
+        assert first.verified, first.verification
         assert first.peak_rss_bytes >= 0
 
     def test_mis_mpc_matches_structured_families(self):

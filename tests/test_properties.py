@@ -10,6 +10,7 @@ perturbed one must fail.
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.properties import (
     fractional_matching_weight,
@@ -22,7 +23,7 @@ from repro.graph.properties import (
     matching_vertices,
     vertex_loads,
 )
-from tests.property.strategies import dense_pair_graphs, graphs
+from tests.property.strategies import dense_pair_graphs, graphs, graphs_with_subsets
 
 _SETTINGS = settings(
     max_examples=30,
@@ -220,3 +221,62 @@ class TestValidatorProperties:
         u, v = next(iter(graph.edges()))
         weights = {canonical_edge(u, v): 1.5}
         assert not is_valid_fractional_matching(graph, weights)
+
+
+class TestCSRAgreement:
+    """The CSR branches decide exactly what the set branches decide.
+
+    Each case runs a validator on a :class:`Graph` and on its
+    :class:`CSRGraph`, for a valid witness and for corrupted copies.
+    """
+
+    @_SETTINGS
+    @given(pair=graphs_with_subsets())
+    def test_vertex_set_validators_agree(self, pair):
+        graph, subset = pair
+        csr = CSRGraph.from_graph(graph)
+        mis = greedy_mis_witness(graph)
+        cover = set(graph.vertices()) - mis  # complement of an independent set
+        valid = [(is_independent_set, mis), (is_maximal_independent_set, mis)]
+        valid.append((is_vertex_cover, cover))
+        for validator, chosen in valid:
+            assert validator(graph, chosen) and validator(csr, chosen)
+        candidates = [subset, mis, cover]
+        if cover:
+            candidates.append(mis | {min(cover)})  # adds an adjacent vertex
+        if mis:
+            candidates.append(mis - {min(mis)})
+        edge = next(iter(graph.edges()), None)
+        if edge is not None:
+            candidates.append(cover - set(edge))  # leaves the edge uncovered
+        for chosen in candidates:
+            for validator in (
+                is_independent_set,
+                is_maximal_independent_set,
+                is_vertex_cover,
+            ):
+                assert validator(graph, chosen) == validator(csr, chosen)
+
+    @_SETTINGS
+    @given(graph=graphs(min_vertices=2))
+    def test_fractional_validator_agrees(self, graph: Graph):
+        csr = CSRGraph.from_graph(graph)
+        cap = max(1, graph.max_degree())
+        uniform = {edge: 1.0 / cap for edge in graph.edges()}
+        assert is_valid_fractional_matching(graph, uniform)
+        assert is_valid_fractional_matching(csr, uniform)
+        n = graph.num_vertices
+        non_edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if not graph.has_edge(u, v)
+        ]
+        corrupted = [{(0, 0): 0.1}, {(0, n): 0.1}]
+        if non_edges:
+            corrupted.append({**uniform, non_edges[0]: 0.1})
+        if uniform:
+            first = next(iter(uniform))
+            corrupted.append({**uniform, first: -0.5})
+            corrupted.append({**uniform, first: 1.5})
+        for weights in corrupted:
+            assert not is_valid_fractional_matching(graph, weights)
+            assert not is_valid_fractional_matching(csr, weights)

@@ -9,6 +9,8 @@ audits are recorded in the RunReport.
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
+from repro.graph import properties
 from repro.graph.graph import Graph
 from repro.graph.weighted import WeightedGraph
 from repro.verify import (
@@ -314,6 +317,56 @@ class TestCertificate:
         report = solve("mis", small_gnp, backend="greedy", seed=1)
         certificate = certify_report(small_gnp, report)
         assert certificate.ok
+
+
+# ---------------------------------------------------------------------------
+# one validation pass per solve
+# ---------------------------------------------------------------------------
+
+VALIDATORS = (
+    "is_independent_set",
+    "is_maximal_independent_set",
+    "is_matching",
+    "is_maximal_matching",
+    "is_vertex_cover",
+    "is_valid_fractional_matching",
+)
+
+
+@pytest.fixture
+def validator_calls(monkeypatch):
+    """Call counts of the ``repro.graph.properties`` validators, patched on
+    every ``repro`` module that holds one by name."""
+    calls: Counter = Counter()
+    for name in VALIDATORS:
+        original = getattr(properties, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSingleValidationPass:
+    """``metrics["valid"]`` and the certificate share one structural pass."""
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize(
+        "task", ["mis", "fractional_matching", "vertex_cover", "matching"]
+    )
+    def test_each_validator_runs_at_most_once(self, task, verify, validator_calls):
+        graph = gnp_random_graph(200, 0.04, seed=9)
+        report = solve(task, graph, backend="mpc", seed=3, verify=verify)
+        assert report.valid
+        assert report.verified or not verify
+        assert validator_calls, "metrics['valid'] ran no validator"
+        assert max(validator_calls.values()) == 1, dict(validator_calls)
 
 
 # ---------------------------------------------------------------------------
