@@ -27,7 +27,9 @@ aggregation of Line (g), the active-subgraph extraction, the direct
 simulation, and the final weight readout — is a vectorized pass over
 those arrays.  Freezing decisions go through
 :meth:`ThresholdOracle.crosses_batch`, which only materializes the
-threshold when the load estimate lands inside the random band.
+threshold when the load estimate lands inside the random band; a
+compressed phase makes one such call per step per worker, over the
+disjoint union of the worker's machines.
 
 Randomness.  Both random choices are keyed draws of the order-free
 counter generator (:mod:`repro.utils.counter_rng`): the thresholds
@@ -176,7 +178,7 @@ def mpc_fractional_matching(
         :func:`repro.core.central.run_freezing_process` to couple the two
         processes (used by the Lemma 4.15 concentration experiment).
     executor:
-        Optional :class:`repro.dist.DistExecutor` the per-machine phase
+        Optional :class:`repro.dist.DistExecutor` the machine-range phase
         blocks and the direct Central-Rand iterations run on; ``None``
         runs them on one in-process worker.  Outputs and round
         accounting are byte-identical across executors (see
@@ -291,8 +293,7 @@ def fractional_matching_arrays(
     while d > floor:
         if phases >= _MAX_PHASES:
             raise RuntimeError("MPC-Simulation exceeded the phase cap")
-        # freeze_at is synced with freeze_iteration at the end of every
-        # phase, so this is "surviving and unfrozen", ascending.
+        # Surviving and unfrozen, ascending.
         active_ids = np.flatnonzero(surviving_mask & (freeze_at == _NEVER))
         active_mask = np.zeros(n, dtype=bool)
         active_mask[active_ids] = True
@@ -342,13 +343,10 @@ def fractional_matching_arrays(
             owner_of[active_ids] = owner_vals
             grouping = np.argsort(owner_vals, kind="stable")
             sorted_ids = active_ids[grouping]
+            sorted_machines = owner_vals[grouping]
             part_counts = np.bincount(owner_vals, minlength=num_machines)
             bounds = np.zeros(num_machines + 1, dtype=np.int64)
             np.cumsum(part_counts, out=bounds[1:])
-            parts = [
-                sorted_ids[bounds[index] : bounds[index + 1]]
-                for index in range(num_machines)
-            ]
 
             # Same-machine active edges, grouped by machine in one sort.
             same = owner_of[active_u] == owner_of[active_v]
@@ -379,23 +377,23 @@ def fractional_matching_arrays(
         _ship_partitions(cluster, local_edge_counts, phases, governor=governor)
         machine_edges_per_phase.append(max(local_edge_counts, default=0))
 
-        # Lines (e): every machine simulates I iterations locally.  The
-        # machine blocks are scattered over the executor's workers and
-        # the freeze insertions merged back in machine order.
-        local_of = np.full(n, -1, dtype=np.int64)
-        for part in parts:
-            local_of[part] = np.arange(len(part), dtype=np.int64)
+        # Lines (e): every machine simulates I iterations locally.  Each
+        # worker runs one contiguous machine range as a single fused block;
+        # the ranges come back in machine order, so array writes replay the
+        # freezes exactly as a machine-by-machine merge would.
+        position_of = np.empty(n, dtype=np.int64)
+        position_of[sorted_ids] = np.arange(len(sorted_ids), dtype=np.int64)
         tasks = []
-        for index, part in enumerate(parts):
-            if len(part) == 0:
-                continue
-            lo, hi = boundaries[index], boundaries[index + 1]
+        for first, last in executor.partition(num_machines):
+            lo, hi = bounds[first], bounds[last]
+            elo, ehi = boundaries[first], boundaries[last]
             tasks.append(
                 (
-                    part,
-                    local_of[local_u[lo:hi]],
-                    local_of[local_v[lo:hi]],
-                    y_old[part],
+                    sorted_ids[lo:hi],
+                    sorted_machines[lo:hi],
+                    position_of[local_u[elo:ehi]] - lo,
+                    position_of[local_v[elo:ehi]] - lo,
+                    y_old[sorted_ids[lo:hi]],
                 )
             )
         results = executor.map_tasks(
@@ -411,14 +409,12 @@ def fractional_matching_arrays(
             },
             phase="compressed-phases",
         )
-        for insertions in results:
-            for v, frozen_t in insertions:
-                freeze_iteration[v] = frozen_t
+        for vertices, times in results:
+            freeze_at[vertices] = times
+            freeze_iteration.update(zip(vertices.tolist(), times.tolist()))
         t += iterations
         d *= (1.0 - epsilon) ** iterations
         phases += 1
-        for v, frozen_t in freeze_iteration.items():
-            freeze_at[v] = frozen_t
 
         # One broadcast distributes freeze times (Line (g) inputs), one
         # aggregation round recomputes loads and applies Lines (h)-(j).
@@ -443,9 +439,8 @@ def fractional_matching_arrays(
             & (freeze_at == _NEVER)
             & (loads >= 1.0 - 2.0 * epsilon)
         )
-        for v in newly_frozen.tolist():
-            freeze_iteration[v] = t
-            freeze_at[v] = t
+        freeze_at[newly_frozen] = t
+        freeze_iteration.update(dict.fromkeys(newly_frozen.tolist(), t))
         maybe_record(
             trace,
             "matching_phase",
@@ -577,39 +572,43 @@ def _scatter_waves(messages: List[tuple], soft_words: int) -> List[List[tuple]]:
 
 
 def _machine_insertions(
-    part_ids: np.ndarray,
+    vertex_ids: np.ndarray,
+    machine_of: np.ndarray,
     local_u: np.ndarray,
     local_v: np.ndarray,
-    y_part: np.ndarray,
+    y_range: np.ndarray,
     oracle: ThresholdOracle,
     start_iteration: int,
     iterations: int,
     num_machines: int,
     w0: float,
     growth: float,
-) -> List[tuple]:
-    """One machine's local Central-Rand block, as ``(vertex, t)`` freezes.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A contiguous range of machines' local Central-Rand blocks, fused.
 
-    Runs ``iterations`` local Central-Rand steps on one machine's part
-    (the ``matching.machines`` kernel); the driver replays the returned
-    insertions in list order.  ``local_u``/``local_v`` are the machine's
-    induced edges (both endpoints assigned here) relabelled to part
-    positions; ``y_part`` is the frozen-load slice for the part.
+    The ``matching.machines`` kernel: runs ``iterations`` local
+    Central-Rand steps on every machine of the range as one loop over
+    the disjoint union of their parts.  ``vertex_ids`` are the range's
+    active ids sorted by ``(machine, id)`` and ``machine_of`` their
+    machine labels; ``local_u``/``local_v`` are the same-machine edges
+    relabelled to range positions; ``y_range`` is the frozen-load slice.
 
-    The whole part is decided per iteration through one
-    :meth:`ThresholdOracle.crosses_batch` call — local degrees live in a
-    part-relabelled array and shrink by masking dead edges, so no
-    adjacency sets are materialized.
+    Machines share no edge and every threshold is a pure function of
+    ``(seed, v, t)``, so one :meth:`ThresholdOracle.crosses_batch` call
+    per step decides each vertex exactly as its own machine would.  A
+    machine that runs out of active vertices simply contributes nothing
+    to later steps.
+
+    Returns ``(vertices, t)`` freezes lexsorted on ``(machine, t,
+    position)`` — the order a machine-by-machine replay produces.
     """
-    insertions: List[tuple] = []
-    k = len(part_ids)
-    if k == 0:
-        return insertions
+    k = len(vertex_ids)
     edge_alive = np.ones(len(local_u), dtype=bool)
     active = np.ones(k, dtype=bool)
     degree = np.bincount(local_u, minlength=k) + np.bincount(
         local_v, minlength=k
     )
+    frozen_at = np.full(k, _NEVER, dtype=np.int64)
     for step in range(iterations):
         act = np.flatnonzero(active)
         if act.size == 0:
@@ -617,19 +616,21 @@ def _machine_insertions(
         now = start_iteration + step
         w_t = w0 * growth**now
         # Same association as the scalar path: (m * deg) * w_t + y_old.
-        estimates = num_machines * degree[act] * w_t + y_part[act]
-        frozen = oracle.crosses_batch(part_ids[act], now, estimates)
+        estimates = num_machines * degree[act] * w_t + y_range[act]
+        frozen = oracle.crosses_batch(vertex_ids[act], now, estimates)
         if not frozen.any():
             continue  # nothing froze: degrees are unchanged too
         newly = act[frozen]
-        for v in part_ids[newly].tolist():
-            insertions.append((v, now))
+        frozen_at[newly] = now
         active[newly] = False
         edge_alive &= active[local_u] & active[local_v]
         degree = np.bincount(local_u[edge_alive], minlength=k) + np.bincount(
             local_v[edge_alive], minlength=k
         )
-    return insertions
+    positions = np.flatnonzero(frozen_at != _NEVER)
+    times = frozen_at[positions]
+    order = np.lexsort((positions, times, machine_of[positions]))
+    return vertex_ids[positions[order]], times[order]
 
 
 def _direct_simulation(

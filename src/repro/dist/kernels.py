@@ -7,7 +7,8 @@ forked and spawned workers see the same table), which keeps step payloads
 free of code objects.
 
 The solver kernels here are the machine-local MPC phase units —
-:func:`repro.core.matching_mpc._machine_insertions`,
+:func:`repro.core.matching_mpc._machine_insertions` (one contiguous
+machine range per worker),
 :func:`repro.core.matching_mpc.direct_step`,
 :func:`repro.core.greedy_mis.greedy_mis_on_prefix_csr`,
 :func:`repro.core.weighted_matching._filter_class` — and the only way
@@ -162,33 +163,30 @@ def _counter(ctx, payload: Any) -> int:
 
 
 @kernel("matching.machines")
-def _matching_machines(ctx, payload: Any) -> List[List[Tuple[int, int]]]:
-    """Run this worker's chunk of per-machine local Central-Rand blocks.
+def _matching_machines(ctx, payload: Any) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Run this worker's contiguous machine range as one fused block.
 
-    ``payload["tasks"]`` is a list of ``(part_ids, local_u, local_v,
-    y_part)`` machine inputs; ``payload["shared"]`` carries the oracle and
-    the phase constants.  Returns one freeze-insertion list per task, in
-    task order — the driver replays them machine-by-machine, so the
-    ``freeze_iteration`` updates do not depend on the worker count.
+    ``payload["tasks"]`` holds one ``(vertex_ids, machine_of, local_u,
+    local_v, y_range)`` machine-range input; ``payload["shared"]`` carries
+    the oracle and the phase constants.  Returns the range's ``(vertices,
+    t)`` freeze arrays in machine order — the driver concatenates the
+    ranges in worker order, so the ``freeze_iteration`` updates do not
+    depend on the worker count.
     """
     from repro.core.matching_mpc import _machine_insertions
 
     shared = payload["shared"]
-    oracle = shared["oracle"]
     return [
         _machine_insertions(
-            part_ids=part_ids,
-            local_u=local_u,
-            local_v=local_v,
-            y_part=y_part,
-            oracle=oracle,
+            *task,
+            oracle=shared["oracle"],
             start_iteration=shared["start"],
             iterations=shared["iterations"],
             num_machines=shared["machines"],
             w0=shared["w0"],
             growth=shared["growth"],
         )
-        for part_ids, local_u, local_v, y_part in payload["tasks"]
+        for task in payload["tasks"]
     ]
 
 

@@ -192,33 +192,86 @@ class TestDistExecutor:
         assert executor.partition(2) == [(0, 1), (1, 2), (2, 2)]
 
     def test_map_tasks_order_via_machine_kernel(self):
-        # matching.machines returns one list per task in task order; empty
-        # parts exercise uneven chunking.
+        # matching.machines takes one contiguous machine range per worker
+        # and returns the range's freezes in machine order; concatenated
+        # over the workers they must equal a machine-by-machine replay.
         from repro.core.thresholds import ThresholdOracle
 
         oracle = ThresholdOracle(0.1, 0.2, seed=7)
-        tasks = []
-        for k in (1, 2, 3, 4, 5):
-            part_ids = np.arange(k, dtype=np.int64)
-            tasks.append(
-                (
-                    part_ids,
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(k),
-                )
-            )
+        start, iterations, machines, w0, growth = 3, 4, 5, 0.01, 1.2
+        # Per machine: ascending ids and same-machine edges.
+        layout = [
+            ([0, 3, 5, 9, 11], [(0, 3), (3, 5), (5, 9), (0, 9), (3, 11)]),
+            ([], []),  # empty machine
+            ([1, 4, 7], []),  # no edges
+            ([2, 6, 8], [(2, 6), (6, 8)]),  # every load over the band
+            ([10, 12, 13, 14], [(10, 12), (10, 13), (10, 14), (12, 13), (13, 14)]),
+        ]
+        y = {v: 0.01 * (v % 5) for v in range(15)}
+        y.update({1: 0.15, 4: 0.15, 7: 0.15, 2: 0.5, 6: 0.5, 8: 0.5})
+
+        reference = []
+        for ids, edges in layout:
+            active = set(ids)
+            for now in range(start, start + iterations):
+                w_t = w0 * growth**now
+                frozen = [
+                    v
+                    for v in sorted(active)
+                    if oracle.crosses(
+                        v,
+                        now,
+                        machines
+                        * sum(v in e and set(e) <= active for e in edges)
+                        * w_t
+                        + y[v],
+                    )
+                ]
+                reference.extend((v, now) for v in frozen)
+                active.difference_update(frozen)
+        assert [(v, t) for v, t in reference if v in (2, 6, 8)] == [
+            (2, start),
+            (6, start),
+            (8, start),
+        ]
+        assert any(t > start for _, t in reference)
+        assert len(reference) < 15  # some vertex never freezes
+
         shared = {
             "oracle": oracle,
-            "start": 0,
-            "iterations": 1,
-            "machines": 2,
-            "w0": 0.1,
-            "growth": 1.1,
+            "start": start,
+            "iterations": iterations,
+            "machines": machines,
+            "w0": w0,
+            "growth": growth,
         }
-        with DistExecutor(LocalTransport(2)) as executor:
-            results = executor.map_tasks("matching.machines", tasks, shared=shared)
-        assert len(results) == 5
+        for workers in (1, 2, 3):
+            with DistExecutor(LocalTransport(workers)) as executor:
+                tasks = []
+                for first, last in executor.partition(machines):
+                    ids = [v for m in range(first, last) for v in layout[m][0]]
+                    labels = [m for m in range(first, last) for _ in layout[m][0]]
+                    edges = [e for m in range(first, last) for e in layout[m][1]]
+                    position = {v: i for i, v in enumerate(ids)}
+                    tasks.append(
+                        (
+                            np.array(ids, dtype=np.int64),
+                            np.array(labels, dtype=np.int64),
+                            np.array([position[a] for a, _ in edges], dtype=np.int64),
+                            np.array([position[b] for _, b in edges], dtype=np.int64),
+                            np.array([y[v] for v in ids], dtype=np.float64),
+                        )
+                    )
+                results = executor.map_tasks(
+                    "matching.machines", tasks, shared=shared
+                )
+            assert len(results) == workers
+            merged = [
+                (v, t)
+                for vertices, times in results
+                for v, t in zip(vertices.tolist(), times.tolist())
+            ]
+            assert merged == reference, workers
 
     def test_phase_walls_accumulate(self):
         with DistExecutor(LocalTransport(2)) as executor:

@@ -7,6 +7,9 @@ import pytest
 from repro.baselines.blossom import maximum_matching
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import mpc_fractional_matching
+from repro.core.thresholds import ThresholdOracle
+from repro.dist.executor import DistExecutor
+from repro.dist.transport import LocalTransport
 from repro.graph.generators import (
     complete_graph,
     gnp_random_graph,
@@ -15,6 +18,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.graph.properties import is_vertex_cover
+from repro.utils.trace import Trace
 
 
 class TestBasics:
@@ -132,3 +136,32 @@ class TestSchedule:
         for (u, v) in result.matching.weights:
             assert u not in result.heavy_removed
             assert v not in result.heavy_removed
+
+
+class TestFusedMachineBlock:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_threshold_pass_per_step_per_worker(self, monkeypatch, workers):
+        """Each compressed phase makes at most ``iterations × workers``
+        ``crosses_batch`` calls: one per step over a worker's machine
+        range, never one per machine."""
+        calls = []
+        crosses_batch = ThresholdOracle.crosses_batch
+
+        def counted(self, vertices, iteration, estimates):
+            calls.append(iteration)
+            return crosses_batch(self, vertices, iteration, estimates)
+
+        monkeypatch.setattr(ThresholdOracle, "crosses_batch", counted)
+        trace = Trace()
+        g = gnp_random_graph(1024, 0.05, seed=9)
+        with DistExecutor(LocalTransport(workers)) as executor:
+            mpc_fractional_matching(g, seed=9, trace=trace, executor=executor)
+
+        phases = trace.events("matching_phase")
+        assert phases and max(p["machines"] for p in phases) > workers
+        start = 0
+        for phase in phases:
+            stop = start + phase["iterations"]
+            made = sum(start <= t < stop for t in calls)
+            assert made <= phase["iterations"] * workers
+            start = stop
