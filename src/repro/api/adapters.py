@@ -30,7 +30,6 @@ from repro.core.weighted_matching import mpc_weighted_matching
 from repro.graph.csr import as_graph
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
-from repro.mpc.words import edge_words
 from repro.utils.rng import SeedLike
 from repro.utils.trace import Trace
 
@@ -55,8 +54,7 @@ from repro.utils.trace import Trace
     priority=10,
     rounds_bound="loglog",
     rounds_constant=2.0,
-    supports_executor=True,
-    supports_governance=True,
+    mpc_substrate=True,
 )
 def _mis_mpc(
     graph: Any,
@@ -75,19 +73,11 @@ def _mis_mpc(
         executor=executor,
         governor=governor,
     )
-    # Governed runs report the substrate's metered comm total (it counts
-    # the chunked re-ships governance introduces); the ungoverned figure
-    # keeps its historical definition — the parity pins fingerprint it.
-    comm = (
-        result.total_comm_words
-        if governor is not None
-        else edge_words(sum(result.shipped_edges_per_phase))
-    )
     return SolverOutput(
         solution=result.mis,
         rounds=result.rounds,
         max_machine_words=result.peak_words,
-        total_comm_words=comm,
+        total_comm_words=result.total_comm_words,
         extras={
             "prefix_phases": result.prefix_phases,
             "max_shipped_edges": result.max_shipped_edges,
@@ -182,8 +172,7 @@ def _mis_greedy(
     priority=10,
     rounds_bound="loglog",
     rounds_constant=4.0,
-    supports_executor=True,
-    supports_governance=True,
+    mpc_substrate=True,
 )
 def _fractional_mpc(
     graph: Any,
@@ -205,10 +194,8 @@ def _fractional_mpc(
     return SolverOutput(
         solution=result.matching.weights,
         rounds=result.rounds,
-        max_machine_words=(
-            result.peak_words if governor is not None else result.max_machine_edges
-        ),
-        total_comm_words=result.total_comm_words if governor is not None else 0,
+        max_machine_words=result.peak_words,
+        total_comm_words=result.total_comm_words,
         extras={
             "phases": result.phases,
             "iterations": result.iterations,
@@ -299,8 +286,7 @@ def _fractional_central(
     priority=10,
     rounds_bound="loglog",
     rounds_constant=64.0,
-    supports_executor=True,
-    supports_governance=True,
+    mpc_substrate=True,
 )
 def _matching_mpc(
     graph: Any,
@@ -322,8 +308,8 @@ def _matching_mpc(
     return SolverOutput(
         solution=result.matching,
         rounds=result.rounds,
-        max_machine_words=result.peak_words if governor is not None else 0,
-        total_comm_words=result.total_comm_words if governor is not None else 0,
+        max_machine_words=result.peak_words,
+        total_comm_words=result.total_comm_words,
         extras={
             "passes": result.passes,
             "per_pass_sizes": list(result.per_pass_sizes),
@@ -405,8 +391,7 @@ def _matching_central(
     priority=10,
     rounds_bound="loglog",
     rounds_constant=4.0,
-    supports_executor=True,
-    supports_governance=True,
+    mpc_substrate=True,
 )
 def _cover_mpc(
     graph: Any,
@@ -428,8 +413,8 @@ def _cover_mpc(
     return SolverOutput(
         solution=result.cover,
         rounds=result.rounds,
-        max_machine_words=result.peak_words if governor is not None else 0,
-        total_comm_words=result.total_comm_words if governor is not None else 0,
+        max_machine_words=result.peak_words,
+        total_comm_words=result.total_comm_words,
         extras={"fractional_weight": result.fractional_weight},
     )
 
@@ -496,8 +481,7 @@ def _cover_greedy(
     priority=10,
     rounds_bound="loglog",
     rounds_constant=64.0,
-    supports_executor=True,
-    supports_governance=True,
+    mpc_substrate=True,
 )
 def _one_plus_eps_mpc(
     graph: Any,
@@ -521,8 +505,8 @@ def _one_plus_eps_mpc(
     return SolverOutput(
         solution=result.matching,
         rounds=result.rounds,
-        max_machine_words=result.peak_words if governor is not None else 0,
-        total_comm_words=result.total_comm_words if governor is not None else 0,
+        max_machine_words=result.peak_words,
+        total_comm_words=result.total_comm_words,
         extras={
             "sweeps": result.sweeps,
             "augmentations": result.augmentations,
@@ -595,8 +579,7 @@ def _one_plus_eps_central(
     priority=10,
     rounds_bound="loglog",
     rounds_constant=2.0,
-    supports_executor=True,
-    supports_governance=True,
+    mpc_substrate=True,
 )
 def _weighted_mpc(
     graph: WeightedGraph,

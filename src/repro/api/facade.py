@@ -156,7 +156,7 @@ def solve(
     dist_executor, owned = resolve_executor(
         executor, workers, fault_policy=fault_policy, fault_plan=fault_plan
     )
-    if dist_executor is not None and not entry.supports_executor:
+    if dist_executor is not None and not entry.mpc_substrate:
         if owned:
             dist_executor.close()
         raise ValueError(
@@ -168,8 +168,8 @@ def solve(
 
     gov_policy = GovernancePolicy.from_any(governance)
     governor: Optional[Governor] = None
-    if gov_policy is not None and entry.supports_governance:
-        # Entries without governance support ignore the request (like
+    if gov_policy is not None and entry.mpc_substrate:
+        # Entries off the MPC substrate ignore the request (like
         # ``budget``) so sweep-wide settings work across backends.
         if dist_executor is not None:
             if owned:

@@ -80,14 +80,13 @@ class SolverEntry:
     # VERIFICATION.md for how the defaults were calibrated).
     rounds_bound: str = "none"
     rounds_constant: float = 1.0
-    # Whether the adapter accepts an ``executor=`` kwarg (see repro.dist).
-    # The façade rejects executor requests for entries without it.
-    supports_executor: bool = False
-    # Whether the adapter accepts a ``governor=`` kwarg (see repro.govern).
-    # Governance requests on entries without it are silently ignored —
-    # central/greedy backends have no budget to govern, and a sweep over
-    # backends must not fail on them.
-    supports_governance: bool = False
+    # Whether the adapter runs on the MPC substrate and so accepts the
+    # ``executor=`` (see repro.dist) and ``governor=`` (see repro.govern)
+    # kwargs.  The façade rejects executor requests for other entries and
+    # silently ignores governance requests on them — central/greedy
+    # backends have no budget to govern, and a sweep over backends must
+    # not fail on them.
+    mpc_substrate: bool = False
 
 
 class UnknownSolverError(KeyError):
@@ -112,8 +111,7 @@ class SolverRegistry:
         priority: int = 0,
         rounds_bound: str = "none",
         rounds_constant: float = 1.0,
-        supports_executor: bool = False,
-        supports_governance: bool = False,
+        mpc_substrate: bool = False,
     ) -> Callable[[SolverFn], SolverFn]:
         """Decorator registering ``fn`` for ``(task, backend)``.
 
@@ -150,8 +148,7 @@ class SolverRegistry:
                 priority=priority,
                 rounds_bound=rounds_bound,
                 rounds_constant=rounds_constant,
-                supports_executor=supports_executor,
-                supports_governance=supports_governance,
+                mpc_substrate=mpc_substrate,
             )
             return fn
 

@@ -83,8 +83,12 @@ class RunReport:
         Measured rounds of the model the backend runs in (0 for
         centralized baselines, which have no round notion).
     max_machine_words:
-        Largest per-machine residency/volume the backend measured
-        (0 when the backend does not account memory).
+        Hottest single-machine load in words.  The mpc backends report
+        :meth:`MPCCluster.peak_words <repro.mpc.cluster.MPCCluster.peak_words>`
+        (stored residency, or one round's inbox or broadcast) on every
+        run, governed or not; pregel reports its largest per-machine
+        message volume and the congested-clique backends count messages.
+        0 means only that the backend has no ``MPCCluster``.
     seed:
         The seed the run was invoked with (``None`` means the library's
         deterministic default).
@@ -99,8 +103,10 @@ class RunReport:
         sweeps thereby double as perf data — every JSONL row carries its
         wall-clock and memory high-water mark.
     total_comm_words:
-        Total words communicated across all machines over the whole run
-        (0 when the backend does not account communication volume).
+        Total words communicated across all machines over the whole run,
+        as the backend's ``MPCCluster`` metered it, governed or not (the
+        congested-clique backends count messages).  0 means only that the
+        backend has no ``MPCCluster``.
     verification:
         Serialized :class:`repro.verify.Certificate` when the run was
         invoked with ``verify=`` — invariant checks, oracle ratios, and

@@ -486,7 +486,7 @@ def fractional_matching_arrays(
         machine_edges_per_phase=machine_edges_per_phase,
         direct_iterations=t - t_before_direct,
         total_comm_words=cluster.total_comm_words,
-        peak_words=max(cluster.peak_words(), cluster.peak_transient_words),
+        peak_words=cluster.peak_words(),
     )
     return result, inside, x
 

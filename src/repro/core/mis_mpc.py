@@ -45,8 +45,8 @@ from repro.dist.executor import in_process
 from repro.govern.governor import governed_broadcast
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Graph
-from repro.mpc.primitives import broadcast_vertex_set
 from repro.mpc.spec import ClusterSpec
+from repro.mpc.words import id_words
 from repro.utils import counter_rng
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
@@ -225,11 +225,11 @@ def mis_mpc(
                 shared={"session": session_key},
                 phase="mis-prefix",
             )
-            broadcast_vertex_set(
+            governed_broadcast(
                 cluster,
-                new_mis.tolist(),
-                context=f"mis: broadcast phase {phase_index} result",
-                governor=governor,
+                id_words(len(new_mis)),
+                f"mis: broadcast phase {phase_index} result",
+                governor,
             )
             # The chosen vertices are independent, so their closed
             # neighborhoods can be removed (and marked decided) in one batch,

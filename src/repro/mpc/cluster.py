@@ -60,7 +60,7 @@ class MPCCluster:
         self._words_per_machine = words_per_machine
         self._rounds = 0
         self._total_comm_words = 0
-        self._peak_transient_words = 0
+        self._peak_round_words = 0  # largest inbox or broadcast
         self._trace = trace
         self._governor = None
 
@@ -92,18 +92,6 @@ class MPCCluster:
         """
         return self._total_comm_words
 
-    @property
-    def peak_transient_words(self) -> int:
-        """Hottest single-machine transient load seen in any superstep.
-
-        The largest validated inbox of any :meth:`exchange` receiver and
-        the largest :meth:`broadcast` payload — loads a machine must hold
-        for the duration of a round without necessarily :meth:`storing
-        <repro.mpc.machine.Machine.store>` them.  Solvers whose phases are
-        exchange-only (the matching family) report this as their peak.
-        """
-        return self._peak_transient_words
-
     def machine(self, machine_id: int) -> Machine:
         """The machine with id ``machine_id``."""
         if not 0 <= machine_id < len(self._machines):
@@ -117,8 +105,17 @@ class MPCCluster:
         return list(self._machines)
 
     def peak_words(self) -> int:
-        """Largest peak residency across machines."""
-        return max(m.peak_words for m in self._machines)
+        """Hottest single-machine load seen so far.
+
+        The largest of any machine's peak :meth:`stored
+        <repro.mpc.machine.Machine.store>` residency, any :meth:`exchange`
+        receiver's inbox, and any :meth:`broadcast` payload — the loads a
+        machine must hold within one round, whether or not it stores them.
+        """
+        return max(
+            self._peak_round_words,
+            max(m.peak_words for m in self._machines),
+        )
 
     @property
     def governor(self):
@@ -187,8 +184,8 @@ class MPCCluster:
                 )
         self._total_comm_words += sum(inbox_words.values())
         if inbox_words:
-            self._peak_transient_words = max(
-                self._peak_transient_words, max(inbox_words.values())
+            self._peak_round_words = max(
+                self._peak_round_words, max(inbox_words.values())
             )
         self._rounds += 1
         if self._governor is not None and inbox_words:
@@ -244,7 +241,7 @@ class MPCCluster:
             self._governor.record_watermark(context, words, self._words_per_machine)
         # One copy lands on every other machine.
         self._total_comm_words += words * max(0, self.num_machines - 1)
-        self._peak_transient_words = max(self._peak_transient_words, words)
+        self._peak_round_words = max(self._peak_round_words, words)
         self._rounds += 1
         maybe_record(
             self._trace, "rounds_charged", count=1, reason=context, words=words

@@ -1,8 +1,9 @@
 """Shared MPC communication patterns.
 
 These are the "standard techniques" the paper invokes (random vertex
-partitioning from [CŁM+18], gather-to-leader, result broadcast), packaged
-so every algorithm charges them identically.
+partitioning from [CŁM+18], gather-to-leader), packaged so every
+algorithm charges them identically.  Result broadcasts go through
+:func:`repro.govern.governed_broadcast`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.graph.graph import Edge, Graph
 from repro.mpc.cluster import Message, MPCCluster
-from repro.mpc.words import edge_words, id_words
+from repro.mpc.words import edge_words
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -83,22 +84,3 @@ def gather_edges_to_leader(
         leader, "gathered_edges", edges, edge_words(len(edges)), context=context
     )
 
-
-def broadcast_vertex_set(
-    cluster: MPCCluster,
-    vertex_set: Iterable[int],
-    context: str = "broadcast-set",
-    governor=None,
-) -> None:
-    """Broadcast a vertex subset (e.g. newly found MIS vertices) to all.
-
-    With a :class:`repro.govern.Governor` attached, a set too large for
-    the soft watermark goes out as sequential chunked broadcasts instead
-    of tripping the hard cap (exact pass-through otherwise).
-    """
-    as_list = list(vertex_set)
-    words = id_words(len(as_list))
-    if governor is None:
-        cluster.broadcast(words, context=context)
-    else:
-        governor.broadcast(cluster, words, context)

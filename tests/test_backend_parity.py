@@ -15,6 +15,11 @@ Central-Rand thresholds and the Line (d) owner draws moved onto the
 counter generator; they hold for both executors.  The
 ``mis/congested_clique/*`` pins were re-captured when MIS's rank
 permutation and sparsified finish moved onto the counter generator.
+The 18 mpc pins (``fractional/mpc``, ``matching/mpc``, the n=2000 MPC
+cells and the mpc ``report/*`` cells) were re-captured once, for the
+accounting fields only, when every MPC solve began reporting the words
+its cluster metered, governed or not; their solutions and rounds did not
+move.
 
 The module also property-tests the array-based substrate validation
 (Lenzen routing loads, clique bandwidth), the batched SHA stream and the
@@ -152,31 +157,31 @@ BASELINE_CASES = {
 
 PINS = {
     "fractional/congested_clique": "2d68bcb6ea9372be42c5bd1925921cd16012ad51606a815a2a9c6b0fde097269",
-    "fractional/mpc": "915dea3467af3f0b92bdbe707c044a824786bae181b1e17c40e44c49deb5164c",
-    "fractional_matching/mpc/n2000/seed1": "de7389795bfbcfca3de64a249f853f3f9f9373fd6167ad28e96ffe2059988cfe",
-    "fractional_matching/mpc/n2000/seed2": "13a850611f7302c5677fadfef79e20c5fd3e04d28bb6fac20e7bf9433f14fb4a",
+    "fractional/mpc": "af5b07cf3828d4309eaa93ab44d0672c9cde93823917f736c4e0e61424d63e1d",
+    "fractional_matching/mpc/n2000/seed1": "9957b5a639eb1d28b462a73e6f7ef465d9b48b628999aac808c9bf7ca6853951",
+    "fractional_matching/mpc/n2000/seed2": "0d51a2542fde316f22a23541c93591b9d9194ecfc6a0daa668125336ac2cbdb1",
     "israeli_itai": "47eed39d4c0274eab55fd49bc7baa038b5f9bf392daff924d51e9025e5ce019c",
     "luby": "f77e102d6259b7e96d985e94f818c0e25b6a9ab7b1558000d56a391d3e5b927c",
-    "matching/mpc": "ee1223b675031b66e073f5302a55528a0b5076d01d4462ed6faab5e53e5dabb6",
-    "matching/mpc/n2000/seed1": "58368ad03a4bad092aacde144877adadaed6ce67c3dbeef3efbf555218c58d09",
-    "matching/mpc/n2000/seed2": "ce69825d424198b73be7cc8be39e7ad2dfc1951f5f0865fcdabb078279c7386f",
+    "matching/mpc": "786651661287597e96ac4113c72487e1408c08af800846b03e8a5f49b03e009c",
+    "matching/mpc/n2000/seed1": "6ec801f641386e2cf72f24c33d6ef0eb645a4eb5aeaf58543486c844a2fd8e5a",
+    "matching/mpc/n2000/seed2": "41bf95b3504343e45994c78b3a5ce97f87b491ba849988a830b2c4c4c27eaa12",
     "matching/pregel": "2150036e7c7f24af1f32535b5a3ca2680d0009e2a49772a5e4187763b7c7a689",
     "mis/congested_clique/dense": "93186594464b1d58171e110a8d093ef4695cfd733ecf4256709d3d9e21d1cdaa",
     "mis/congested_clique/sparse": "c597f125f0408c12fbe20548c9781a9450f51dc147988201cd57c7aa4422995f",
     "mis/pregel": "cf0e631933eb1381de63f9c463be415227e2977c13be702caff1567919515f9e",
-    "one_plus_eps_matching/mpc/n2000/seed1": "ea6a51f32e870b405cf0bb6c8bf068de63d188c6b797ba6e75568082773d0fb5",
-    "one_plus_eps_matching/mpc/n2000/seed2": "6f7dbfef682f9cf4ab6f416959b473b1ef196488e6f26e2d69b66af32f4c7db9",
+    "one_plus_eps_matching/mpc/n2000/seed1": "94c3f4e5de081206bfae149df1881bec93263968384565bc07fc8a6c15282e03",
+    "one_plus_eps_matching/mpc/n2000/seed2": "f1ec7256d872a7ca5b543c34af6cb388a6ebf3ab9c3c2a1c65c7f4b4527c7da5",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
-    "report/fractional_matching/mpc/n2000/seed1": "73e63597961a522c4b48d50ba4704b7f1dcd72662d10e3f7a9019ecf63ef5a03",
-    "report/fractional_matching/mpc/n2000/seed2": "8772562775e3d631f64fe2178e9e40a07e7ad70c3a516926d78e171b3f5df9e4",
-    "report/matching/mpc/n2000/seed1": "37ff37397ab4ac75beb1b8da22ce43d12e478a3b3ed7f0bfec62ffed7bfececf",
-    "report/matching/mpc/n2000/seed2": "6c67faa402e0920ae20015c0232f863f1069fe66d805ba7c7859377fbe0cbf6b",
-    "report/mis/mpc/n2000/seed1": "9ee43984d1f3ed827f22024e7d0403ea81ab94d3067d389c57f26034c9d52c17",
-    "report/mis/mpc/n2000/seed2": "4047c425afeaf83374cc34682ac5fbe94062d0c3d5fe68c2a2bb425984d3dae1",
-    "report/vertex_cover/mpc/n2000/seed1": "0a6c2d05e762d37a82f4691e9a968817dce38f61024d7c997673cf3cd6fbe61f",
-    "report/vertex_cover/mpc/n2000/seed2": "11d57238933e8239f10795eca5e1180b424e9d6b9e7fa280b7e9b712ae3785ec",
-    "vertex_cover/mpc/n2000/seed1": "ec9622f698f25b47aaee4f2de0acd1e9bafa6587580066499e546f23ac8f476a",
-    "vertex_cover/mpc/n2000/seed2": "ed497d362e25bea4cbec8edc0d99e948f2021a347e2fdf34aa3ec58d890694f7",
+    "report/fractional_matching/mpc/n2000/seed1": "36e2bf49a5aa86430885d7c952cbac273e4dacd1265b89ea68062dc2145673f1",
+    "report/fractional_matching/mpc/n2000/seed2": "fa779b9c5278c69448858bd145e8f900c1f6540c36ac2d2c3a872562ba339a2d",
+    "report/matching/mpc/n2000/seed1": "00f15dc5c5f6494d27f6f5469f5b7cbf0b78d2371d1e302660ba340c7b89048d",
+    "report/matching/mpc/n2000/seed2": "ed8da264cf33858571cdc0e380e3fb94d6605626e322c13e2497d84f9ccb814d",
+    "report/mis/mpc/n2000/seed1": "eafcaf666c4cdf0e4f7e0179427545567b90b4e12f6ca6c62ba42226aa77a8a7",
+    "report/mis/mpc/n2000/seed2": "9a987249c2e78a153c63c74048f22047d9349770a57f2cde5c45806ed61d0314",
+    "report/vertex_cover/mpc/n2000/seed1": "bc39c00763046cb144a9a113a0b266f2bb3f8439e0d254fe5bc65671b25d4673",
+    "report/vertex_cover/mpc/n2000/seed2": "68c63d0353469575e0312c3d49788f90cfcfb3900382bb4c4ecca67bfc117b46",
+    "vertex_cover/mpc/n2000/seed1": "a5920a2a04364cf08f945d2f48e6bd3991fc71049157305c34570b91debf205b",
+    "vertex_cover/mpc/n2000/seed2": "a743128332dd2d79cebf19bc629f3c6d7ea41c21a85af25eea354fac38651bfe",
 }
 
 

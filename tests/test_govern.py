@@ -23,6 +23,13 @@ from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.errors import MemoryExceededError
 
 BUDGET = 0.5  # memory_factor that breaches on the adversarial cells below
+MPC_TASKS = (
+    "mis",
+    "fractional_matching",
+    "vertex_cover",
+    "matching",
+    "one_plus_eps_matching",
+)
 
 
 def dense_graph(n=96, seed=0):
@@ -262,14 +269,14 @@ class TestGovernor:
 
 
 class TestClusterGovernance:
-    def test_peak_transient_tracks_inboxes_and_broadcasts(self):
+    def test_peak_words_tracks_inboxes_and_broadcasts(self):
         cluster = MPCCluster(3, words_per_machine=100)
         cluster.exchange(
             {0: [Message(1, 40, None)], 2: [Message(1, 30, None)]}
         )
-        assert cluster.peak_transient_words == 70
+        assert cluster.peak_words() == 70
         cluster.broadcast(90)
-        assert cluster.peak_transient_words == 90
+        assert cluster.peak_words() == 90
 
     def test_attach_governor_soft_watermark(self):
         cluster = MPCCluster(2, words_per_machine=100)
@@ -317,15 +324,24 @@ class TestFacadeGovernance:
         assert record["triggered"] or record["degraded"]
         assert report.backend == "mpc"
 
-    def test_benign_run_byte_identical(self):
+    @pytest.mark.parametrize("task", MPC_TASKS)
+    def test_benign_run_byte_identical(self, task):
+        # A governor that never fires leaves the whole report unchanged,
+        # accounting included: both runs meter the same cluster.
         graph = gnp_random_graph(128, 0.05, seed=3)
-        bare = solve("mis", graph, backend="mpc", seed=7)
-        governed = solve("mis", graph, backend="mpc", seed=7, governance=True)
-        assert governed.solution == bare.solution
-        assert governed.rounds == bare.rounds
+        bare = solve(task, graph, backend="mpc", seed=7)
+        governed = solve(task, graph, backend="mpc", seed=7, governance=True)
         record = governed.extras["governance"]
         assert not record["triggered"]
         assert record["events"] == []
+
+        def payload(report):
+            data = report.to_dict()
+            del data["wall_time_s"], data["peak_rss_bytes"]
+            data["extras"].pop("governance", None)
+            return data
+
+        assert payload(governed) == payload(bare)
 
     def test_forced_degrade_records_fallback(self):
         policy = {"allow_sparsify": False, "allow_chunk": False}

@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.govern import governed_broadcast
 from repro.graph.generators import gnp_random_graph
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.primitives import (
     assignment_map,
-    broadcast_vertex_set,
     gather_edges_to_leader,
     partition_vertices,
     scatter_induced_subgraphs,
 )
+from repro.mpc.words import id_words
 
 
 class TestPartition:
@@ -58,5 +59,6 @@ class TestScatter:
 
     def test_broadcast_vertex_set(self):
         cluster = MPCCluster(2, words_per_machine=100)
-        broadcast_vertex_set(cluster, {1, 2, 3})
+        vertex_set = {1, 2, 3}
+        governed_broadcast(cluster, id_words(len(vertex_set)), "broadcast-set")
         assert cluster.rounds == 1

@@ -282,6 +282,30 @@ class TestBudgets:
         )
         assert not {c.name: c for c in blown}["memory_budget"].passed
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            "mis",
+            "fractional_matching",
+            "vertex_cover",
+            "matching",
+            "one_plus_eps_matching",
+        ],
+    )
+    def test_ungoverned_mpc_solve_carries_metered_words(self, task, small_gnp):
+        # No governor: the report still carries the cluster's meters, so
+        # the memory and communication audits run instead of skipping.
+        report = solve(task, small_gnp, backend="mpc", seed=7, verify=True)
+        assert report.max_machine_words > 0
+        assert report.total_comm_words > 0
+        checks = {c["name"]: c for c in report.verification["checks"]}
+        memory = checks["memory_budget"]
+        assert memory["passed"]
+        assert f"peak={report.max_machine_words} words" in memory["detail"]
+        communication = checks["communication_budget"]
+        assert communication["passed"]
+        assert f"total={report.total_comm_words} words" in communication["detail"]
+
     def test_audit_communication(self):
         from repro.verify import audit_budgets
 
