@@ -81,11 +81,7 @@ PAIRS: List[Dict[str, Any]] = [
         "max_n": 5_000,
     },
     {"task": "mis", "backend": "pregel", "family": "random", "max_n": 50_000},
-    # The matching program and the hub-heavy Luby runs are draw-bound: one
-    # SHA+MT draw per live vertex per round is pinned by byte-identical
-    # output preservation (~6 µs each), which caps their e2e gain near 4x.
-    # Their scale rows would track the draw floor, not the vectorization,
-    # so they stay on the small rung (see PERFORMANCE.md, "Who runs on it").
+    # Kept at 5k so successive captures compare identical cells.
     {"task": "mis", "backend": "pregel", "family": "powerlaw", "max_n": 5_000},
     {"task": "matching", "backend": "pregel", "family": "random", "max_n": 5_000},
     {"task": "mis", "backend": "greedy", "family": "random", "max_n": 100_000},

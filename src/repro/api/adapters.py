@@ -27,7 +27,7 @@ from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.mis_mpc import mis_mpc
 from repro.core.vertex_cover import cover_from_maximal_matching, mpc_vertex_cover
 from repro.core.weighted_matching import mpc_weighted_matching
-from repro.graph.csr import as_graph
+from repro.graph.csr import as_graph, canonical_graph
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.utils.rng import SeedLike
@@ -132,7 +132,7 @@ def _mis_pregel(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = luby_vertex_program(as_graph(graph), seed=seed)
+    result = luby_vertex_program(graph, seed=seed)
     return SolverOutput(
         solution=result.mis,
         rounds=result.rounds,
@@ -333,7 +333,7 @@ def _matching_pregel(
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = matching_vertex_program(as_graph(graph), seed=seed)
+    result = matching_vertex_program(graph, seed=seed)
     return SolverOutput(
         solution=result.matching,
         rounds=result.rounds,
@@ -373,7 +373,8 @@ def _matching_central(
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(
-        solution=blossom_maximum_matching(as_graph(graph)), extras={"exact": True}
+        solution=blossom_maximum_matching(canonical_graph(graph)),
+        extras={"exact": True},
     )
 
 
@@ -533,7 +534,11 @@ def _one_plus_eps_greedy(
     start = greedy_maximal_matching(graph, seed=seed)
     k = max(1, math.ceil(1.0 / config.epsilon))
     improved = improve_matching(
-        as_graph(graph), start, max_path_length=2 * k - 1, seed=seed, trace=trace
+        canonical_graph(graph),
+        start,
+        max_path_length=2 * k - 1,
+        seed=seed,
+        trace=trace,
     )
     return SolverOutput(
         solution=improved.matching,
@@ -560,7 +565,8 @@ def _one_plus_eps_central(
     trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(
-        solution=blossom_maximum_matching(as_graph(graph)), extras={"exact": True}
+        solution=blossom_maximum_matching(canonical_graph(graph)),
+        extras={"exact": True},
     )
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.config import MatchingConfig
 from repro.core.integral import mpc_maximum_matching
-from repro.graph.csr import CSRGraph, as_graph
+from repro.graph.csr import CSRGraph, canonical_graph
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
@@ -74,10 +74,10 @@ def one_plus_eps_matching(
 
     k = max(1, math.ceil(1.0 / epsilon))
     max_length = 2 * k - 1
-    # The path search walks set-based adjacency; a CSR input is converted
-    # once here.
+    # The path search walks set-based adjacency in iteration order, so it
+    # reads the canonical form of every representation.
     improved = improve_matching(
-        as_graph(graph), matching, max_length, seed=seed, trace=trace
+        canonical_graph(graph), matching, max_length, seed=seed, trace=trace
     )
     return AugmentingResult(
         matching=improved.matching,

@@ -493,3 +493,15 @@ def as_graph(graph: Union[Graph, CSRGraph]) -> Graph:
     if isinstance(graph, Graph):
         return graph
     return graph.to_graph()
+
+
+def canonical_graph(graph: Union[Graph, CSRGraph]) -> Graph:
+    """``graph`` as a set-based :class:`Graph` filled in canonical edge order.
+
+    A set's iteration order depends on its insertion history, so two
+    ``Graph`` objects with one edge set can list neighbors differently.
+    Searches that walk adjacency sets in iteration order (augmenting-path
+    DFS, Blossom) read this form, so their output depends on the edge set
+    alone, whatever representation the caller passed.
+    """
+    return as_csr(graph).to_graph()

@@ -18,7 +18,6 @@ from repro.mpc.words import (
     edge_words,
     id_words,
 )
-from repro.mpc.primitives import partition_vertices
 from repro.mpc.ball import ball_gather_rounds, gather_balls
 from repro.mpc.engine import EngineResult, PregelEngine, VertexContext
 from repro.mpc.sort import mpc_prefix_sums, mpc_sort
@@ -40,7 +39,6 @@ __all__ = [
     "WORDS_PER_ID",
     "edge_words",
     "id_words",
-    "partition_vertices",
     "ball_gather_rounds",
     "gather_balls",
 ]

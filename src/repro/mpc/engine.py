@@ -12,6 +12,11 @@ and sends messages along edges.  This engine runs such programs on an
 * vertex placement follows the same i.i.d. partitioning the paper's
   algorithms use.
 
+Every random choice is counter-keyed (:mod:`repro.utils.counter_rng`):
+the draw of vertex ``v`` at superstep ``s`` is ``uniform01(key, v, s)``,
+so the per-vertex and batched APIs read the same value bit for bit, and
+the owner of ``v`` is one ``integers`` draw under a second derived key.
+
 :mod:`repro.baselines.luby` and friends implement the classic per-round
 algorithms directly; :mod:`repro.mpc.programs` re-implements them as
 vertex programs over this engine, giving an independent, genuinely
@@ -22,15 +27,15 @@ direct versions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.graph import Graph
+from repro.graph.csr import CSRGraph, GraphView, as_csr
 from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.spec import ClusterSpec
-from repro.utils.rng import RngStream, SeedLike, make_rng
+from repro.utils import counter_rng
+from repro.utils.rng import SeedLike, make_rng
 
 # Word cost of one vertex-to-vertex payload (destination id + one value).
 WORDS_PER_VERTEX_MESSAGE = 2
@@ -49,7 +54,7 @@ class VertexContext:
     superstep: int
     neighbors: Tuple[int, ...]
     state: Dict[str, Any]
-    rng_stream: RngStream
+    draw_key: int
     _outbox: List[Tuple[int, Any]] = field(default_factory=list)
     _halted: bool = False
 
@@ -68,7 +73,9 @@ class VertexContext:
 
     def random(self) -> float:
         """A uniform draw that is a pure function of (seed, vertex, step)."""
-        return self.rng_stream.random(self.vertex, self.superstep)
+        return float(
+            counter_rng.uniform01(self.draw_key, [self.vertex], self.superstep)[0]
+        )
 
 
 ComputeFn = Callable[[VertexContext, List[Any]], None]
@@ -115,7 +122,7 @@ class BatchSuperstep:
         "_inbox_ival_parts",
         "_inbox_kind",
         "_inbox_ival",
-        "_stream",
+        "_draw_key",
         "_send_dst",
         "_send_kind",
         "_send_ival",
@@ -130,7 +137,7 @@ class BatchSuperstep:
         inbox_dst: np.ndarray,
         inbox_kind_parts: List[np.ndarray],
         inbox_ival_parts: List[np.ndarray],
-        stream: RngStream,
+        draw_key: int,
     ) -> None:
         self.superstep = superstep
         self.active = active
@@ -140,7 +147,7 @@ class BatchSuperstep:
         self._inbox_ival_parts = inbox_ival_parts
         self._inbox_kind: Optional[np.ndarray] = None
         self._inbox_ival: Optional[np.ndarray] = None
-        self._stream = stream
+        self._draw_key = draw_key
         self._send_dst: List[np.ndarray] = []
         self._send_kind: List[np.ndarray] = []
         self._send_ival: List[np.ndarray] = []
@@ -177,11 +184,9 @@ class BatchSuperstep:
         """Per-``(vertex, superstep)`` uniform draws, batched.
 
         Bit-for-bit identical to :meth:`VertexContext.random` for the same
-        vertices — the draw is the same pure function of
-        ``(seed, vertex, superstep)``, materialized through one batched
-        hashing pass.
+        vertices: both read ``uniform01(key, vertex, superstep)``.
         """
-        return self._stream.random_batch(vertices, self.superstep)
+        return counter_rng.uniform01(self._draw_key, vertices, self.superstep)
 
     def send(self, destinations: np.ndarray, kind: int = 0, ival=None) -> None:
         """Queue one message per entry of ``destinations``."""
@@ -228,35 +233,33 @@ class BatchEngineResult:
 
 
 class PregelEngine:
-    """Bulk-synchronous vertex-program executor with MPC accounting."""
+    """Bulk-synchronous vertex-program executor with MPC accounting.
+
+    ``graph`` is any representation :func:`~repro.graph.csr.as_csr`
+    accepts; the engine keeps the one CSR and both APIs read it.
+    """
 
     def __init__(
         self,
-        graph: Graph,
+        graph: GraphView,
         words_per_machine: Optional[int] = None,
         num_machines: Optional[int] = None,
         seed: SeedLike = None,
     ) -> None:
-        self._graph = graph
-        spec = ClusterSpec.from_graph(graph, machines="sqrt")
+        self._csr = as_csr(graph)
+        spec = ClusterSpec.from_graph(self._csr, machines="sqrt")
         self._words = words_per_machine if words_per_machine else spec.words_per_machine
         machines = num_machines if num_machines else spec.num_machines
         self._cluster = MPCCluster(machines, self._words)
-        rng = make_rng(seed)
-        self._owner = {
-            v: rng.randrange(machines) for v in graph.vertices()
-        }
-        # Flat-array copy of the placement map for the batched outbox
-        # accounting in :meth:`run` (one bincount instead of a dict lookup
-        # per message).
-        self._owner_array = np.fromiter(
-            (self._owner[v] for v in graph.vertices()),
-            dtype=np.int64,
-            count=graph.num_vertices,
+        material = make_rng(seed).getrandbits(64)
+        self._draw_key = counter_rng.derive_key(material, "pregel-draws")
+        self._owner = counter_rng.integers(
+            counter_rng.derive_key(material, "pregel-owner"),
+            np.arange(self._csr.num_vertices, dtype=np.int64),
+            0,
+            machines,
         )
         self._num_machines = machines
-        self._stream = RngStream(rng.getrandbits(64), namespace="pregel")
-        self._csr: Optional[CSRGraph] = None  # built lazily by run_batch
 
     @property
     def cluster(self) -> MPCCluster:
@@ -276,7 +279,7 @@ class PregelEngine:
         machine_words: Dict[int, int] = {}
         if destinations.size:
             volume = np.bincount(
-                self._owner_array[destinations], minlength=self._num_machines
+                self._owner[destinations], minlength=self._num_machines
             ) * WORDS_PER_VERTEX_MESSAGE
             machine_words = {
                 machine: int(words)
@@ -290,24 +293,6 @@ class PregelEngine:
         self._cluster.exchange(outboxes, context=f"pregel superstep {superstep}")
         return max(machine_words.values(), default=0)
 
-    def run_program(
-        self, program: Any, max_supersteps: int = 10_000
-    ) -> "BatchEngineResult | EngineResult":
-        """Run ``program`` on its best available representation.
-
-        A program that provides a vectorized ``compute_batch`` kernel runs
-        through :meth:`run_batch`; otherwise it falls back to the
-        per-vertex ``compute`` path (``program.compute`` +
-        ``program.initial_state``) via :meth:`run`.
-        """
-        if hasattr(program, "compute_batch"):
-            return self.run_batch(program, max_supersteps=max_supersteps)
-        return self.run(
-            program.compute,
-            max_supersteps=max_supersteps,
-            initial_state=getattr(program, "initial_state", None),
-        )
-
     def run_batch(
         self, program: BatchVertexProgram, max_supersteps: int = 10_000
     ) -> BatchEngineResult:
@@ -319,11 +304,8 @@ class PregelEngine:
         that emits the per-vertex program's message multiset produces
         byte-identical supersteps, rounds, and word counts.
         """
-        graph = self._graph
         csr = self._csr
-        if csr is None:
-            csr = self._csr = CSRGraph.from_graph(graph)
-        n = graph.num_vertices
+        n = csr.num_vertices
         program.initialize(csr)
         live = np.ones(n, dtype=bool)
         mail = np.zeros(n, dtype=bool)
@@ -345,7 +327,7 @@ class PregelEngine:
                 break
             step = BatchSuperstep(
                 superstep, active, csr, inbox_dst, inbox_kind_parts,
-                inbox_ival_parts, self._stream,
+                inbox_ival_parts, self._draw_key,
             )
             program.compute_batch(step)
             live[active] = True
@@ -385,19 +367,21 @@ class PregelEngine:
         (default: empty).  Raises ``RuntimeError`` at ``max_supersteps`` —
         a vertex program that never quiesces is a bug, not a long run.
         """
-        graph = self._graph
+        n = self._csr.num_vertices
         states: Dict[int, Dict[str, Any]] = {
-            v: (initial_state(v) if initial_state else {})
-            for v in graph.vertices()
+            v: (initial_state(v) if initial_state else {}) for v in range(n)
         }
         inboxes: Dict[int, List[Any]] = {}
-        neighbor_cache: Dict[int, Tuple[int, ...]] = {
-            v: tuple(sorted(graph.neighbors_view(v))) for v in graph.vertices()
-        }
-        # Non-halted vertices, maintained incrementally: a full
-        # ``graph.vertices()`` scan per superstep made late supersteps (few
-        # live vertices, large n) cost O(n) instead of O(active).
-        live: set = set(graph.vertices())
+        indptr = self._csr.indptr.tolist()
+        indices = self._csr.indices.tolist()
+        # CSR rows are ascending, so each tuple is sorted(neighbors).
+        neighbor_cache: List[Tuple[int, ...]] = [
+            tuple(indices[indptr[v] : indptr[v + 1]]) for v in range(n)
+        ]
+        # Non-halted vertices, maintained incrementally: a full vertex
+        # scan per superstep made late supersteps (few live vertices,
+        # large n) cost O(n) instead of O(active).
+        live: set = set(range(n))
 
         superstep = 0
         max_words = 0
@@ -418,7 +402,7 @@ class PregelEngine:
                     superstep=superstep,
                     neighbors=neighbor_cache[v],
                     state=states[v],
-                    rng_stream=self._stream,
+                    draw_key=self._draw_key,
                 )
                 compute(context, inboxes.get(v, []))
                 if context._halted:

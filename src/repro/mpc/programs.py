@@ -21,29 +21,19 @@ protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Optional, Set
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, gather_rows
-from repro.graph.graph import Edge, Graph, canonical_edge
-from repro.mpc.engine import (
-    BatchSuperstep,
-    EngineResult,
-    PregelEngine,
-    VertexContext,
-)
+from repro.graph.csr import CSRGraph, GraphView, gather_rows
+from repro.graph.graph import Edge, canonical_edge
+from repro.mpc.engine import BatchSuperstep, PregelEngine
 from repro.utils.rng import SeedLike
-
-# Vertex lifecycle states shared by the programs below.
-_LIVE = "live"
-_IN_SET = "in_set"
-_DEAD = "dead"
 
 _PHASE_PROPOSE = 0
 _PHASE_RESOLVE = 1
 
-# Integer statuses of the batched kernels (same lifecycle, array-encoded).
+# Vertex lifecycle statuses, array-encoded.
 _S_LIVE = 0
 _S_IN_SET = 1
 _S_DEAD = 2
@@ -92,17 +82,15 @@ class DistributedMISResult:
 
 
 class LubyBatchProgram:
-    """Luby's MIS as a *batched* vertex program (see module docstring).
+    """Luby's MIS as a batched vertex program (see module docstring).
 
-    Implements the same 2-superstep propose/resolve protocol as the
-    per-vertex closure below, one whole superstep at a time: the propose
-    kernel draws for every live vertex in one batched hashing pass and
-    queues one draw message per incident edge; the resolve kernel decides
-    every vertex with one segment-min over the CSR slots.  Messages,
-    halts, and draws replicate the per-vertex program exactly, so the
-    engine's superstep/round/word accounting — and the MIS itself — are
-    byte-identical (pinned by ``tests/test_backend_parity.py`` and the
-    batch-vs-per-vertex parity tests).
+    Runs the 2-superstep propose/resolve protocol one whole superstep at
+    a time: the propose kernel draws for every live vertex in one
+    counter-keyed pass and queues one draw message per incident edge; the
+    resolve kernel decides every vertex with one segment-min over the CSR
+    slots.  ``tests/test_backend_parity.py`` keeps a per-vertex reference
+    of the same protocol on :meth:`PregelEngine.run` and checks that
+    solution, supersteps, rounds and words are equal.
     """
 
     def initialize(self, graph: CSRGraph) -> None:
@@ -154,7 +142,7 @@ class LubyBatchProgram:
         neighborhood_best = best[live]
         wins = mine < neighborhood_best
         # Exact (draw, id) lexicographic ties — measure-zero, but the
-        # per-vertex program resolves them by id, so replicate.
+        # protocol compares (draw, id) pairs, so resolve them by id.
         for where in np.flatnonzero(mine == neighborhood_best).tolist():
             v = int(live[where])
             row = csr.neighbors(v)
@@ -164,77 +152,22 @@ class LubyBatchProgram:
 
 
 def luby_vertex_program(
-    graph: Graph,
+    graph: GraphView,
     seed: SeedLike = None,
     words_per_machine: Optional[int] = None,
-    batched: bool = True,
 ) -> DistributedMISResult:
-    """Luby's MIS as a message-passing vertex program.
+    """Luby's MIS as a message-passing vertex program (:class:`LubyBatchProgram`).
 
-    ``batched=True`` (the default) runs the vectorized superstep kernel;
-    ``batched=False`` runs the original per-vertex closures.  Both produce
-    identical results under the same seed.
+    ``graph`` is a ``Graph``, ``CSRGraph`` or ``MMapCSRGraph``; the
+    engine reads it as one CSR.
     """
-    if batched:
-        engine = PregelEngine(
-            graph, words_per_machine=words_per_machine, seed=seed
-        )
-        program = LubyBatchProgram()
-        outcome = engine.run_program(program)
-        degrees = program.csr.degrees()
-        mis = set(
-            np.flatnonzero((program.status == _S_IN_SET) | (degrees == 0)).tolist()
-        )
-        return DistributedMISResult(
-            mis=mis,
-            supersteps=outcome.supersteps,
-            rounds=outcome.rounds,
-            max_machine_message_words=outcome.max_machine_message_words,
-            total_message_words=outcome.total_message_words,
-        )
-
-    def initial_state(vertex: int) -> Dict[str, Any]:
-        return {"status": _LIVE}
-
-    def compute(ctx: VertexContext, messages: List[Any]) -> None:
-        state = ctx.state
-        if state["status"] == _DEAD:
-            ctx.vote_to_halt()
-            return
-        phase = ctx.superstep % 2
-        if phase == _PHASE_PROPOSE:
-            if state["status"] == _IN_SET:
-                ctx.vote_to_halt()
-                return
-            # A neighbor joined the set last resolve step: die.
-            if any(kind == "joined" for kind, _ in messages):
-                state["status"] = _DEAD
-                ctx.vote_to_halt()
-                return
-            value = (ctx.random(), ctx.vertex)
-            state["draw"] = value
-            ctx.send_to_neighbors(("draw", value))
-        else:
-            if state["status"] != _LIVE:
-                ctx.vote_to_halt()
-                return
-            draws = [payload for kind, payload in messages if kind == "draw"]
-            my_draw = state["draw"]
-            if all(my_draw < other for other in draws):
-                state["status"] = _IN_SET
-                ctx.send_to_neighbors(("joined", ctx.vertex))
-                ctx.vote_to_halt()
-            # Losers stay live and propose again next superstep.
-
-    engine = PregelEngine(
-        graph, words_per_machine=words_per_machine, seed=seed
+    engine = PregelEngine(graph, words_per_machine=words_per_machine, seed=seed)
+    program = LubyBatchProgram()
+    outcome = engine.run_batch(program)
+    degrees = program.csr.degrees()
+    mis = set(
+        np.flatnonzero((program.status == _S_IN_SET) | (degrees == 0)).tolist()
     )
-    outcome = engine.run(compute, initial_state=initial_state)
-    mis = {
-        v
-        for v, state in outcome.states.items()
-        if state["status"] == _IN_SET or graph.degree(v) == 0
-    }
     return DistributedMISResult(
         mis=mis,
         supersteps=outcome.supersteps,
@@ -258,25 +191,24 @@ class DistributedMatchingResult:
 class MatchingBatchProgram:
     """The [II86]-flavor propose/accept handshake as a batched program.
 
-    Three kernels per algorithmic round, mirroring the per-vertex
-    protocol's supersteps exactly:
+    Three kernels per algorithmic round, one per superstep:
 
     * **propose** — apply last round's death notices to the shared
       live-view (a vertex only ever leaves its neighbors' views by
       announcing, so one global mask is exact), rebuild the filtered
       live-view adjacency in one pass, silently retire vertices with no
-      live neighbor, and draw once per live vertex — the per-vertex
-      program's role *and* target derive from the same ``(v, superstep)``
-      draw, so one batched hashing pass covers both.
+      live neighbor, and draw once per live vertex — role *and* target
+      derive from the same ``(v, superstep)`` draw.
     * **accept** — group proposals by target with one ``minimum.at``; each
       accepting acceptor records its mate and queues one acceptance.  (All
-      proposals come from live, never-announced neighbors, so the
-      per-vertex liveness filter is vacuous here.)
+      proposals come from live, never-announced neighbors, so no liveness
+      filter is needed.)
     * **finalize** — matched proposers record their mates; every newly
       matched vertex notifies its live-view except the mate and halts.
 
-    Message multisets, halts, and draws replicate the per-vertex program,
-    so supersteps/rounds/words and the matching are byte-identical.
+    ``tests/test_backend_parity.py`` keeps a per-vertex reference of the
+    protocol and checks that matching, supersteps, rounds and words are
+    equal.
     """
 
     def initialize(self, graph: CSRGraph) -> None:
@@ -322,11 +254,13 @@ class MatchingBatchProgram:
         draws = step.random(live)
         is_proposer = draws < 0.5
         proposers = live[is_proposer]
-        # The same draw picks the target: live[int(r * 7919) % deg], and
-        # the filtered rows are ascending, matching sorted(live_neighbors).
-        pick = (draws[is_proposer] * 7919).astype(np.int64) % live_counts[
-            is_proposer
-        ]
+        # The same draw picks the target: given r < 1/2, 2r is uniform on
+        # [0, 1), so position floor(2r * deg) of the ascending live-view
+        # row is a uniform live neighbor (clamped against float round-up).
+        degrees = live_counts[is_proposer]
+        pick = np.minimum(
+            (2.0 * draws[is_proposer] * degrees).astype(np.int64), degrees - 1
+        )
         self.proposers = proposers
         self.targets = self.fdst[self.findptr[proposers] + pick]
         self.chosen.fill(-1)
@@ -381,24 +315,19 @@ class MatchingBatchProgram:
 
 
 def matching_vertex_program(
-    graph: Graph,
+    graph: GraphView,
     seed: SeedLike = None,
     words_per_machine: Optional[int] = None,
-    batched: bool = True,
 ) -> DistributedMatchingResult:
     """Maximal matching by a randomized propose/accept handshake ([II86]
-    flavor).
-
-    ``batched=True`` (the default) runs the vectorized superstep kernels of
-    :class:`MatchingBatchProgram`; ``batched=False`` runs the original
-    per-vertex closures.  Both produce identical results under the same
-    seed.
+    flavor), run as the kernels of :class:`MatchingBatchProgram`.
 
     Per algorithmic round (3 supersteps):
 
     * **propose** — every live vertex flips a coin: *proposers* send a
-      proposal to one random live neighbor; *acceptors* wait.  (The random
-      role split prevents a vertex from matching twice in one round.)
+      proposal to one uniformly random live neighbor; *acceptors* wait.
+      (The random role split prevents a vertex from matching twice in one
+      round.)
     * **accept** — an acceptor receiving proposals picks the smallest
       proposer, records it as its mate, and sends an acceptance.
     * **finalize** — a proposer receiving an acceptance records the mate;
@@ -407,91 +336,16 @@ def matching_vertex_program(
     Every acceptor with at least one proposing neighbor matches, which is
     the constant-progress engine behind the O(log n)-round bound.
     """
-    if batched:
-        engine = PregelEngine(
-            graph, words_per_machine=words_per_machine, seed=seed
-        )
-        program = MatchingBatchProgram()
-        outcome = engine.run_program(program)
-        mate = program.mate
-        matched = np.flatnonzero(mate >= 0)
-        matching: Set[Edge] = {
-            canonical_edge(int(v), int(mate[v]))
-            for v in matched.tolist()
-            if mate[mate[v]] == v
-        }
-        return DistributedMatchingResult(
-            matching=matching,
-            supersteps=outcome.supersteps,
-            rounds=outcome.rounds,
-            max_machine_message_words=outcome.max_machine_message_words,
-            total_message_words=outcome.total_message_words,
-        )
-
-    def initial_state(vertex: int) -> Dict[str, Any]:
-        return {"status": _LIVE, "mate": None, "live_neighbors": None}
-
-    def compute(ctx: VertexContext, messages: List[Any]) -> None:
-        state = ctx.state
-        if state["live_neighbors"] is None:
-            state["live_neighbors"] = set(ctx.neighbors)
-        if state["status"] == _DEAD:
-            ctx.vote_to_halt()
-            return
-        phase = ctx.superstep % 3
-        if phase == 0:  # propose
-            for kind, payload in messages:
-                if kind == "dead":
-                    state["live_neighbors"].discard(payload)
-            if state["mate"] is not None or not state["live_neighbors"]:
-                state["status"] = _DEAD
-                ctx.vote_to_halt()
-                return
-            is_proposer = ctx.random() < 0.5
-            state["role"] = "proposer" if is_proposer else "acceptor"
-            state["proposed_to"] = None
-            if is_proposer:
-                live = sorted(state["live_neighbors"])
-                target = live[int(ctx.random() * 7919) % len(live)]
-                state["proposed_to"] = target
-                ctx.send_to(target, ("propose", ctx.vertex))
-        elif phase == 1:  # accept
-            if state["role"] == "acceptor":
-                proposers = sorted(
-                    payload for kind, payload in messages if kind == "propose"
-                )
-                live_proposers = [
-                    u for u in proposers if u in state["live_neighbors"]
-                ]
-                if live_proposers:
-                    chosen = live_proposers[0]
-                    state["mate"] = chosen
-                    ctx.send_to(chosen, ("accept", ctx.vertex))
-        else:  # finalize
-            if state["role"] == "proposer":
-                accepts = [
-                    payload for kind, payload in messages if kind == "accept"
-                ]
-                if accepts:
-                    # An acceptor accepts at most one proposer and we
-                    # proposed to exactly one vertex, so this is unique.
-                    state["mate"] = accepts[0]
-            if state["mate"] is not None:
-                state["status"] = _DEAD
-                for u in state["live_neighbors"]:
-                    if u != state["mate"]:
-                        ctx.send_to(u, ("dead", ctx.vertex))
-                ctx.vote_to_halt()
-
-    engine = PregelEngine(
-        graph, words_per_machine=words_per_machine, seed=seed
-    )
-    outcome = engine.run(compute, initial_state=initial_state)
-    matching: Set[Edge] = set()
-    for v, state in outcome.states.items():
-        mate = state.get("mate")
-        if mate is not None and outcome.states[mate].get("mate") == v:
-            matching.add(canonical_edge(v, mate))
+    engine = PregelEngine(graph, words_per_machine=words_per_machine, seed=seed)
+    program = MatchingBatchProgram()
+    outcome = engine.run_batch(program)
+    mate = program.mate
+    matched = np.flatnonzero(mate >= 0)
+    matching: Set[Edge] = {
+        canonical_edge(int(v), int(mate[v]))
+        for v in matched.tolist()
+        if mate[mate[v]] == v
+    }
     return DistributedMatchingResult(
         matching=matching,
         supersteps=outcome.supersteps,

@@ -1,6 +1,6 @@
 """Shared utilities: seeded randomness, tracing, and argument validation."""
 
-from repro.utils.rng import RngStream, child_rng, make_rng
+from repro.utils.rng import RngStream, make_rng
 from repro.utils.trace import Trace, TraceEvent
 from repro.utils.validation import (
     require,
@@ -12,7 +12,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "RngStream",
-    "child_rng",
     "make_rng",
     "Trace",
     "TraceEvent",

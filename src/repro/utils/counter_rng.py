@@ -3,13 +3,14 @@
 The value for entity ``e`` in round ``r`` under stream key ``k`` is a
 pure function ``mix(k, r, e)`` computed by a vectorized SplitMix64-style
 finalizer over whole NumPy arrays at memory-bandwidth speed.  It is the
-only generator of the MPC and CONGESTED-CLIQUE solvers: the matching
-family's Central-Rand thresholds and Line (d) machine assignment
-(:mod:`repro.core.matching_mpc`), and MIS's rank permutation and
+only generator of the MPC, CONGESTED-CLIQUE and Pregel solvers: the
+matching family's Central-Rand thresholds and Line (d) machine
+assignment (:mod:`repro.core.matching_mpc`), MIS's rank permutation and
 sparsified-finish draws (:mod:`repro.core.mis_mpc`,
-:mod:`repro.core.sparsified_mis`).  At the out-of-core scale (n = 10M) a
-single Luby round wants 10M draws, which the SHA-256 stream of
-:mod:`repro.utils.rng` (~1 µs per draw) cannot serve.
+:mod:`repro.core.sparsified_mis`), and the Pregel engine's per-(vertex,
+superstep) draws and vertex placement (:mod:`repro.mpc.engine`).  At the
+out-of-core scale (n = 10M) a single Luby round wants 10M draws, which a
+SHA-256-per-draw stream (~1 µs per draw) cannot serve.
 
 Properties the solve paths rely on:
 
@@ -56,8 +57,7 @@ _INV_2_53 = 1.0 / float(1 << 53)
 def derive_key(seed_material: Any, namespace: str) -> int:
     """A 64-bit stream key from ``(seed_material, namespace)``.
 
-    Mirrors :class:`repro.utils.rng.RngStream`'s key derivation: the
-    namespace string keeps independent subsystems (vertex draws,
+    The namespace string keeps independent subsystems (vertex draws,
     thresholds, machine assignment) on unrelated streams even when they
     share one user-facing seed.
     """

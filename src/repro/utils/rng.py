@@ -1,17 +1,17 @@
 """Deterministic randomness management.
 
 Every randomized algorithm in this library takes an explicit ``seed`` (or an
-already-constructed :class:`random.Random`) so that runs are reproducible.
-Independent subsystems derive *child* generators from a parent via
-:func:`child_rng`, which mixes a string label into the seed; this guarantees
-that adding randomness consumption to one subsystem never perturbs another.
+already-constructed :class:`random.Random`) so that runs are reproducible;
+:func:`make_rng` normalizes it.  Per-entity, per-round draws come from the
+counter generator of :mod:`repro.utils.counter_rng`, keyed by a namespace
+string so that independent subsystems never perturb one another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -41,27 +41,14 @@ def make_rng(seed: SeedLike = None) -> random.Random:
     return random.Random(seed)
 
 
-def child_rng(parent: random.Random, label: str) -> random.Random:
-    """Derive an independent generator from ``parent`` keyed by ``label``.
-
-    The derivation hashes a draw from the parent together with the label, so
-    distinct labels yield statistically independent streams and the same
-    (parent state, label) pair always yields the same child.
-    """
-    base = parent.getrandbits(64)
-    digest = hashlib.sha256(f"{base}:{label}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 class RngStream:
-    """A labelled family of generators for multi-round algorithms.
+    """A labelled SHA-256 + Mersenne-Twister family of generators.
 
-    Algorithms that need "fresh, independent randomness per (entity, round)"
-    — e.g. the per-vertex draws of a Pregel superstep — draw them through
-    an :class:`RngStream` so the value is a pure function of
-    ``(seed, entity, round)``, whichever order the entities are visited
-    in.  (The Central-Rand thresholds use the vectorized counter
-    generator of :mod:`repro.utils.counter_rng` for the same property.)
+    The value for ``key`` is a pure function of ``(seed, namespace, key)``,
+    whichever order the keys are drawn in.  No solver draws from it: every
+    per-(entity, round) draw comes from :mod:`repro.utils.counter_rng`.
+    The class stays only while the perfbench tracer still names
+    :meth:`random_batch` as a target.
     """
 
     def __init__(self, seed: SeedLike = None, namespace: str = "") -> None:
@@ -92,15 +79,11 @@ class RngStream:
 
     # -- batched draws ------------------------------------------------------
     #
-    # The per-(entity, round) draws of the batched Pregel superstep
-    # kernels arrive thousands at a time.  The scalar path pays per call
-    # for namespace formatting, a hashlib object, and a freshly
-    # *constructed* ``random.Random``; the batch path assembles the whole
-    # batch's key material in one pass and drains it through a single
-    # fused hash→reseed→draw loop over one reused C-core generator.  The values are bit-for-bit identical to
+    # The batch path assembles the whole batch's key material in one pass
+    # and drains it through a single fused hash→reseed→draw loop over one
+    # reused C-core generator.  The values are bit-for-bit identical to
     # the scalar methods — each draw is still SHA-256(material) feeding a
-    # Mersenne-Twister seed — so callers can batch freely without
-    # perturbing seeded outputs.
+    # Mersenne-Twister seed.
 
     def _material_parts(self, entities: Sequence[int], key: Sequence[object]):
         """Per-entity key material, encoded; ``entities`` vary, ``key`` is fixed."""
@@ -125,10 +108,3 @@ class RngStream:
             out[i] = draw()
         return out
 
-
-def random_permutation(n: int, seed: SeedLike = None) -> list:
-    """A uniformly random permutation of ``range(n)``."""
-    rng = make_rng(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return perm

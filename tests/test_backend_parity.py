@@ -19,11 +19,15 @@ The 18 mpc pins (``fractional/mpc``, ``matching/mpc``, the n=2000 MPC
 cells and the mpc ``report/*`` cells) were re-captured once, for the
 accounting fields only, when every MPC solve began reporting the words
 its cluster metered, governed or not; their solutions and rounds did not
-move.
+move.  The ``mis/pregel`` and ``matching/pregel`` pins were re-captured
+when the Pregel engine's draws and vertex placement moved onto the
+counter generator and the matching proposal target became a uniform
+live neighbor.
 
 The module also property-tests the array-based substrate validation
 (Lenzen routing loads, clique bandwidth), the batched SHA stream and the
-threshold oracle against their scalar/dict-based references.
+threshold oracle against their scalar/dict-based references, and checks
+the batched Pregel kernels against per-vertex references.
 """
 
 from __future__ import annotations
@@ -165,10 +169,10 @@ PINS = {
     "matching/mpc": "786651661287597e96ac4113c72487e1408c08af800846b03e8a5f49b03e009c",
     "matching/mpc/n2000/seed1": "6ec801f641386e2cf72f24c33d6ef0eb645a4eb5aeaf58543486c844a2fd8e5a",
     "matching/mpc/n2000/seed2": "41bf95b3504343e45994c78b3a5ce97f87b491ba849988a830b2c4c4c27eaa12",
-    "matching/pregel": "2150036e7c7f24af1f32535b5a3ca2680d0009e2a49772a5e4187763b7c7a689",
+    "matching/pregel": "c3acf958e8d1e5172c70a12a60a9cd016aff2446763b9ebec02db9ca8296f185",
     "mis/congested_clique/dense": "93186594464b1d58171e110a8d093ef4695cfd733ecf4256709d3d9e21d1cdaa",
     "mis/congested_clique/sparse": "c597f125f0408c12fbe20548c9781a9450f51dc147988201cd57c7aa4422995f",
-    "mis/pregel": "cf0e631933eb1381de63f9c463be415227e2977c13be702caff1567919515f9e",
+    "mis/pregel": "0faefe166cbd0c51e281517f4583354f6bfc912cbbf8ebfd5313815762deaeec",
     "one_plus_eps_matching/mpc/n2000/seed1": "94c3f4e5de081206bfae149df1881bec93263968384565bc07fc8a6c15282e03",
     "one_plus_eps_matching/mpc/n2000/seed2": "f1ec7256d872a7ca5b543c34af6cb388a6ebf3ab9c3c2a1c65c7f4b4527c7da5",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
@@ -347,12 +351,123 @@ def test_fixed_oracle_crosses_batch():
 
 
 # ---------------------------------------------------------------------------
-# Batched Pregel kernels vs the per-vertex programs
+# Batched Pregel kernels vs per-vertex references
 # ---------------------------------------------------------------------------
+#
+# The two closures below are the protocols of ``repro.mpc.programs``
+# written one vertex at a time against ``PregelEngine.run``.  They are the
+# reference the batched kernels are checked against: same solution, same
+# supersteps, same rounds and the same word accounting.
 
-from repro.graph.generators import cycle_graph, path_graph, star_graph
-from repro.graph.graph import Graph
+from repro.graph.generators import complete_graph, cycle_graph, path_graph, star_graph
+from repro.graph.graph import Graph, canonical_edge
+from repro.mpc.engine import PregelEngine
+from repro.mpc.errors import MemoryExceededError
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
+
+_LIVE, _IN_SET, _DEAD = "live", "in_set", "dead"
+
+
+def _luby_reference(graph, seed):
+    """Luby's MIS: propose a draw to every neighbor, join when beaten by none."""
+
+    def compute(ctx, messages):
+        state = ctx.state
+        if state["status"] == _DEAD:
+            ctx.vote_to_halt()
+            return
+        if ctx.superstep % 2 == 0:  # propose
+            if state["status"] == _IN_SET:
+                ctx.vote_to_halt()
+                return
+            if any(kind == "joined" for kind, _ in messages):
+                state["status"] = _DEAD
+                ctx.vote_to_halt()
+                return
+            value = (ctx.random(), ctx.vertex)
+            state["draw"] = value
+            ctx.send_to_neighbors(("draw", value))
+        else:  # resolve
+            if state["status"] != _LIVE:
+                ctx.vote_to_halt()
+                return
+            draws = [payload for kind, payload in messages if kind == "draw"]
+            if all(state["draw"] < other for other in draws):
+                state["status"] = _IN_SET
+                ctx.send_to_neighbors(("joined", ctx.vertex))
+                ctx.vote_to_halt()
+
+    outcome = PregelEngine(graph, seed=seed).run(
+        compute, initial_state=lambda v: {"status": _LIVE}
+    )
+    mis = {
+        v
+        for v, state in outcome.states.items()
+        if state["status"] == _IN_SET or graph.degree(v) == 0
+    }
+    return mis, outcome
+
+
+def _matching_reference(graph, seed):
+    """The propose/accept handshake: proposers pick a uniform live neighbor,
+    acceptors take the smallest proposer, matched vertices announce."""
+
+    def compute(ctx, messages):
+        state = ctx.state
+        if state["live_neighbors"] is None:
+            state["live_neighbors"] = set(ctx.neighbors)
+        if state["status"] == _DEAD:
+            ctx.vote_to_halt()
+            return
+        phase = ctx.superstep % 3
+        if phase == 0:  # propose
+            for kind, payload in messages:
+                if kind == "dead":
+                    state["live_neighbors"].discard(payload)
+            if state["mate"] is not None or not state["live_neighbors"]:
+                state["status"] = _DEAD
+                ctx.vote_to_halt()
+                return
+            r = ctx.random()
+            state["role"] = "proposer" if r < 0.5 else "acceptor"
+            if r < 0.5:
+                live = sorted(state["live_neighbors"])
+                target = live[min(int(2.0 * r * len(live)), len(live) - 1)]
+                ctx.send_to(target, ("propose", ctx.vertex))
+        elif phase == 1:  # accept
+            if state["role"] == "acceptor":
+                proposers = sorted(
+                    payload
+                    for kind, payload in messages
+                    if kind == "propose" and payload in state["live_neighbors"]
+                )
+                if proposers:
+                    state["mate"] = proposers[0]
+                    ctx.send_to(proposers[0], ("accept", ctx.vertex))
+        else:  # finalize
+            if state["role"] == "proposer":
+                accepts = [p for kind, p in messages if kind == "accept"]
+                if accepts:
+                    state["mate"] = accepts[0]
+            if state["mate"] is not None:
+                state["status"] = _DEAD
+                for u in state["live_neighbors"]:
+                    if u != state["mate"]:
+                        ctx.send_to(u, ("dead", ctx.vertex))
+                ctx.vote_to_halt()
+
+    outcome = PregelEngine(graph, seed=seed).run(
+        compute,
+        initial_state=lambda v: {"status": _LIVE, "mate": None, "live_neighbors": None},
+    )
+    matching = {
+        canonical_edge(v, state["mate"])
+        for v, state in outcome.states.items()
+        if state["mate"] is not None
+        and outcome.states[state["mate"]]["mate"] == v
+    }
+    return matching, outcome
+
 
 ENGINE_PARITY_GRAPHS = [
     gnp_random_graph(80, 0.1, seed=0),
@@ -367,43 +482,41 @@ ENGINE_PARITY_GRAPHS = [
 ]
 
 
+def _assert_same_run(batched, outcome):
+    assert batched.supersteps == outcome.supersteps
+    assert batched.rounds == outcome.rounds
+    assert batched.max_machine_message_words == outcome.max_machine_message_words
+    assert batched.total_message_words == outcome.total_message_words
+
+
 @pytest.mark.parametrize("index", range(len(ENGINE_PARITY_GRAPHS)))
 @pytest.mark.parametrize("seed", [0, 7])
 def test_luby_batch_kernel_matches_per_vertex(index, seed):
     graph = ENGINE_PARITY_GRAPHS[index]
-    reference = luby_vertex_program(graph, seed=seed, batched=False)
-    batched = luby_vertex_program(graph, seed=seed, batched=True)
-    assert batched.mis == reference.mis
-    assert batched.supersteps == reference.supersteps
-    assert batched.rounds == reference.rounds
-    assert batched.max_machine_message_words == reference.max_machine_message_words
-    assert batched.total_message_words == reference.total_message_words
+    mis, outcome = _luby_reference(graph, seed)
+    batched = luby_vertex_program(graph, seed=seed)
+    assert batched.mis == mis
+    _assert_same_run(batched, outcome)
 
 
 @pytest.mark.parametrize("index", range(len(ENGINE_PARITY_GRAPHS)))
 @pytest.mark.parametrize("seed", [0, 7])
 def test_matching_batch_kernel_matches_per_vertex(index, seed):
     graph = ENGINE_PARITY_GRAPHS[index]
-    reference = matching_vertex_program(graph, seed=seed, batched=False)
-    batched = matching_vertex_program(graph, seed=seed, batched=True)
-    assert batched.matching == reference.matching
-    assert batched.supersteps == reference.supersteps
-    assert batched.rounds == reference.rounds
-    assert batched.max_machine_message_words == reference.max_machine_message_words
-    assert batched.total_message_words == reference.total_message_words
+    matching, outcome = _matching_reference(graph, seed)
+    batched = matching_vertex_program(graph, seed=seed)
+    assert batched.matching == matching
+    _assert_same_run(batched, outcome)
 
 
 def test_engine_memory_enforcement_matches_in_batch_mode():
     """A volume that blows the per-vertex word budget blows the batched one
     at the same superstep (K_20 draws exceed the sqrt-machine budget)."""
-    from repro.graph.generators import complete_graph
-    from repro.mpc.errors import MemoryExceededError
-
     graph = complete_graph(20)
     with pytest.raises(MemoryExceededError) as per_vertex:
-        luby_vertex_program(graph, seed=0, batched=False)
+        _luby_reference(graph, seed=0)
     with pytest.raises(MemoryExceededError) as batched:
-        luby_vertex_program(graph, seed=0, batched=True)
+        luby_vertex_program(graph, seed=0)
     assert str(batched.value) == str(per_vertex.value)
 
 

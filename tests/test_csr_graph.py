@@ -19,6 +19,7 @@ from repro.graph.csr import CSRGraph, GraphView, as_csr, as_graph
 from repro.graph.generators import (
     barabasi_albert,
     complete_graph,
+    gnm_random_graph,
     gnp_random_graph,
     grid_graph,
     path_graph,
@@ -307,8 +308,9 @@ class TestKernelEquivalence:
 
 class TestEndToEndParity:
     """Every registered task × backend stays deterministic under a fixed
-    seed with the CSR hot paths in place, and solutions validate and
-    certify on every input representation the façade accepts."""
+    seed with the CSR hot paths in place, solutions validate and certify
+    on every input representation the façade accepts, and the report does
+    not depend on that representation."""
 
     @pytest.mark.parametrize("representation", ["graph", "csr", "mmap"])
     @pytest.mark.parametrize(
@@ -331,6 +333,33 @@ class TestEndToEndParity:
         assert first.valid
         assert first.verified, first.verification
         assert first.peak_rss_bytes >= 0
+
+    @pytest.mark.parametrize(
+        "task,backend",
+        [(entry.task, entry.backend) for entry in registry.entries()],
+    )
+    def test_report_identical_across_representations(self, task, backend, tmp_path):
+        """A ``Graph``, its ``CSRGraph`` and its ``MMapCSRGraph`` give the same
+        verified report.  The Barabási–Albert and G(n, m) inputs are built
+        in non-ascending edge order, so their adjacency sets iterate
+        differently from the CSR's rebuilt ones."""
+        graphs = (
+            gnp_random_graph(60, 0.15, seed=11),
+            barabasi_albert(80, 3, seed=0),
+            gnm_random_graph(70, 200, seed=1),
+        )
+        for index, graph in enumerate(graphs):
+            csr = CSRGraph.from_graph(graph)
+            mmap = load_csr(save_csr(csr, tmp_path / f"graph{index}"))
+            for seed in (0, 5):
+                payloads = []
+                for representation in (graph, csr, mmap):
+                    payload = solve(
+                        task, representation, backend=backend, seed=seed, verify=True
+                    ).to_dict()
+                    del payload["wall_time_s"], payload["peak_rss_bytes"]
+                    payloads.append(payload)
+                assert payloads[0] == payloads[1] == payloads[2], (index, seed)
 
     def test_mis_mpc_matches_structured_families(self):
         # The CSR rewiring must leave seeded outputs identical across

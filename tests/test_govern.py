@@ -21,6 +21,7 @@ from repro.graph.generators import barabasi_albert, gnp_random_graph
 from repro.graph.statistics import load_summary
 from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.errors import MemoryExceededError
+from repro.mpc.words import id_words
 
 BUDGET = 0.5  # memory_factor that breaches on the adversarial cells below
 MPC_TASKS = (
@@ -277,6 +278,12 @@ class TestClusterGovernance:
         assert cluster.peak_words() == 70
         cluster.broadcast(90)
         assert cluster.peak_words() == 90
+
+    def test_broadcast_vertex_set(self):
+        cluster = MPCCluster(2, words_per_machine=100)
+        vertex_set = {1, 2, 3}
+        governed_broadcast(cluster, id_words(len(vertex_set)), "broadcast-set")
+        assert cluster.rounds == 1
 
     def test_attach_governor_soft_watermark(self):
         cluster = MPCCluster(2, words_per_machine=100)

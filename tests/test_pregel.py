@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.graph.generators import (
@@ -87,6 +88,38 @@ class TestEngine:
         with pytest.raises(MemoryExceededError):
             engine.run(storm)
 
+    def test_per_vertex_and_batched_draws_agree(self):
+        """``VertexContext.random`` and ``BatchSuperstep.random`` read the
+        same counter-keyed draw at every (vertex, superstep), bit for bit."""
+        g = gnp_random_graph(40, 0.1, seed=7)
+        engine = PregelEngine(g, seed=12)
+        supersteps = 4
+
+        def compute(ctx, messages):
+            ctx.state[ctx.superstep] = ctx.random()
+            if ctx.superstep == supersteps - 1:
+                ctx.vote_to_halt()
+
+        states = engine.run(compute).states
+
+        class Recorder:
+            def initialize(self, graph):
+                self.draws = {}
+
+            def compute_batch(self, step):
+                self.draws[step.superstep] = step.random(step.active)
+                if step.superstep == supersteps - 1:
+                    step.halt(step.active)
+
+        recorder = Recorder()
+        engine.run_batch(recorder)
+        assert sorted(recorder.draws) == list(range(supersteps))
+        for superstep, batch in recorder.draws.items():
+            per_vertex = np.array(
+                [states[v][superstep] for v in range(g.num_vertices)]
+            )
+            assert batch.tobytes() == per_vertex.tobytes()
+
     def test_deterministic_randomness(self):
         g = gnp_random_graph(30, 0.2, seed=6)
         a = luby_vertex_program(g, seed=9)
@@ -145,6 +178,21 @@ class TestMatchingProgram:
         g = path_graph(10)
         result = matching_vertex_program(g, seed=3)
         assert is_maximal_matching(g, result.matching)
+
+    def test_star_center_proposes_to_every_leaf_position(self):
+        """The proposal target is a uniform live neighbor, so on a
+        5000-leaf star the center's proposals also reach the leaves past
+        sorted position 3960."""
+        star = star_graph(5000)
+        matched_leaves = []
+        for seed in range(200):
+            result = matching_vertex_program(
+                star, seed=seed, words_per_machine=10**6
+            )
+            ((center, leaf),) = result.matching
+            assert center == 0
+            matched_leaves.append(leaf)
+        assert max(matched_leaves) > 3960
 
     def test_star_matches_once(self):
         result = matching_vertex_program(star_graph(9), seed=4)

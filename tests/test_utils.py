@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from repro.utils.rng import (
-    RngStream,
-    child_rng,
-    make_rng,
-    random_permutation,
-)
+from repro.utils.rng import RngStream, make_rng
 from repro.utils.trace import Trace, maybe_record
 from repro.utils.validation import (
     require,
@@ -32,18 +27,6 @@ class TestRng:
     def test_none_seed_is_fixed_default(self):
         assert make_rng(None).random() == make_rng(None).random()
 
-    def test_child_rng_label_independence(self):
-        parent_a = make_rng(1)
-        parent_b = make_rng(1)
-        assert (
-            child_rng(parent_a, "x").random() == child_rng(parent_b, "x").random()
-        )
-        parent_c = make_rng(1)
-        assert (
-            child_rng(parent_c, "x").random()
-            != child_rng(make_rng(1), "y").random()
-        )
-
     def test_stream_keyed_determinism(self):
         s1 = RngStream(9, namespace="t")
         s2 = RngStream(9, namespace="t")
@@ -54,11 +37,6 @@ class TestRng:
         a = RngStream(9, namespace="a").random(1)
         b = RngStream(9, namespace="b").random(1)
         assert a != b
-
-    def test_random_permutation(self):
-        perm = random_permutation(100, seed=3)
-        assert sorted(perm) == list(range(100))
-        assert perm != list(range(100))  # astronomically unlikely to be id
 
 
 class TestTrace:
