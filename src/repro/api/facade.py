@@ -24,7 +24,7 @@ from repro.dist.executor import resolve_executor
 from repro.govern import GovernanceDegraded, GovernancePolicy, Governor
 from repro.mpc.cluster import MemoryExceededError
 from repro.api.report import RunReport, canonical_solution
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_csr, canonical_graph
 from repro.graph.graph import Graph
 from repro.graph.weighted import WeightedGraph
 from repro.utils.trace import Trace
@@ -164,6 +164,11 @@ def solve(
             f"support an executor (only the MPC-backend solvers do)"
         )
     prepared = _prepare_graph(entry, graph)
+    weighted = prepared if isinstance(prepared, WeightedGraph) else None
+    structure = prepared if weighted is None else weighted.structure
+    # Input preparation, not solver time: a Graph memoizes this form, so
+    # solvers and validators reuse it and repeated solves convert once.
+    csr = as_csr(structure)
     resolved_config = _resolve_config(entry, config, budget)
 
     gov_policy = GovernancePolicy.from_any(governance)
@@ -240,9 +245,7 @@ def solve(
     from repro.verify import BudgetPolicy, certify_report, check_solution
 
     solution = canonical_solution(entry.solution_kind, output.solution)
-    weighted = prepared if isinstance(prepared, WeightedGraph) else None
-    structure = prepared if weighted is None else weighted.structure
-    checked = check_solution(entry.task, structure, solution, weighted)
+    checked = check_solution(entry.task, csr, solution, weighted)
 
     extras = dict(output.extras)
     if dist_executor is not None:
@@ -267,8 +270,8 @@ def solve(
     report = RunReport(
         task=entry.task,
         backend=entry.backend,
-        n=structure.num_vertices,
-        num_edges=structure.num_edges,
+        n=csr.num_vertices,
+        num_edges=csr.num_edges,
         solution_kind=entry.solution_kind,
         solution=solution,
         metrics=checked.metrics(),
@@ -327,9 +330,8 @@ def _prepare_graph(entry: SolverEntry, graph: GraphLike) -> GraphLike:
     if entry.weighted:
         if isinstance(graph, WeightedGraph):
             return graph
-        return WeightedGraph(
-            graph.num_vertices, ((u, v, 1.0) for u, v in graph.edges())
-        )
+        # Canonical layout: independent of build order, keeps the CSR memo.
+        return WeightedGraph.unit_weights(canonical_graph(graph))
     if isinstance(graph, WeightedGraph):
         return graph.structure
     return graph

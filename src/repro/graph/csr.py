@@ -107,34 +107,20 @@ class CSRGraph:
         """Lossless conversion from the set-based reference representation.
 
         With ``mask``, only edges with *both* endpoints inside the mask are
-        kept (labels preserved, out-of-mask vertices isolated) — i.e. the
-        CSR of the residual graph, built directly from the adjacency sets
-        without materializing the full conversion first.
+        kept (labels preserved, out-of-mask vertices isolated): the CSR of
+        the residual graph, ``as_csr(graph).filter_edges(mask)``.
 
-        Hot-path layout: neighbor sets are drained row-by-row through an
-        ``array('q')`` buffer (C-level set iteration, no per-element Python
-        objects), and the within-row ascending order is restored with one
-        flat sort of ``row * n + neighbor`` keys instead of a two-key
-        lexsort.
+        Prefer :func:`as_csr`, which memoizes the unmasked result on the
+        graph.  Hot-path layout: neighbor sets are drained row-by-row
+        through an ``array('q')`` buffer (C-level set iteration, no
+        per-element Python objects), and the within-row ascending order
+        is restored with one flat sort of ``row * n + neighbor`` keys
+        instead of a two-key lexsort.
         """
+        if mask is not None:
+            return as_csr(graph).filter_edges(mask)
         n = graph.num_vertices
         adjacency: List = [graph.neighbors_view(v) for v in range(n)]
-        if mask is not None:
-            arr = np.asarray(mask)
-            if arr.dtype == np.bool_:
-                if len(arr) != n:
-                    raise ValueError(
-                        f"mask length {len(arr)} != num_vertices {n}"
-                    )
-                selected = arr
-            else:
-                selected = np.zeros(n, dtype=bool)
-                selected[arr.astype(np.int64, copy=False)] = True
-            keep = set(np.flatnonzero(selected).tolist())
-            adjacency = [
-                neighbors & keep if selected[v] else set()
-                for v, neighbors in enumerate(adjacency)
-            ]
         degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
@@ -204,11 +190,13 @@ class CSRGraph:
         return cls(indptr, dst)
 
     def to_graph(self) -> Graph:
-        """Lossless conversion back to the set-based representation."""
-        graph = Graph(self._n)
-        for u, v in self.edge_array():
-            graph.add_edge(int(u), int(v))
-        return graph
+        """Lossless conversion back to the set-based representation.
+
+        Rows are ascending, so each adjacency set is filled in the order
+        the canonical ``add_edge`` loop would use; the result keeps this
+        CSR as its memoized form.
+        """
+        return Graph._from_csr(self)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -482,10 +470,16 @@ def gather_rows(
 
 
 def as_csr(graph: Union[Graph, CSRGraph]) -> CSRGraph:
-    """``graph`` as a :class:`CSRGraph` (identity when already CSR)."""
+    """``graph`` as a :class:`CSRGraph` (identity when already CSR).
+
+    A :class:`Graph` keeps its CSR form until its next mutation, so
+    repeated calls on an unchanged graph convert it once.
+    """
     if isinstance(graph, CSRGraph):
         return graph
-    return CSRGraph.from_graph(graph)
+    if graph._csr is None:
+        graph._csr = CSRGraph.from_graph(graph)
+    return graph._csr
 
 
 def as_graph(graph: Union[Graph, CSRGraph]) -> Graph:

@@ -12,7 +12,7 @@ in the library.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 Edge = Tuple[int, int]
 
@@ -35,7 +35,7 @@ class Graph:
         duplicate edges are collapsed.
     """
 
-    __slots__ = ("_n", "_adj", "_num_edges")
+    __slots__ = ("_n", "_adj", "_num_edges", "_csr")
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge] = ()) -> None:
         if num_vertices < 0:
@@ -43,6 +43,9 @@ class Graph:
         self._n = num_vertices
         self._adj: List[Set[int]] = [set() for _ in range(num_vertices)]
         self._num_edges = 0
+        # Memoized CSR form (see ``repro.graph.csr.as_csr``); every
+        # mutation goes through add_edge/remove_edge, which clear it.
+        self._csr = None
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -55,6 +58,21 @@ class Graph:
         n = 1 + max((e[1] for e in edge_list), default=-1)
         return cls(n, edge_list)
 
+    @classmethod
+    def _from_csr(cls, csr: Any) -> "Graph":
+        """Build from a :class:`~repro.graph.csr.CSRGraph`, memoizing it.
+
+        Private to :meth:`CSRGraph.to_graph`.  Ascending CSR rows fill each
+        set in the order of the canonical ``add_edge`` loop over the sorted
+        edge list, hence with the same iteration order.
+        """
+        flat, bounds = csr.indices.tolist(), csr.indptr.tolist()
+        graph = cls(csr.num_vertices)
+        graph._adj = [set(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+        graph._num_edges = csr.num_edges
+        graph._csr = csr
+        return graph
+
     def add_edge(self, u: int, v: int) -> None:
         """Insert edge ``{u, v}``; no-op if already present."""
         if u == v:
@@ -65,12 +83,14 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._num_edges += 1
+            self._csr = None
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge ``{u, v}``; raises ``KeyError`` if absent."""
         self._adj[u].remove(v)
         self._adj[v].remove(u)
         self._num_edges -= 1
+        self._csr = None
 
     def copy(self) -> "Graph":
         """An independent deep copy."""
@@ -105,7 +125,12 @@ class Graph:
         return frozenset(self._adj[v])
 
     def neighbors_view(self, v: int) -> Set[int]:
-        """The live neighbor set of ``v`` (do not mutate; hot-path access)."""
+        """The live neighbor set of ``v`` (hot-path access).
+
+        Do not mutate it: the memoized CSR form is cleared only by
+        :meth:`add_edge` and :meth:`remove_edge`, so editing the set in
+        place would leave a stale memo.
+        """
         return self._adj[v]
 
     def degree(self, v: int) -> int:

@@ -26,6 +26,14 @@ class WeightedGraph:
         for u, v, w in weighted_edges:
             self.add_edge(u, v, w)
 
+    @classmethod
+    def unit_weights(cls, graph: Graph) -> "WeightedGraph":
+        """Weight 1.0 on every edge of ``graph``, shared as :attr:`structure`."""
+        weighted = cls(0)
+        weighted._graph = graph
+        weighted._weights = dict.fromkeys(graph.edges(), 1.0)
+        return weighted
+
     @property
     def structure(self) -> Graph:
         """The underlying unweighted graph (shared, do not mutate)."""

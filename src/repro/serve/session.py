@@ -264,7 +264,7 @@ class TenantSession:
         verification: Dict[str, Any] = {}
         if self.verify:
             verification = certify_epoch(
-                self.task, self.maintainer.graph.to_graph(), self.maintainer
+                self.task, self.maintainer.graph.snapshot(), self.maintainer
             )
         record = EpochRecord(stats=stats.to_dict(), verification=verification)
         self.records.append(record)
@@ -297,7 +297,7 @@ class TenantSession:
     def certificate(self) -> Dict[str, Any]:
         """Certify the *current* maintained solution on demand."""
         return certify_epoch(
-            self.task, self.maintainer.graph.to_graph(), self.maintainer
+            self.task, self.maintainer.graph.snapshot(), self.maintainer
         )
 
     def status(self) -> Dict[str, Any]:

@@ -227,7 +227,9 @@ def read_stream_jsonl(path: Any) -> List[StreamReport]:
 # ---------------------------------------------------------------------------
 
 
-def certify_epoch(task: str, graph: Graph, maintainer: Maintainer) -> Dict[str, Any]:
+def certify_epoch(
+    task: str, graph: Union[Graph, CSRGraph], maintainer: Maintainer
+) -> Dict[str, Any]:
     """Per-epoch certificate from the repro.verify checkers.
 
     Public because the serve layer certifies the same way per tenant
@@ -252,7 +254,11 @@ def _maintained_quality(task: str, maintainer: Maintainer) -> float:
 
 
 def _differential_check(
-    task: str, graph: Graph, maintainer: Maintainer, backend: str, seed: Optional[int]
+    task: str,
+    graph: CSRGraph,
+    maintainer: Maintainer,
+    backend: str,
+    seed: Optional[int],
 ) -> tuple:
     """Quality ratio (full re-solve / maintained) and band verdict."""
     from repro.api import solve
@@ -353,7 +359,7 @@ def solve_stream(
         verification: Dict[str, Any] = {}
         ratio: Optional[float] = None
         if verify or (differential_every and index % differential_every == 0):
-            current = maintainer.graph.to_graph()
+            current = maintainer.graph.snapshot()
             if verify:
                 verification = certify_epoch(task, current, maintainer)
             if differential_every and index % differential_every == 0:

@@ -215,9 +215,10 @@ class Maintainer:
         # package, so the dependency must stay one-way at import time.
         from repro.api import solve
 
+        snapshot = self.graph.snapshot()
         report = solve(
             self.SOLVE_TASK or self.TASK,
-            self.graph.to_graph(),
+            snapshot,
             backend=self.backend,
             config=self.config,
             seed=self.seed,
@@ -226,7 +227,7 @@ class Maintainer:
         )
         self.last_governance = report.extras.get("governance")
         self._grow_state(self.graph.num_vertices)
-        self._adopt(self.graph.snapshot(), report.solution)
+        self._adopt(snapshot, report.solution)
         return report
 
     # -- per-task hooks ------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph
+from repro.graph.weighted import WeightedGraph
 from repro.ooc import MMapCSRGraph, load_csr, save_csr
 
 
@@ -90,6 +91,134 @@ class TestConversion:
         assert as_graph(graph) is graph
         assert isinstance(graph, GraphView)
         assert isinstance(csr, GraphView)
+
+
+def canonical_loop_graph(graph: Graph) -> Graph:
+    """``graph`` rebuilt by ``add_edge`` over its sorted edge list."""
+    rebuilt = Graph(graph.num_vertices)
+    for u, v in graph.edge_list():
+        rebuilt.add_edge(u, v)
+    return rebuilt
+
+
+class TestToGraphIterationOrder:
+    """``to_graph`` fills each set in the canonical ``add_edge`` order, so
+    searches that walk adjacency sets see the same neighbor sequence."""
+
+    @staticmethod
+    def assert_same_order(graph: Graph) -> None:
+        expected = canonical_loop_graph(graph)
+        built = CSRGraph.from_graph(graph).to_graph()
+        assert built == expected
+        assert built.num_edges == expected.num_edges
+        for v in graph.vertices():
+            assert list(built.neighbors_view(v)) == list(
+                expected.neighbors_view(v)
+            )
+
+    @given(graphs())
+    def test_matches_add_edge_loop(self, graph):
+        self.assert_same_order(graph)
+
+    @pytest.mark.parametrize(
+        "graph",
+        STRUCTURED + [gnp_random_graph(300, 0.3, seed=6)],
+        ids=repr,
+    )
+    def test_matches_add_edge_loop_structured(self, graph):
+        self.assert_same_order(graph)
+
+
+class TestCSRMemo:
+    """A ``Graph`` keeps its CSR form until it is mutated."""
+
+    @staticmethod
+    def assert_fresh(graph) -> None:
+        assert as_csr(graph) == CSRGraph.from_graph(graph)
+
+    def test_unchanged_graph_converts_once(self):
+        graph = gnp_random_graph(40, 0.2, seed=1)
+        assert as_csr(graph) is as_csr(graph)
+        graph.add_edge(*next(iter(graph.edges())))  # present: a no-op
+        assert as_csr(graph) is as_csr(graph)
+        self.assert_fresh(graph)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_edge(0, 9),
+            lambda g: g.remove_edge(0, 1),
+            lambda g: g.isolate(2),
+            lambda g: g.remove_closed_neighborhood(3),
+        ],
+        ids=["add_edge", "remove_edge", "isolate", "remove_closed_neighborhood"],
+    )
+    def test_mutations_invalidate(self, mutate):
+        graph = path_graph(10)
+        before = as_csr(graph)
+        mutate(graph)
+        assert as_csr(graph) != before
+        self.assert_fresh(graph)
+
+    def test_weighted_add_edge_invalidates(self):
+        weighted = WeightedGraph(5, [(0, 1, 2.0), (1, 2, 1.0)])
+        before = as_csr(weighted.structure)
+        weighted.add_edge(3, 4, 0.5)
+        assert as_csr(weighted.structure) != before
+        self.assert_fresh(weighted.structure)
+
+    def test_copy_does_not_share_a_stale_memo(self):
+        graph = path_graph(8)
+        original = as_csr(graph)
+        clone = graph.copy()
+        clone.add_edge(0, 7)
+        self.assert_fresh(clone)
+        assert as_csr(graph) is original
+        self.assert_fresh(graph)
+
+    def test_to_graph_keeps_its_csr(self):
+        csr = CSRGraph.from_graph(gnp_random_graph(40, 0.2, seed=3))
+        graph = csr.to_graph()
+        assert as_csr(graph) is csr
+        graph.remove_edge(*next(iter(graph.edges())))
+        assert as_csr(graph) is not csr
+        self.assert_fresh(graph)
+
+    @staticmethod
+    def count_conversions(monkeypatch):
+        calls = []
+        convert = CSRGraph.from_graph.__func__
+
+        def counting(cls, graph, mask=None):
+            calls.append(graph)
+            return convert(cls, graph, mask)
+
+        monkeypatch.setattr(CSRGraph, "from_graph", classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize(
+        "task,backend",
+        [
+            ("mis", "mpc"),
+            ("mis", "greedy"),
+            ("weighted_matching", "mpc"),
+            ("weighted_matching", "greedy"),
+        ],
+    )
+    def test_repeated_solves_convert_once(self, monkeypatch, task, backend):
+        calls = self.count_conversions(monkeypatch)
+        graph = gnp_random_graph(80, 0.1, seed=2)
+        first = solve(task, graph, backend=backend, seed=1, verify=True)
+        second = solve(task, graph, backend=backend, seed=1, verify=True)
+        assert calls == [graph]
+        assert first.solution == second.solution
+
+    def test_weighted_solve_on_csr_does_not_convert(self, monkeypatch):
+        calls = self.count_conversions(monkeypatch)
+        csr = CSRGraph.from_graph(gnp_random_graph(80, 0.1, seed=2))
+        calls.clear()
+        assert solve("weighted_matching", csr, seed=1, verify=True).valid
+        assert calls == []
 
 
 class TestRoundTripEdgeCases:

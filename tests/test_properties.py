@@ -56,6 +56,63 @@ def greedy_matching_witness(graph: Graph) -> set:
     return matching
 
 
+# -- set-based reference validators -------------------------------------------
+#
+# The library validators read CSR only; these are the plain set-and-loop
+# definitions they are checked against (``TestCSRAgreement``).
+
+
+def reference_is_independent_set(graph: Graph, vertex_set) -> bool:
+    chosen = set(vertex_set)
+    return not any(
+        u in chosen for v in chosen for u in graph.neighbors_view(v)
+    )
+
+
+def reference_is_maximal_independent_set(graph: Graph, vertex_set) -> bool:
+    chosen = set(vertex_set)
+    if not reference_is_independent_set(graph, chosen):
+        return False
+    return all(
+        v in chosen or any(u in chosen for u in graph.neighbors_view(v))
+        for v in graph.vertices()
+    )
+
+
+def reference_is_matching(graph: Graph, edges) -> bool:
+    used: set = set()
+    for u, v in edges:
+        if not graph.has_edge(u, v) or u in used or v in used:
+            return False
+        used.update((u, v))
+    return True
+
+
+def reference_is_maximal_matching(graph: Graph, edges) -> bool:
+    matching = [canonical_edge(u, v) for u, v in edges]
+    if not reference_is_matching(graph, matching):
+        return False
+    matched = matching_vertices(matching)
+    return all(u in matched or v in matched for u, v in graph.edges())
+
+
+def reference_is_vertex_cover(graph: Graph, vertex_set) -> bool:
+    cover = set(vertex_set)
+    return all(u in cover or v in cover for u, v in graph.edges())
+
+
+def reference_is_valid_fractional_matching(
+    graph: Graph, weights, tolerance: float = 1e-9
+) -> bool:
+    loads: dict = {}
+    for (u, v), x in weights.items():
+        if x < -tolerance or not graph.has_edge(u, v):
+            return False
+        loads[u] = loads.get(u, 0.0) + x
+        loads[v] = loads.get(v, 0.0) + x
+    return all(load <= 1.0 + tolerance for load in loads.values())
+
+
 @pytest.fixture
 def square() -> Graph:
     return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -224,10 +281,11 @@ class TestValidatorProperties:
 
 
 class TestCSRAgreement:
-    """The CSR branches decide exactly what the set branches decide.
+    """The CSR validators decide exactly what the set-based references decide.
 
-    Each case runs a validator on a :class:`Graph` and on its
-    :class:`CSRGraph`, for a valid witness and for corrupted copies.
+    Each case runs a library validator on a :class:`Graph` and on its
+    :class:`CSRGraph`, and the matching ``reference_*`` definition above on
+    the :class:`Graph`, for a valid witness and for corrupted copies.
     """
 
     @_SETTINGS
@@ -250,12 +308,47 @@ class TestCSRAgreement:
         if edge is not None:
             candidates.append(cover - set(edge))  # leaves the edge uncovered
         for chosen in candidates:
-            for validator in (
-                is_independent_set,
-                is_maximal_independent_set,
-                is_vertex_cover,
+            for validator, reference in (
+                (is_independent_set, reference_is_independent_set),
+                (is_maximal_independent_set, reference_is_maximal_independent_set),
+                (is_vertex_cover, reference_is_vertex_cover),
             ):
-                assert validator(graph, chosen) == validator(csr, chosen)
+                expected = reference(graph, chosen)
+                assert validator(graph, chosen) == expected
+                assert validator(csr, chosen) == expected
+
+    @_SETTINGS
+    @given(graph=graphs(min_vertices=2))
+    def test_matching_validators_agree(self, graph: Graph):
+        csr = CSRGraph.from_graph(graph)
+        witness = sorted(greedy_matching_witness(graph))
+        n = graph.num_vertices
+        non_edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if not graph.has_edge(u, v)
+        ]
+        candidates = [[], witness, [(0, 0)], [(0, n)], [(-1, 0)]]
+        if witness:
+            u, v = witness[0]
+            candidates.append(witness[1:])  # may lose maximality
+            candidates.append(witness + [(v, u)])  # same edge twice
+            candidates.append([(v, u)] + witness[1:])  # reversed orientation
+            extra = next(
+                (w for w in graph.neighbors_view(u) if w != v), None
+            )
+            if extra is not None:
+                candidates.append(witness + [canonical_edge(u, extra)])
+        if non_edges:
+            candidates.append(witness + [non_edges[0]])
+            candidates.append([non_edges[0]])
+        for edges in candidates:
+            for validator, reference in (
+                (is_matching, reference_is_matching),
+                (is_maximal_matching, reference_is_maximal_matching),
+            ):
+                expected = reference(graph, edges)
+                assert validator(graph, edges) == expected
+                assert validator(csr, edges) == expected
 
     @_SETTINGS
     @given(graph=graphs(min_vertices=2))
@@ -265,6 +358,7 @@ class TestCSRAgreement:
         uniform = {edge: 1.0 / cap for edge in graph.edges()}
         assert is_valid_fractional_matching(graph, uniform)
         assert is_valid_fractional_matching(csr, uniform)
+        assert reference_is_valid_fractional_matching(graph, uniform)
         n = graph.num_vertices
         non_edges = [
             (u, v) for u in range(n) for v in range(u + 1, n)
@@ -278,5 +372,6 @@ class TestCSRAgreement:
             corrupted.append({**uniform, first: -0.5})
             corrupted.append({**uniform, first: 1.5})
         for weights in corrupted:
+            assert not reference_is_valid_fractional_matching(graph, weights)
             assert not is_valid_fractional_matching(graph, weights)
             assert not is_valid_fractional_matching(csr, weights)

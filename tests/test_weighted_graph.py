@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graph.graph import Graph
 from repro.graph.weighted import WeightedGraph
 
 
@@ -42,3 +43,12 @@ class TestWeightedGraph:
     def test_edges_iteration(self):
         wg = WeightedGraph(3, [(2, 0, 1.5)])
         assert list(wg.edges()) == [(0, 2, 1.5)]
+
+    def test_unit_weights_shares_the_structure(self):
+        graph = Graph(4, [(2, 3), (0, 1), (1, 2)])
+        wg = WeightedGraph.unit_weights(graph)
+        assert wg.structure is graph
+        assert list(wg.edges()) == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+        assert wg.num_edges == 3 and wg.max_weight() == wg.min_weight() == 1.0
+        wg.add_edge(0, 3, 2.0)
+        assert graph.has_edge(0, 3) and wg.weight(3, 0) == 2.0
