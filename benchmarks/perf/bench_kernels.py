@@ -90,7 +90,10 @@ def kernel_cases(
         return [v for v in range(n) if rng.random() < 0.3]
 
     def set_induced_subgraph():
-        return graph.induced_subgraph(subset)
+        index = {v: i for i, v in enumerate(sorted(subset))}
+        return Graph(
+            len(index), [(index[u], index[v]) for u, v in graph.induced_edges(subset)]
+        )
 
     def set_induced_edges():
         return graph.induced_edges(subset)

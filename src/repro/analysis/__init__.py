@@ -11,14 +11,12 @@
 
 from repro.analysis.metrics import (
     approximation_ratio,
-    doubling_ratios,
     loglog_slope,
 )
 from repro.analysis.tables import format_table
 
 __all__ = [
     "approximation_ratio",
-    "doubling_ratios",
     "loglog_slope",
     "format_table",
 ]

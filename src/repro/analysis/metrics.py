@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 
 def approximation_ratio(measured: float, optimal: float) -> float:
@@ -17,18 +17,6 @@ def approximation_ratio(measured: float, optimal: float) -> float:
     if measured == 0:
         return math.inf
     return optimal / measured
-
-
-def doubling_ratios(values: Sequence[float]) -> List[float]:
-    """Successive ratios ``values[i+1]/values[i]``.
-
-    For a series measured at doubling problem sizes: ratios near 1 indicate
-    (doubly-)logarithmic growth, near 2 linear growth.
-    """
-    return [
-        values[i + 1] / values[i] if values[i] else math.inf
-        for i in range(len(values) - 1)
-    ]
 
 
 def loglog_slope(sizes: Sequence[int], rounds: Sequence[float]) -> float:

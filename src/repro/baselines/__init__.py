@@ -5,7 +5,6 @@
 * Israeli–Itai maximal matching [II86] — O(log n)-round parallel baseline.
 * LMSV11 filtering maximal matching — the O(log n)-round MPC baseline at
   Θ(n) memory (and the paper's own Section 4.4.5 subroutine).
-* Hopcroft–Karp — exact maximum matching on bipartite graphs.
 * Blossom — exact maximum matching on general graphs.
 * Brute force — exact MIS / vertex cover / weighted matching on tiny
   graphs, anchoring approximation-ratio tests.
@@ -13,13 +12,10 @@
 
 from repro.baselines.luby import LubyResult, luby_mis
 from repro.baselines.greedy import greedy_maximal_matching, greedy_mis_sequential
-from repro.baselines.parallel_greedy import ParallelGreedyResult, parallel_greedy_mis
 from repro.baselines.israeli_itai import IsraeliItaiResult, israeli_itai_matching
 from repro.baselines.filtering import FilteringResult, filtering_maximal_matching
-from repro.baselines.hopcroft_karp import hopcroft_karp_matching
 from repro.baselines.blossom import maximum_matching as blossom_maximum_matching
 from repro.baselines.exact import (
-    brute_force_maximum_matching,
     brute_force_maximum_weight_matching,
     brute_force_minimum_vertex_cover,
     exact_maximum_independent_set,
@@ -30,15 +26,11 @@ __all__ = [
     "luby_mis",
     "greedy_maximal_matching",
     "greedy_mis_sequential",
-    "ParallelGreedyResult",
-    "parallel_greedy_mis",
     "IsraeliItaiResult",
     "israeli_itai_matching",
     "FilteringResult",
     "filtering_maximal_matching",
-    "hopcroft_karp_matching",
     "blossom_maximum_matching",
-    "brute_force_maximum_matching",
     "brute_force_maximum_weight_matching",
     "brute_force_minimum_vertex_cover",
     "exact_maximum_independent_set",

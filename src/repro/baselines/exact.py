@@ -49,35 +49,6 @@ def brute_force_minimum_vertex_cover(graph: Graph) -> Set[int]:
     return set(graph.vertices()) - best_is
 
 
-def brute_force_maximum_matching(graph: Graph) -> Set[Edge]:
-    """Maximum matching by exhaustive edge branching (tiny graphs only)."""
-    edges = graph.edge_list()
-    if len(edges) > 2 * _MAX_BRUTE_FORCE_VERTICES:
-        raise ValueError("exact matching enumeration limited to tiny graphs")
-
-    best: Set[Edge] = set()
-
-    def solve(index: int, used: Set[int], current: Set[Edge]) -> None:
-        nonlocal best
-        if index == len(edges):
-            if len(current) > len(best):
-                best = set(current)
-            return
-        u, v = edges[index]
-        if u not in used and v not in used:
-            current.add((u, v))
-            used.add(u)
-            used.add(v)
-            solve(index + 1, used, current)
-            current.remove((u, v))
-            used.discard(u)
-            used.discard(v)
-        solve(index + 1, used, current)
-
-    solve(0, set(), set())
-    return best
-
-
 def brute_force_maximum_weight_matching(
     graph: WeightedGraph,
 ) -> Tuple[Set[Edge], float]:

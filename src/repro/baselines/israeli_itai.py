@@ -20,11 +20,11 @@ reproduced exactly; pinned in ``tests/test_backend_parity.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Optional, Set, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
@@ -39,7 +39,7 @@ class IsraeliItaiResult:
 
 
 def israeli_itai_matching(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
     max_rounds: Optional[int] = None,
@@ -47,7 +47,7 @@ def israeli_itai_matching(
     """Run the Israeli–Itai process to a maximal matching."""
     rng = make_rng(seed)
     n = graph.num_vertices
-    csr = CSRGraph.from_graph(graph)
+    csr = as_csr(graph)
     src = csr.src
     dst = csr.indices
     live = np.ones(n, dtype=bool)

@@ -17,11 +17,11 @@ seeded runs match the historical set-based implementation bit-for-bit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Optional, Set, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.trace import Trace, maybe_record
@@ -36,7 +36,7 @@ class LubyResult:
 
 
 def luby_mis(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     seed: SeedLike = None,
     trace: Optional[Trace] = None,
     max_rounds: Optional[int] = None,
@@ -44,7 +44,7 @@ def luby_mis(
     """Run Luby's algorithm to completion, one round per step."""
     rng = make_rng(seed)
     n = graph.num_vertices
-    csr = CSRGraph.from_graph(graph)
+    csr = as_csr(graph)
     src = csr.src
     dst = csr.indices
     active: Set[int] = set(graph.vertices())

@@ -24,11 +24,6 @@ from repro.core.integral import IntegralMatchingResult, mpc_maximum_matching
 from repro.core.vertex_cover import VertexCoverResult, mpc_vertex_cover
 from repro.core.augmenting import one_plus_eps_matching
 from repro.core.weighted_matching import WeightedMatchingResult, mpc_weighted_matching
-from repro.core.line_graph_matching import (
-    LineGraphMatchingResult,
-    maximal_matching_via_line_graph,
-)
-from repro.core.small_matchings import SmallMatchingResult, small_matching_fallback
 
 __all__ = [
     "MISConfig",
@@ -51,8 +46,4 @@ __all__ = [
     "one_plus_eps_matching",
     "WeightedMatchingResult",
     "mpc_weighted_matching",
-    "LineGraphMatchingResult",
-    "maximal_matching_via_line_graph",
-    "SmallMatchingResult",
-    "small_matching_fallback",
 ]

@@ -55,16 +55,3 @@ class FractionalMatching:
         """
         loads = self.vertex_loads()
         return {v for v, load in loads.items() if load >= minimum_load}
-
-    def restricted_to(self, vertices: Set[int]) -> "FractionalMatching":
-        """The sub-fractional-matching on edges inside ``vertices``."""
-        kept = {
-            e: x
-            for e, x in self.weights.items()
-            if e[0] in vertices and e[1] in vertices
-        }
-        return FractionalMatching(
-            graph=self.graph,
-            weights=kept,
-            vertex_cover=self.vertex_cover & vertices,
-        )

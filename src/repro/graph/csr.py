@@ -334,8 +334,7 @@ class CSRGraph:
         """``G[mask]`` relabelled onto ``0..k-1``; returns ``(sub, vertices)``.
 
         ``vertices[i]`` is the original label of new vertex ``i`` (the
-        ``i``-th smallest selected vertex), matching the semantics of
-        :meth:`Graph.induced_subgraph`.
+        ``i``-th smallest selected vertex).
         """
         selected = self._as_mask(mask)
         if selected is None:

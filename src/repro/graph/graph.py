@@ -12,7 +12,7 @@ in the library.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Any, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 Edge = Tuple[int, int]
 
@@ -161,22 +161,6 @@ class Graph:
 
     # -- structural operations ---------------------------------------------
 
-    def induced_subgraph(self, vertex_subset: Iterable[int]) -> "Graph":
-        """The induced subgraph ``G[V']`` *re-labelled* onto ``0..|V'|-1``.
-
-        Returns a graph whose vertex ``i`` corresponds to the ``i``-th
-        smallest vertex of ``vertex_subset``.  Use
-        :meth:`induced_edges` when original labels must be preserved.
-        """
-        ordered = sorted(set(vertex_subset))
-        index = {v: i for i, v in enumerate(ordered)}
-        sub = Graph(len(ordered))
-        for v in ordered:
-            for u in self._adj[v]:
-                if u > v and u in index:
-                    sub.add_edge(index[v], index[u])
-        return sub
-
     def induced_edges(self, vertex_subset: Iterable[int]) -> List[Edge]:
         """Edges of ``G[V']`` with original labels."""
         subset = set(vertex_subset)
@@ -202,46 +186,6 @@ class Graph:
         """Remove all edges incident to ``v``."""
         for u in list(self._adj[v]):
             self.remove_edge(v, u)
-
-    def line_graph(self) -> Tuple["Graph", List[Edge]]:
-        """The line graph ``L(G)`` and the edge ordering defining its vertices.
-
-        Vertex ``i`` of ``L(G)`` is ``edge_order[i]``; two line-graph
-        vertices are adjacent iff the underlying edges share an endpoint.
-        Running an MIS algorithm on ``L(G)`` yields a maximal matching of
-        ``G`` (Luby's classic reduction, referenced in the paper's intro).
-        """
-        edge_order = self.edge_list()
-        index: Dict[Edge, int] = {e: i for i, e in enumerate(edge_order)}
-        lg = Graph(len(edge_order))
-        for v in range(self._n):
-            incident = sorted(self._adj[v])
-            for a_idx in range(len(incident)):
-                for b_idx in range(a_idx + 1, len(incident)):
-                    e1 = canonical_edge(v, incident[a_idx])
-                    e2 = canonical_edge(v, incident[b_idx])
-                    lg.add_edge(index[e1], index[e2])
-        return lg, edge_order
-
-    def connected_components(self) -> List[List[int]]:
-        """Connected components as sorted vertex lists."""
-        seen = [False] * self._n
-        components: List[List[int]] = []
-        for start in range(self._n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            component = []
-            while stack:
-                v = stack.pop()
-                component.append(v)
-                for u in self._adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            components.append(sorted(component))
-        return components
 
     # -- dunder ------------------------------------------------------------
 

@@ -1,79 +1,22 @@
-"""Workload characterization: degree and structure statistics.
+"""Workload characterization: the degree summary the load governor reads.
 
-The MPC matching/MIS literature's claims are parameterized by structural
-quantities — maximum degree Δ (the `log log Δ` bounds), degree skew (the
-power-law motivation), component structure.  This module computes them so
-experiments and examples can report *what kind* of graph a measurement
-was taken on, and so tests can assert generator families land in their
-intended regimes.
-
-The degree summaries are vectorized over the degrees array (a CSR graph
-hands one over for free via ``np.diff(indptr)``), so they are cheap
-enough for the load governor to call on every solve:
-:func:`load_summary` is the hot-path entry the governor's peak-hold
-estimator primes itself from.
+The summary is vectorized over the degrees array (a CSR graph hands one
+over for free via ``np.diff(indptr)``), so it is cheap enough for the
+load governor to call on every solve: :func:`load_summary` is the
+hot-path entry the governor's peak-hold estimator primes itself from.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
-
-from repro.graph.graph import Graph
-
-
-@dataclass(frozen=True)
-class DegreeStatistics:
-    """Summary of a graph's degree sequence."""
-
-    minimum: int
-    maximum: int
-    mean: float
-    median: int
-    variance: float
-    isolated_vertices: int
-
-    @property
-    def skew_ratio(self) -> float:
-        """max/mean — large values indicate hub-dominated (power-law) graphs."""
-        return self.maximum / self.mean if self.mean else 0.0
 
 
 def _degrees_array(graph) -> np.ndarray:
     """Degrees of ``graph`` (a :class:`Graph` or CSR graph) as int64."""
     return np.asarray(graph.degrees(), dtype=np.int64)
-
-
-def degree_statistics(graph: Graph) -> DegreeStatistics:
-    """Compute the degree summary of ``graph`` (vectorized, O(n))."""
-    degrees = _degrees_array(graph)
-    if degrees.size == 0:
-        return DegreeStatistics(0, 0, 0.0, 0, 0.0, 0)
-    n = degrees.size
-    mean = float(degrees.mean())
-    variance = float(np.mean((degrees - mean) ** 2))
-    ordered = np.sort(degrees)
-    return DegreeStatistics(
-        minimum=int(ordered[0]),
-        maximum=int(ordered[-1]),
-        mean=mean,
-        median=int(ordered[n // 2]),
-        variance=variance,
-        isolated_vertices=int(np.count_nonzero(degrees == 0)),
-    )
-
-
-def degree_histogram(graph: Graph) -> Dict[int, int]:
-    """Map degree value → number of vertices with that degree."""
-    degrees = _degrees_array(graph)
-    if degrees.size == 0:
-        return {}
-    counts = np.bincount(degrees)
-    present = np.flatnonzero(counts)
-    return {int(d): int(counts[d]) for d in present}
 
 
 @dataclass(frozen=True)
@@ -143,46 +86,4 @@ def load_summary(graph) -> LoadSummary:
         p99_degree=int(ordered[min(n - 1, (99 * n) // 100)]),
         skew_ratio=skew,
         estimated_ball_size=ball,
-    )
-
-
-def loglog_degree_bound(graph: Graph) -> float:
-    """``log2 log2 Δ`` — the quantity Theorem 1.1's round bound scales with."""
-    delta = graph.max_degree()
-    if delta < 4:
-        return 1.0
-    return math.log2(math.log2(delta))
-
-
-def clustering_coefficient(graph: Graph, vertex: int) -> float:
-    """Local clustering coefficient of ``vertex`` (triangle density)."""
-    neighbors = sorted(graph.neighbors_view(vertex))
-    degree = len(neighbors)
-    if degree < 2:
-        return 0.0
-    closed = 0
-    for i in range(degree):
-        for j in range(i + 1, degree):
-            if graph.has_edge(neighbors[i], neighbors[j]):
-                closed += 1
-    return 2.0 * closed / (degree * (degree - 1))
-
-
-def average_clustering(graph: Graph, sample: int = 0, seed: int = 0) -> float:
-    """Mean local clustering; optionally over a random vertex sample."""
-    vertices: List[int] = list(graph.vertices())
-    if not vertices:
-        return 0.0
-    if sample and sample < len(vertices):
-        import random
-
-        vertices = random.Random(seed).sample(vertices, sample)
-    return sum(clustering_coefficient(graph, v) for v in vertices) / len(vertices)
-
-
-def component_size_distribution(graph: Graph) -> List[int]:
-    """Sizes of connected components, descending."""
-    return sorted(
-        (len(component) for component in graph.connected_components()),
-        reverse=True,
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.graph.graph import Edge, Graph, canonical_edge
 
@@ -76,13 +76,6 @@ class WeightedGraph:
     def matching_weight(self, matching: Iterable[Edge]) -> float:
         """Total weight of a set of edges."""
         return sum(self._weights[canonical_edge(u, v)] for u, v in matching)
-
-    def subgraph_with_weight_at_least(self, threshold: float) -> "WeightedGraph":
-        """The sub-weighted-graph keeping edges of weight ``>= threshold``."""
-        kept = [
-            (u, v, w) for u, v, w in self.edges() if w >= threshold
-        ]
-        return WeightedGraph(self.num_vertices, kept)
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.num_vertices}, m={self.num_edges})"

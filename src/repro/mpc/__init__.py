@@ -18,9 +18,8 @@ from repro.mpc.words import (
     edge_words,
     id_words,
 )
-from repro.mpc.ball import ball_gather_rounds, gather_balls
+from repro.mpc.ball import ball_gather_rounds
 from repro.mpc.engine import EngineResult, PregelEngine, VertexContext
-from repro.mpc.sort import mpc_prefix_sums, mpc_sort
 from repro.mpc.spec import ClusterSpec
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "EngineResult",
     "PregelEngine",
     "VertexContext",
-    "mpc_prefix_sums",
-    "mpc_sort",
     "MPCCluster",
     "Machine",
     "MemoryExceededError",
@@ -40,5 +37,4 @@ __all__ = [
     "edge_words",
     "id_words",
     "ball_gather_rounds",
-    "gather_balls",
 ]

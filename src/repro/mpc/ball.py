@@ -7,17 +7,13 @@ costs ``ceil(log2(R)) + 1`` rounds.  Any ``R``-round LOCAL algorithm whose
 per-vertex output depends only on the ``R``-ball and shared randomness can
 then be simulated locally with **zero** further communication.
 
-The functions here compute the balls (for the simulation), the round
-charge, and the per-vertex memory footprint (for budget validation).
+:func:`ball_gather_rounds` is that round charge;
+:mod:`repro.core.sparsified_mis` charges its ball-gathering step with it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set
-
-from repro.graph.graph import Graph
-from repro.mpc.words import WORDS_PER_EDGE
 
 
 def ball_gather_rounds(radius: int) -> int:
@@ -27,48 +23,3 @@ def ball_gather_rounds(radius: int) -> int:
     if radius <= 1:
         return 1
     return math.ceil(math.log2(radius)) + 1
-
-
-def gather_balls(graph: Graph, radius: int) -> Dict[int, Set[int]]:
-    """The radius-``radius`` ball (vertex set) around every vertex.
-
-    Implemented as truncated BFS per vertex; on the polylog-degree graphs
-    where this is invoked the total work is ``O(n * Δ^radius)`` bounded by
-    the memory validation in :func:`ball_memory_words`.
-    """
-    balls: Dict[int, Set[int]] = {}
-    for v in graph.vertices():
-        frontier = {v}
-        ball = {v}
-        for _ in range(radius):
-            next_frontier: Set[int] = set()
-            for u in frontier:
-                for w in graph.neighbors_view(u):
-                    if w not in ball:
-                        ball.add(w)
-                        next_frontier.add(w)
-            if not next_frontier:
-                break
-            frontier = next_frontier
-        balls[v] = ball
-    return balls
-
-
-def ball_memory_words(graph: Graph, balls: Dict[int, Set[int]]) -> int:
-    """Words needed to store every vertex's ball topology.
-
-    A ball's topology is its induced edge set; we charge each ball's edges
-    at ``WORDS_PER_EDGE`` per edge plus one word per member id.  The total
-    is what a cluster storing one ball per vertex (spread over machines
-    holding ``O(n / m)`` vertices each) must budget for.
-    """
-    total = 0
-    for ball in balls.values():
-        members = len(ball)
-        internal_edges = 0
-        for u in ball:
-            for w in graph.neighbors_view(u):
-                if w > u and w in ball:
-                    internal_edges += 1
-        total += members + WORDS_PER_EDGE * internal_edges
-    return total

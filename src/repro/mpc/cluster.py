@@ -9,7 +9,10 @@ Section 1.1.1 of the paper), delivers, and advances the round counter.
 Algorithms that use *standard techniques* the paper cites as O(1)-round
 black boxes (sorted load balancing of [GSZ11], aggregation trees) call
 :meth:`charge_rounds` with a reason string; the trace of charges is
-auditable in tests and experiments.
+auditable in tests and experiments.  The 3-round sample sort that backs
+the [GSZ11] charge is a test-side reference (``tests/reference/sort.py``):
+no solver runs it, and the suite checks on this cluster that it sorts in
+3 metered rounds within the word budget.
 """
 
 from __future__ import annotations

@@ -50,14 +50,6 @@ class Machine:
         """Maximum words ever resident on this machine."""
         return self._peak_words
 
-    @property
-    def overloaded(self) -> bool:
-        """Whether current residency is above the soft watermark."""
-        return (
-            self.soft_limit_words is not None
-            and self._used_words > self.soft_limit_words
-        )
-
     def store(self, key: str, value: Any, words: int, context: str = "") -> None:
         """Place ``value`` (costing ``words``) under ``key``.
 

@@ -123,41 +123,6 @@ class ClusterSpec:
             memory_factor=memory_factor,
         )
 
-    @classmethod
-    def from_alpha(
-        cls,
-        graph: Any,
-        alpha: float,
-        memory_factor: float = 8.0,
-        machines: str = "fit",
-        min_words: int = MIN_WORDS_PER_MACHINE,
-    ) -> "ClusterSpec":
-        """Derive a cluster in the paper's ``S = n^alpha`` sublinear regime.
-
-        Like :meth:`from_graph` but the per-machine budget comes from
-        :func:`paper_memory_words`, so ``alpha < 1`` yields a strictly
-        sublinear per-machine memory and the machine count grows to
-        compensate (the ``S * m = Θ(N)`` invariant).
-        """
-        n = graph.num_vertices
-        words = paper_memory_words(
-            n, alpha=alpha, memory_factor=memory_factor, min_words=min_words
-        )
-        if machines == "fit":
-            total_words = edge_words(graph.num_edges) + n
-            count = max(2, -(-total_words // words) + 1)
-        elif machines == "sqrt":
-            count = max(2, math.isqrt(max(1, n)) + 1)
-        else:
-            raise ValueError(
-                f"machines must be 'fit' or 'sqrt', got {machines!r}"
-            )
-        return cls(
-            num_machines=count,
-            words_per_machine=words,
-            memory_factor=memory_factor,
-        )
-
     def build_cluster(self, trace: Optional[Trace] = None) -> MPCCluster:
         """Instantiate the :class:`MPCCluster` this spec describes."""
         return MPCCluster(self.num_machines, self.words_per_machine, trace=trace)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -70,12 +70,6 @@ class RngStream:
     def random(self, *key: object) -> float:
         """A uniform draw in ``[0, 1)`` determined by ``key``."""
         return self.rng_for(*key).random()
-
-    def iter_uniform(self, lo: float, hi: float, *key: object) -> Iterator[float]:
-        """An infinite stream of uniform draws determined by ``key``."""
-        rng = self.rng_for(*key)
-        while True:
-            yield rng.uniform(lo, hi)
 
     # -- batched draws ------------------------------------------------------
     #

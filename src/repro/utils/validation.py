@@ -8,8 +8,6 @@ failure three layers down inside a simulation.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 def require(condition: bool, message: str) -> None:
     """Raise ``ValueError(message)`` unless ``condition`` holds."""
@@ -45,10 +43,3 @@ def require_epsilon(value: float, name: str = "epsilon") -> None:
     if not 0.0 < value < 0.5:
         raise ValueError(f"{name} must lie in (0, 0.5), got {value!r}")
 
-
-def require_type(value: Any, expected: type, name: str) -> None:
-    """Require ``isinstance(value, expected)``."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )

@@ -16,13 +16,13 @@ from repro import (
     random_bipartite_graph,
 )
 from repro.baselines.blossom import maximum_matching
-from repro.baselines.hopcroft_karp import hopcroft_karp_matching
 from repro.graph.generators import random_weighted_graph
 from repro.graph.properties import (
     is_matching,
     is_maximal_independent_set,
     is_vertex_cover,
 )
+from tests.reference.hopcroft_karp import hopcroft_karp_matching
 
 
 class TestFullPipelines:

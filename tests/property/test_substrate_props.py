@@ -12,9 +12,9 @@ from repro.graph.generators import gnm_random_graph
 from repro.graph.graph import canonical_edge
 from repro.graph.properties import is_matching
 from repro.mpc.cluster import MPCCluster
-from repro.mpc.sort import mpc_prefix_sums, mpc_sort
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.graph.properties import is_maximal_independent_set, is_maximal_matching
+from tests.reference.sort import mpc_prefix_sums, mpc_sort
 
 _SETTINGS = settings(
     max_examples=20,

@@ -1,0 +1,14 @@
+"""Test-side reference implementations.
+
+Independent oracles the suite compares the library against: the paper
+treats each as a black box or a point of comparison, and no solver path
+runs them.
+
+* :mod:`tests.reference.sort` — the [GSZ11] O(1)-round sort and prefix
+  sums behind the 3-round "standard technique" charges.
+* :mod:`tests.reference.line_graph` — Luby's line-graph reduction
+  (an MIS of ``L(G)`` is a maximal matching of ``G``).
+* :mod:`tests.reference.parallel_greedy` — the local-minima rounds of
+  randomized greedy MIS, equal to sequential greedy under one permutation.
+* :mod:`tests.reference.hopcroft_karp` — exact bipartite maximum matching.
+"""

@@ -1,7 +1,7 @@
 """Hopcroft–Karp exact maximum matching on bipartite graphs.
 
-Used as the exact baseline for approximation-ratio experiments on
-bipartite workloads (ad allocation, planted bipartite instances).  Includes
+Used as the exact reference for approximation-ratio tests on bipartite
+workloads, and as an independent check of the Blossom baseline.  Includes
 a 2-coloring pass so callers can hand in any graph that happens to be
 bipartite.
 """

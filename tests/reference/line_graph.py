@@ -17,14 +17,33 @@ that failure mode explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.mis_mpc import mis_mpc
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike
 from repro.utils.trace import Trace
 
 DEFAULT_LINE_GRAPH_EDGE_CAP = 2_000_000
+
+
+def line_graph(graph: Graph) -> Tuple[Graph, List[Edge]]:
+    """The line graph ``L(G)`` and the edge ordering defining its vertices.
+
+    Vertex ``i`` of ``L(G)`` is ``edge_order[i]``; two line-graph
+    vertices are adjacent iff the underlying edges share an endpoint.
+    """
+    edge_order = graph.edge_list()
+    index: Dict[Edge, int] = {e: i for i, e in enumerate(edge_order)}
+    lg = Graph(len(edge_order))
+    for v in graph.vertices():
+        incident = sorted(graph.neighbors_view(v))
+        for a_idx in range(len(incident)):
+            for b_idx in range(a_idx + 1, len(incident)):
+                e1 = canonical_edge(v, incident[a_idx])
+                e2 = canonical_edge(v, incident[b_idx])
+                lg.add_edge(index[e1], index[e2])
+    return lg, edge_order
 
 
 @dataclass
@@ -55,12 +74,12 @@ def maximal_matching_via_line_graph(
             f"line graph would have ~{degree_square_sum} edges "
             f"(cap {max_line_graph_edges}); use the direct matching algorithm"
         )
-    line_graph, edge_order = graph.line_graph()
-    mis_result = mis_mpc(line_graph, seed=seed, trace=trace)
+    lg, edge_order = line_graph(graph)
+    mis_result = mis_mpc(lg, seed=seed, trace=trace)
     matching = {edge_order[index] for index in mis_result.mis}
     return LineGraphMatchingResult(
         matching=matching,
         rounds=mis_result.rounds,
-        line_graph_vertices=line_graph.num_vertices,
-        line_graph_edges=line_graph.num_edges,
+        line_graph_vertices=lg.num_vertices,
+        line_graph_edges=lg.num_edges,
     )

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.concentration import coupled_run
 from repro.analysis.metrics import (
     approximation_ratio,
-    doubling_ratios,
     geometric_mean,
     loglog_slope,
     quantiles,
@@ -23,10 +22,6 @@ class TestMetrics:
         assert approximation_ratio(100, 100) == 1.0
         assert approximation_ratio(0, 10) == math.inf
         assert approximation_ratio(5, 0) == 1.0
-
-    def test_doubling_ratios(self):
-        assert doubling_ratios([1, 2, 4]) == [2.0, 2.0]
-        assert doubling_ratios([4, 4]) == [1.0]
 
     def test_loglog_slope_flat_series(self):
         sizes = [2**k for k in range(4, 10)]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.blossom import maximum_matching
-from repro.baselines.hopcroft_karp import hopcroft_karp_matching
 from repro.core.augmenting import (
     find_disjoint_augmenting_paths,
     improve_matching,
@@ -16,6 +15,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.graph.properties import is_matching
+from tests.reference.hopcroft_karp import hopcroft_karp_matching
 
 
 class TestPathFinding:

@@ -40,8 +40,8 @@ import pytest
 from repro.api import solve
 from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.luby import luby_mis
-from repro.baselines.parallel_greedy import parallel_greedy_mis
 from repro.graph.generators import gnp_random_graph
+from tests.reference.parallel_greedy import parallel_greedy_mis
 
 
 def _fingerprint(payload) -> str:

@@ -1,23 +1,26 @@
 """Unit tests for baseline algorithms: Luby, greedy, Israeli-Itai,
-filtering, Hopcroft-Karp, Blossom, and the brute-force solvers."""
+filtering, Blossom, and the brute-force solvers; Hopcroft-Karp and a
+brute-force maximum matching are the test-side references Blossom is
+checked against."""
 
 import math
+from typing import Set
 
 import pytest
 
 from repro.baselines.blossom import maximum_matching, maximum_matching_size
 from repro.baselines.exact import (
-    brute_force_maximum_matching,
     brute_force_maximum_weight_matching,
     brute_force_minimum_vertex_cover,
     exact_maximum_independent_set,
 )
 from repro.baselines.filtering import filtering_maximal_matching
 from repro.baselines.greedy import greedy_maximal_matching, greedy_mis_sequential
-from repro.baselines.hopcroft_karp import bipartition, hopcroft_karp_matching
 from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.luby import luby_mis
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
+    barabasi_albert,
     complete_graph,
     cycle_graph,
     gnp_random_graph,
@@ -25,7 +28,7 @@ from repro.graph.generators import (
     random_bipartite_graph,
     star_graph,
 )
-from repro.graph.graph import Graph
+from repro.graph.graph import Edge, Graph
 from repro.graph.properties import (
     is_matching,
     is_maximal_independent_set,
@@ -33,6 +36,39 @@ from repro.graph.properties import (
     is_vertex_cover,
 )
 from repro.graph.weighted import WeightedGraph
+from repro.ooc import load_csr, save_csr
+from tests.reference.hopcroft_karp import bipartition, hopcroft_karp_matching
+
+_MAX_BRUTE_FORCE_VERTICES = 40
+
+
+def brute_force_maximum_matching(graph: Graph) -> Set[Edge]:
+    """Maximum matching by exhaustive edge branching (tiny graphs only)."""
+    edges = graph.edge_list()
+    if len(edges) > 2 * _MAX_BRUTE_FORCE_VERTICES:
+        raise ValueError("exact matching enumeration limited to tiny graphs")
+
+    best: Set[Edge] = set()
+
+    def solve(index: int, used: Set[int], current: Set[Edge]) -> None:
+        nonlocal best
+        if index == len(edges):
+            if len(current) > len(best):
+                best = set(current)
+            return
+        u, v = edges[index]
+        if u not in used and v not in used:
+            current.add((u, v))
+            used.add(u)
+            used.add(v)
+            solve(index + 1, used, current)
+            current.remove((u, v))
+            used.discard(u)
+            used.discard(v)
+        solve(index + 1, used, current)
+
+    solve(0, set(), set())
+    return best
 
 
 class TestLuby:
@@ -85,6 +121,19 @@ class TestIsraeliItai:
     def test_star(self):
         result = israeli_itai_matching(star_graph(20), seed=3)
         assert len(result.matching) == 1
+
+
+@pytest.mark.parametrize(
+    "baseline", [luby_mis, israeli_itai_matching], ids=["luby", "israeli_itai"]
+)
+def test_output_independent_of_representation(baseline, tmp_path):
+    """A ``Graph``, its ``CSRGraph`` and its ``MMapCSRGraph`` give the same
+    seeded result (the Barabási–Albert build order is not ascending)."""
+    graph = barabasi_albert(80, 3, seed=0)
+    csr = CSRGraph.from_graph(graph)
+    mmap = load_csr(save_csr(csr, tmp_path / "graph"))
+    results = [baseline(g, seed=7) for g in (graph, csr, mmap)]
+    assert results[0] == results[1] == results[2]
 
 
 class TestFiltering:

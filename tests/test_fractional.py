@@ -40,8 +40,3 @@ class TestFractionalMatching:
     def test_heavy_vertices(self, square_fm):
         assert square_fm.heavy_vertices(0.85) == {1, 2}
         assert square_fm.heavy_vertices(0.95) == set()
-
-    def test_restricted_to(self, square_fm):
-        sub = square_fm.restricted_to({0, 1, 2})
-        assert set(sub.weights) == {(0, 1), (1, 2)}
-        assert sub.vertex_cover == {0, 2}

@@ -18,8 +18,8 @@ from repro.graph.generators import (
     random_weighted_graph,
     star_graph,
 )
-from repro.baselines.hopcroft_karp import bipartition
 from repro.graph.properties import is_matching
+from tests.reference.hopcroft_karp import bipartition
 
 
 class TestGnp:
@@ -74,6 +74,17 @@ class TestBarabasiAlbert:
         degrees = sorted(g.degrees(), reverse=True)
         # Hubs should far exceed the minimum attachment degree.
         assert degrees[0] > 5 * 2
+
+    def test_power_law_skew_exceeds_gnp(self):
+        """The generator families land in their intended regimes."""
+
+        def skew_ratio(graph):
+            degrees = graph.degrees()
+            return max(degrees) / (sum(degrees) / len(degrees))
+
+        ba = barabasi_albert(600, 3, seed=1)
+        er = gnp_random_graph(600, 6.0 / 599, seed=1)
+        assert skew_ratio(ba) > skew_ratio(er)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

