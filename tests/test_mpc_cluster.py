@@ -4,7 +4,9 @@ import pytest
 
 from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.errors import MemoryExceededError, ProtocolError
+from repro.graph.graph import Graph
 from repro.mpc.machine import Machine
+from repro.mpc.spec import MIN_WORDS_PER_MACHINE, ClusterSpec, paper_memory_words
 from repro.mpc.words import (
     WORDS_PER_EDGE,
     edge_list_words,
@@ -21,6 +23,39 @@ class TestWords:
         assert edge_words(3) == 6
         assert edge_list_words([(0, 1), (2, 3)]) == 4
         assert weighted_edge_words(2) == 6
+
+
+class TestPaperMemoryWords:
+    def test_linear_regime(self):
+        assert paper_memory_words(1000) == 8000
+
+    def test_floor(self):
+        assert paper_memory_words(3) == MIN_WORDS_PER_MACHINE
+        assert paper_memory_words(0) == MIN_WORDS_PER_MACHINE
+        assert paper_memory_words(3, min_words=1) == 24
+
+    def test_sublinear_regime(self):
+        assert paper_memory_words(10**6, alpha=0.5, memory_factor=1.0) == 1000
+
+    def test_rounds_up(self):
+        assert paper_memory_words(2, alpha=0.5, memory_factor=1.0, min_words=1) == 2
+        assert paper_memory_words(10, memory_factor=6.55, min_words=1) == 66
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            paper_memory_words(100, alpha=alpha)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0])
+    def test_nonpositive_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="memory_factor"):
+            paper_memory_words(100, memory_factor=factor)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_agrees_with_cluster_sizing(self, n):
+        """The budget the auditor checks is the one the cluster is built with."""
+        spec = ClusterSpec.from_graph(Graph(n))
+        assert paper_memory_words(n) == spec.words_per_machine
 
 
 class TestMachine:

@@ -1,101 +1,110 @@
-"""Unit tests for graph workload statistics."""
+"""Unit tests for the load governor's degree summary."""
+
+import json
+from dataclasses import fields
 
 import pytest
 
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     barabasi_albert,
     complete_graph,
     cycle_graph,
     gnp_random_graph,
+    grid_graph,
     path_graph,
     star_graph,
 )
 from repro.graph.graph import Graph
-from repro.graph.statistics import (
-    average_clustering,
-    clustering_coefficient,
-    component_size_distribution,
-    degree_histogram,
-    degree_statistics,
-    loglog_degree_bound,
-)
+from repro.graph.statistics import LoadSummary, load_summary
+from repro.ooc import load_csr, save_csr
+
+GENERATED = {
+    "gnp": lambda: gnp_random_graph(120, 0.05, seed=1),
+    "ba": lambda: barabasi_albert(150, 3, seed=2),
+    "grid": lambda: grid_graph(8, 9),
+}
 
 
-class TestDegreeStatistics:
+class TestFixedShapes:
     def test_regular_graph(self):
-        stats = degree_statistics(cycle_graph(10))
-        assert stats.minimum == stats.maximum == 2
-        assert stats.mean == 2.0
-        assert stats.variance == 0.0
-        assert stats.isolated_vertices == 0
+        summary = load_summary(cycle_graph(10))
+        assert summary.num_vertices == 10
+        assert summary.num_edges == 10
+        assert summary.mean_degree == 2.0
+        assert summary.max_degree == 2
+        assert summary.p50_degree == summary.p90_degree == summary.p99_degree == 2
+        assert summary.skew_ratio == 1.0
+        # 1 + 2 + 2 * (40 / 20): a vertex, its two neighbors, their four.
+        assert summary.estimated_ball_size == 7.0
 
     def test_star(self):
-        stats = degree_statistics(star_graph(9))
-        assert stats.maximum == 9
-        assert stats.minimum == 1
-        assert stats.median == 1
-        assert stats.skew_ratio > 4
+        summary = load_summary(star_graph(9))
+        assert summary.num_vertices == 10
+        assert summary.num_edges == 9
+        assert summary.max_degree == 9
+        assert summary.p50_degree == 1
+        assert summary.p90_degree == 9
+        assert summary.skew_ratio == pytest.approx(5.0)
 
     def test_empty(self):
-        stats = degree_statistics(Graph(0))
-        assert stats.mean == 0.0
-        assert stats.skew_ratio == 0.0
+        assert load_summary(Graph(0)) == LoadSummary(0, 0, 0.0, 0, 0, 0, 0, 0.0, 0.0)
 
-    def test_isolated_counted(self):
-        g = Graph(5, [(0, 1)])
-        assert degree_statistics(g).isolated_vertices == 3
+    def test_edgeless(self):
+        summary = load_summary(Graph(5))
+        assert summary.mean_degree == 0.0
+        assert summary.max_degree == 0
+        assert summary.skew_ratio == 0.0
+        assert summary.estimated_ball_size == 1.0
 
-    def test_power_law_skew_exceeds_gnp(self):
-        """The generator families land in their intended regimes."""
-        ba = barabasi_albert(600, 3, seed=1)
-        er = gnp_random_graph(600, 6.0 / 599, seed=1)
-        assert degree_statistics(ba).skew_ratio > degree_statistics(er).skew_ratio
+    def test_isolated_vertices_lower_the_mean(self):
+        summary = load_summary(Graph(5, [(0, 1)]))
+        assert summary.mean_degree == pytest.approx(0.4)
+        assert summary.p50_degree == 0
+        assert summary.p90_degree == 1
+        assert summary.skew_ratio == pytest.approx(2.5)
+        assert summary.estimated_ball_size == pytest.approx(1.8)
 
+    def test_ball_estimate_uses_neighbor_degree(self):
+        # Degrees 1, 2 x 8, 1: mean 1.8, E[d^2]/E[d] = 34/18.
+        summary = load_summary(path_graph(10))
+        assert summary.estimated_ball_size == pytest.approx(1 + 1.8 + 1.8 * 34 / 18)
 
-class TestHistogram:
-    def test_histogram_sums_to_n(self):
-        g = gnp_random_graph(50, 0.1, seed=2)
-        histogram = degree_histogram(g)
-        assert sum(histogram.values()) == 50
+    @pytest.mark.parametrize("graph", [star_graph(9), complete_graph(6)])
+    def test_ball_estimate_capped_at_n(self, graph):
+        summary = load_summary(graph)
+        assert summary.estimated_ball_size == float(graph.num_vertices)
 
-    def test_path_histogram(self):
-        assert degree_histogram(path_graph(4)) == {1: 2, 2: 2}
-
-
-class TestLogLogBound:
-    def test_small_degree_floor(self):
-        assert loglog_degree_bound(path_graph(3)) == 1.0
-
-    def test_monotone_in_degree(self):
-        small = loglog_degree_bound(star_graph(16))
-        large = loglog_degree_bound(star_graph(65536))
-        assert small < large
-        assert large == 4.0  # log2 log2 65536
+    def test_to_dict_is_json_ready(self):
+        summary = load_summary(star_graph(9))
+        record = summary.to_dict()
+        assert list(record) == [f.name for f in fields(LoadSummary)]
+        assert LoadSummary(**json.loads(json.dumps(record))) == summary
 
 
-class TestClustering:
-    def test_triangle(self):
-        g = complete_graph(3)
-        assert clustering_coefficient(g, 0) == 1.0
-        assert average_clustering(g) == 1.0
+@pytest.mark.parametrize("name", sorted(GENERATED))
+class TestGenerated:
+    def test_counts_match_the_graph(self, name):
+        graph = GENERATED[name]()
+        summary = load_summary(graph)
+        assert summary.num_vertices == graph.num_vertices
+        assert summary.num_edges == graph.num_edges
+        assert summary.max_degree == graph.max_degree()
+        assert summary.mean_degree == pytest.approx(
+            2 * graph.num_edges / graph.num_vertices
+        )
 
-    def test_path_has_no_triangles(self):
-        assert average_clustering(path_graph(6)) == 0.0
+    def test_percentiles_ordered(self, name):
+        summary = load_summary(GENERATED[name]())
+        assert summary.p50_degree <= summary.p90_degree <= summary.p99_degree
+        assert summary.p99_degree <= summary.max_degree
+        assert summary.mean_degree <= summary.max_degree
+        assert 1.0 <= summary.estimated_ball_size <= summary.num_vertices
 
-    def test_leaf_coefficient_zero(self):
-        assert clustering_coefficient(star_graph(5), 1) == 0.0
-
-    def test_sampled_clustering_close_to_full(self):
-        g = gnp_random_graph(200, 0.1, seed=3)
-        full = average_clustering(g)
-        sampled = average_clustering(g, sample=100, seed=4)
-        assert abs(full - sampled) < 0.1
-
-
-class TestComponents:
-    def test_distribution(self):
-        g = Graph(7, [(0, 1), (1, 2), (3, 4)])
-        assert component_size_distribution(g) == [3, 2, 1, 1]
-
-    def test_connected(self):
-        assert component_size_distribution(cycle_graph(5)) == [5]
+    @pytest.mark.parametrize("representation", ["csr", "mmap"])
+    def test_representation_independent(self, name, representation, tmp_path):
+        graph = GENERATED[name]()
+        csr = CSRGraph.from_graph(graph)
+        if representation == "mmap":
+            csr = load_csr(save_csr(csr, tmp_path / "graph"))
+        assert load_summary(csr) == load_summary(graph)
