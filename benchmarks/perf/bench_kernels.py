@@ -72,7 +72,6 @@ def kernel_cases(
     n = graph.num_vertices
     mask, subset = _half_mask(n)
     centers = _centers(n)
-    deg_cap = 25
 
     def set_degrees():
         return graph.degrees()
@@ -85,18 +84,13 @@ def kernel_cases(
             for v in range(n)
         ]
 
-    def set_sample():
-        rng = random.Random(GRAPH_SEED)
-        return [v for v in range(n) if rng.random() < 0.3]
-
-    def set_induced_subgraph():
-        index = {v: i for i, v in enumerate(sorted(subset))}
-        return Graph(
-            len(index), [(index[u], index[v]) for u, v in graph.induced_edges(subset)]
-        )
-
     def set_induced_edges():
-        return graph.induced_edges(subset)
+        return [
+            (v, u)
+            for v in subset
+            for u in graph.neighbors_view(v)
+            if u > v and u in subset
+        ]
 
     def set_remove_closed():
         removed = set()
@@ -127,22 +121,9 @@ def kernel_cases(
             if u > v and u in subset
         )
 
-    def set_threshold_filter():
-        return [v for v in range(n) if graph.degree(v) <= deg_cap]
-
     return [
         ("degrees", set_degrees, lambda: csr.degrees()),
         ("residual_degrees", set_residual_degrees, lambda: csr.degrees(mask)),
-        (
-            "sample_vertices",
-            set_sample,
-            lambda: csr.sample_vertices(0.3, GRAPH_SEED),
-        ),
-        (
-            "induced_subgraph",
-            set_induced_subgraph,
-            lambda: csr.induced_subgraph(mask),
-        ),
         ("induced_edges", set_induced_edges, lambda: csr.induced_edges(mask)),
         (
             "remove_closed_neighborhoods",
@@ -155,11 +136,6 @@ def kernel_cases(
             lambda: csr.remove_closed_neighborhoods(small_centers),
         ),
         ("count_edges_within", set_count_within, lambda: csr.count_edges_within(mask)),
-        (
-            "threshold_filter",
-            set_threshold_filter,
-            lambda: csr.threshold_filter(deg_cap),
-        ),
     ]
 
 

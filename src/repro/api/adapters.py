@@ -31,7 +31,6 @@ from repro.graph.csr import as_graph, canonical_graph
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.utils.rng import SeedLike
-from repro.utils.trace import Trace
 
 # ``rounds_constant`` values below are the empirical hidden constants of
 # each implementation's O(.) round bound, calibrated with ~3-4x headroom
@@ -61,7 +60,6 @@ def _mis_mpc(
     *,
     config: Optional[MISConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> SolverOutput:
@@ -69,7 +67,6 @@ def _mis_mpc(
         graph,
         seed=seed,
         config=config,
-        trace=trace,
         executor=executor,
         governor=governor,
     )
@@ -101,9 +98,8 @@ def _mis_congested_clique(
     *,
     config: Optional[MISConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = congested_clique_mis(graph, seed=seed, config=config, trace=trace)
+    result = congested_clique_mis(graph, seed=seed, config=config)
     return SolverOutput(
         solution=result.mis,
         rounds=result.rounds,
@@ -130,7 +126,6 @@ def _mis_pregel(
     *,
     config: Any = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     result = luby_vertex_program(graph, seed=seed)
     return SolverOutput(
@@ -153,9 +148,8 @@ def _mis_greedy(
     *,
     config: Any = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    return SolverOutput(solution=greedy_mis_sequential(as_graph(graph), seed=seed))
+    return SolverOutput(solution=greedy_mis_sequential(graph, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +173,6 @@ def _fractional_mpc(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> SolverOutput:
@@ -187,7 +180,6 @@ def _fractional_mpc(
         graph,
         config=config,
         seed=seed,
-        trace=trace,
         executor=executor,
         governor=governor,
     )
@@ -224,11 +216,8 @@ def _fractional_congested_clique(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
-    result = congested_clique_fractional_matching(
-        graph, config=config, seed=seed, trace=trace
-    )
+    result = congested_clique_fractional_matching(graph, config=config, seed=seed)
     return SolverOutput(
         solution=result.matching.weights,
         rounds=result.rounds,
@@ -253,7 +242,6 @@ def _fractional_central(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = central_fractional_matching(
@@ -261,7 +249,6 @@ def _fractional_central(
         epsilon=config.epsilon,
         randomized_thresholds=True,
         seed=seed,
-        trace=trace,
     )
     return SolverOutput(
         solution=result.matching.weights,
@@ -293,7 +280,6 @@ def _matching_mpc(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> SolverOutput:
@@ -301,7 +287,6 @@ def _matching_mpc(
         graph,
         config=config,
         seed=seed,
-        trace=trace,
         executor=executor,
         governor=governor,
     )
@@ -331,7 +316,6 @@ def _matching_pregel(
     *,
     config: Any = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     result = matching_vertex_program(graph, seed=seed)
     return SolverOutput(
@@ -354,7 +338,6 @@ def _matching_greedy(
     *,
     config: Any = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(solution=greedy_maximal_matching(graph, seed=seed))
 
@@ -370,7 +353,6 @@ def _matching_central(
     *,
     config: Any = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(
         solution=blossom_maximum_matching(canonical_graph(graph)),
@@ -399,7 +381,6 @@ def _cover_mpc(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> SolverOutput:
@@ -407,7 +388,6 @@ def _cover_mpc(
         graph,
         config=config,
         seed=seed,
-        trace=trace,
         executor=executor,
         governor=governor,
     )
@@ -432,7 +412,6 @@ def _cover_central(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = central_fractional_matching(
@@ -440,7 +419,6 @@ def _cover_central(
         epsilon=config.epsilon,
         randomized_thresholds=True,
         seed=seed,
-        trace=trace,
     )
     return SolverOutput(
         solution=result.vertex_cover,
@@ -462,10 +440,9 @@ def _cover_greedy(
     *,
     config: Any = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     matching = greedy_maximal_matching(graph, seed=seed)
-    return SolverOutput(solution=cover_from_maximal_matching(graph, matching))
+    return SolverOutput(solution=cover_from_maximal_matching(matching))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +466,6 @@ def _one_plus_eps_mpc(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> SolverOutput:
@@ -499,7 +475,6 @@ def _one_plus_eps_mpc(
         epsilon=config.epsilon,
         config=config,
         seed=seed,
-        trace=trace,
         executor=executor,
         governor=governor,
     )
@@ -528,7 +503,6 @@ def _one_plus_eps_greedy(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     config = config or MatchingConfig()
     start = greedy_maximal_matching(graph, seed=seed)
@@ -538,7 +512,6 @@ def _one_plus_eps_greedy(
         start,
         max_path_length=2 * k - 1,
         seed=seed,
-        trace=trace,
     )
     return SolverOutput(
         solution=improved.matching,
@@ -562,7 +535,6 @@ def _one_plus_eps_central(
     *,
     config: Any = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     return SolverOutput(
         solution=blossom_maximum_matching(canonical_graph(graph)),
@@ -592,7 +564,6 @@ def _weighted_mpc(
     *,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> SolverOutput:
@@ -601,7 +572,6 @@ def _weighted_mpc(
         graph,
         epsilon=config.epsilon,
         seed=seed,
-        trace=trace,
         memory_factor=config.memory_factor,
         executor=executor,
         governor=governor,
@@ -628,7 +598,6 @@ def _weighted_greedy(
     *,
     config: Any = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> SolverOutput:
     edges = sorted(graph.edges(), key=lambda uvw: (-uvw[2], uvw[0], uvw[1]))
     matched: set = set()

@@ -27,7 +27,6 @@ from repro.api.report import RunReport, canonical_solution
 from repro.graph.csr import CSRGraph, as_csr, canonical_graph
 from repro.graph.graph import Graph
 from repro.graph.weighted import WeightedGraph
-from repro.utils.trace import Trace
 
 GraphLike = Union[Graph, WeightedGraph, CSRGraph]
 
@@ -53,7 +52,6 @@ def solve(
     seed: Optional[int] = None,
     budget: Optional[float] = None,
     verify: Any = False,
-    trace: Optional[Trace] = None,
     executor: Any = None,
     workers: Optional[int] = None,
     fault_policy: Any = None,
@@ -97,8 +95,6 @@ def solve(
         checks, oracle ratios on small inputs, round/memory budget
         audits) lands in ``report.verification`` and travels through
         ``to_json``/``from_json`` like every other field.
-    trace:
-        Optional :class:`Trace` receiving the backend's instrumentation.
     executor:
         Where the MPC solvers' machine phases run: ``None`` (default,
         one in-process worker; no ``extras["executor"]`` record),
@@ -199,7 +195,6 @@ def solve(
                 prepared,
                 config=resolved_config,
                 seed=seed,
-                trace=trace,
                 **solver_kwargs,
             )
         except (GovernanceDegraded, MemoryExceededError) as failure:
@@ -226,10 +221,7 @@ def solve(
                 None,
             )
             output = degraded_entry.fn(
-                prepared,
-                config=fallback_config,
-                seed=seed,
-                trace=trace,
+                prepared, config=fallback_config, seed=seed
             )
         elapsed = time.perf_counter() - started
     finally:

@@ -5,11 +5,12 @@ model or algorithm family ("mpc", "congested_clique", "pregel", "central",
 "greedy").  Adapters registered here wrap the library's existing entry
 points into one calling convention::
 
-    adapter(graph, *, config, seed, trace) -> SolverOutput
+    adapter(graph, *, config, seed) -> SolverOutput
 
-so the façade can dispatch any pair uniformly, and a later PR adds a
-backend (sharded, cached, remote) by registering new adapters — no caller
-changes.  :data:`repro.api.registry` is the global instance populated by
+(the MPC-substrate adapters also take ``executor`` and ``governor``), so
+the façade can dispatch any pair uniformly, and a new backend (sharded,
+cached, remote) is added by registering adapters — no caller changes.
+:data:`repro.api.registry` is the global instance populated by
 :mod:`repro.api.adapters`.
 """
 

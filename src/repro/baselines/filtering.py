@@ -12,13 +12,12 @@ the input graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.baselines.greedy import greedy_maximal_matching
 from repro.graph.graph import Edge, Graph
 from repro.mpc.words import WORDS_PER_EDGE
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 
 
 @dataclass
@@ -34,7 +33,6 @@ def filtering_maximal_matching(
     graph: Graph,
     words_per_machine: int,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     max_rounds: int = 10_000,
 ) -> FilteringResult:
     """Compute a maximal matching with memory-bounded filtering rounds."""
@@ -65,12 +63,6 @@ def filtering_maximal_matching(
             residual.isolate(u)
             residual.isolate(v)
         residual_trajectory.append(residual.num_edges)
-        maybe_record(
-            trace,
-            "filtering_round",
-            round=rounds,
-            residual_edges=residual.num_edges,
-        )
 
     # Final round: the residual fits on one machine; finish exactly.
     if residual.num_edges > 0:

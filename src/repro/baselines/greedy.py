@@ -2,25 +2,36 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set, Union
 
+import numpy as np
+
+from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike, make_rng
 
 
-def greedy_mis_sequential(graph: Graph, seed: SeedLike = None) -> Set[int]:
-    """Greedy MIS over a random vertex order (one-liner reference)."""
+def greedy_mis_sequential(
+    graph: Union[Graph, CSRGraph], seed: SeedLike = None
+) -> Set[int]:
+    """Greedy MIS over a random vertex order (one-liner reference).
+
+    Walks the CSR rows, so CSR and memory-mapped inputs are never
+    converted to a set graph.
+    """
     rng = make_rng(seed)
-    order = list(graph.vertices())
+    csr = as_csr(graph)
+    order = list(range(csr.num_vertices))
     rng.shuffle(order)
+    indptr = csr.indptr.tolist()
+    indices = csr.indices
+    blocked = np.zeros(csr.num_vertices, dtype=bool)
     mis: Set[int] = set()
-    blocked: Set[int] = set()
     for v in order:
-        if v in blocked:
+        if blocked[v]:
             continue
         mis.add(v)
-        blocked.add(v)
-        blocked.update(graph.neighbors_view(v))
+        blocked[indices[indptr[v] : indptr[v + 1]]] = True
     return mis
 
 

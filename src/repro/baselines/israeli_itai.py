@@ -27,7 +27,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 
 
 @dataclass
@@ -41,7 +40,6 @@ class IsraeliItaiResult:
 def israeli_itai_matching(
     graph: Union[Graph, CSRGraph],
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     max_rounds: Optional[int] = None,
 ) -> IsraeliItaiResult:
     """Run the Israeli–Itai process to a maximal matching."""
@@ -104,10 +102,4 @@ def israeli_itai_matching(
             live[winner_u] = False
             live[winner_v] = False
         live_slots &= live[src] & live[dst]
-        maybe_record(
-            trace,
-            "israeli_itai_round",
-            round=rounds,
-            live_edges=int(np.count_nonzero(live_slots)) // 2,
-        )
     return IsraeliItaiResult(matching=matching, rounds=rounds)

@@ -24,7 +24,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 
 
 @dataclass
@@ -38,7 +37,6 @@ class LubyResult:
 def luby_mis(
     graph: Union[Graph, CSRGraph],
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     max_rounds: Optional[int] = None,
 ) -> LubyResult:
     """Run Luby's algorithm to completion, one round per step."""
@@ -80,5 +78,4 @@ def luby_mis(
         removed_mask &= active_mask
         active.difference_update(np.flatnonzero(removed_mask).tolist())
         active_mask &= ~removed_mask
-        maybe_record(trace, "luby_baseline_round", round=rounds, active=len(active))
     return LubyResult(mis=mis, rounds=rounds)

@@ -34,7 +34,6 @@ from repro.core.fractional import FractionalMatching
 from repro.core.matching_mpc import mpc_fractional_matching
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike
-from repro.utils.trace import Trace
 
 
 @dataclass
@@ -62,12 +61,11 @@ def congested_clique_fractional_matching(
     graph: Graph,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> CCMatchingResult:
     """Run the Lemma 4.2 algorithm with CONGESTED-CLIQUE accounting."""
     config = config or MatchingConfig()
     n = graph.num_vertices
-    mpc = mpc_fractional_matching(graph, config=config, seed=seed, trace=trace)
+    mpc = mpc_fractional_matching(graph, config=config, seed=seed)
     if n == 0:
         return CCMatchingResult(
             matching=mpc.matching,
@@ -77,7 +75,7 @@ def congested_clique_fractional_matching(
             heavy_removed=mpc.heavy_removed,
         )
 
-    clique = CongestedClique(n, trace=trace)
+    clique = CongestedClique(n)
     clique.broadcast_round(context="matching: setup broadcast")
     for phase_edges in mpc.machine_edges_per_phase:
         # Leaders gather their group subgraphs: Lemma 4.7 bounds each

@@ -40,7 +40,6 @@ from repro.core.sparsified_mis import sparsified_mis
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 
 
 @dataclass
@@ -59,7 +58,6 @@ def congested_clique_mis(
     graph: Union[Graph, CSRGraph],
     seed: SeedLike = None,
     config: Optional[MISConfig] = None,
-    trace: Optional[Trace] = None,
 ) -> CCMISResult:
     """Compute an MIS of ``graph`` on a simulated CONGESTED-CLIQUE network."""
     from repro.core.mis_mpc import draw_ranks, rank_schedule  # avoids a cycle
@@ -75,7 +73,7 @@ def congested_clique_mis(
             max_routed_messages=0,
         )
 
-    clique = CongestedClique(n, trace=trace)
+    clique = CongestedClique(n)
     csr = as_csr(graph)
     cutoffs = rank_schedule(n, csr.max_degree(), config)
 
@@ -140,20 +138,12 @@ def congested_clique_mis(
         decided[chosen_neighbors] = True
         decided |= window
         previous_cutoff = cutoff
-        maybe_record(
-            trace,
-            "cc_mis_phase",
-            phase=phase_index,
-            routed=len(senders),
-            mis_size=int(np.count_nonzero(in_mis)),
-        )
 
     finish = sparsified_mis(
         csr.filter_edges(alive) if cutoffs else csr,
         active=~decided,
         seed=rng.getrandbits(64),
         rounds_factor=config.luby_rounds_factor,
-        trace=trace,
         strategy=config.sparse_strategy,
     )
     # Charge the finish's compressed schedule to the clique: ball doubling,

@@ -9,12 +9,11 @@ The model tracks rounds and validates the per-pair bandwidth constraint.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from repro.mpc.errors import ProtocolError
-from repro.utils.trace import Trace, maybe_record
 
 # One CONGESTED-CLIQUE message carries O(log n) bits — enough for a constant
 # number of vertex ids.  We fix that constant here.
@@ -24,12 +23,11 @@ IDS_PER_MESSAGE = 2
 class CongestedClique:
     """A clique network of ``n`` players with per-round bandwidth accounting."""
 
-    def __init__(self, num_players: int, trace: Optional[Trace] = None) -> None:
+    def __init__(self, num_players: int) -> None:
         if num_players <= 0:
             raise ValueError(f"num_players must be positive, got {num_players}")
         self._n = num_players
         self._rounds = 0
-        self._trace = trace
 
     @property
     def num_players(self) -> int:
@@ -46,11 +44,14 @@ class CongestedClique:
             raise ProtocolError(f"player {player} out of range [0, {self._n})")
 
     def charge_rounds(self, count: int, reason: str) -> None:
-        """Consume ``count`` rounds for a cited constant-round primitive."""
+        """Consume ``count`` rounds — the only place the counter moves.
+
+        Callers charge the cited constant-round primitives; every round
+        method below charges its one round here too.
+        """
         if count < 0:
             raise ValueError(f"round count must be >= 0, got {count}")
         self._rounds += count
-        maybe_record(self._trace, "cc_rounds", count=count, reason=reason)
 
     def round_of_messages(
         self,
@@ -74,8 +75,7 @@ class CongestedClique:
                     f"pair {key} exceeds per-round bandwidth "
                     f"({pair_load[key]} ids > {IDS_PER_MESSAGE}) during {context}"
                 )
-        self._rounds += 1
-        maybe_record(self._trace, "cc_rounds", count=1, reason=context)
+        self.charge_rounds(1, context)
 
     def round_of_messages_array(
         self,
@@ -113,8 +113,7 @@ class CongestedClique:
                     f"pair {pair} exceeds per-round bandwidth "
                     f"({int(load[which])} ids > {IDS_PER_MESSAGE}) during {context}"
                 )
-        self._rounds += 1
-        maybe_record(self._trace, "cc_rounds", count=1, reason=context)
+        self.charge_rounds(1, context)
 
     def broadcast_round(self, context: str = "broadcast") -> None:
         """One round in which some players send the same id(s) to everyone.
@@ -122,8 +121,7 @@ class CongestedClique:
         A broadcast of one message per player per round is trivially within
         the clique's bandwidth (each ordered pair carries one message).
         """
-        self._rounds += 1
-        maybe_record(self._trace, "cc_rounds", count=1, reason=context)
+        self.charge_rounds(1, context)
 
     def __repr__(self) -> str:
         return f"CongestedClique(n={self._n}, rounds={self._rounds})"

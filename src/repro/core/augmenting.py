@@ -25,7 +25,6 @@ from repro.core.integral import mpc_maximum_matching
 from repro.graph.csr import CSRGraph, canonical_graph
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 from repro.utils.validation import require_epsilon
 
 
@@ -47,7 +46,6 @@ def one_plus_eps_matching(
     epsilon: float = 0.2,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> AugmentingResult:
@@ -65,7 +63,6 @@ def one_plus_eps_matching(
         graph,
         config=config,
         seed=seed,
-        trace=trace,
         executor=executor,
         governor=governor,
     )
@@ -77,7 +74,7 @@ def one_plus_eps_matching(
     # The path search walks set-based adjacency in iteration order, so it
     # reads the canonical form of every representation.
     improved = improve_matching(
-        canonical_graph(graph), matching, max_length, seed=seed, trace=trace
+        canonical_graph(graph), matching, max_length, seed=seed
     )
     return AugmentingResult(
         matching=improved.matching,
@@ -105,7 +102,6 @@ def improve_matching(
     matching: Set[Edge],
     max_path_length: int,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
 ) -> ImprovementOutcome:
     """Eliminate augmenting paths of length ``<= max_path_length``.
 
@@ -129,9 +125,6 @@ def improve_matching(
         for path in paths:
             _apply_augmentation(current, path)
         total_augmentations += len(paths)
-        maybe_record(
-            trace, "augment_sweep", sweep=sweeps, paths=len(paths), size=len(current)
-        )
     return ImprovementOutcome(
         matching=current,
         rounds=rounds,

@@ -31,7 +31,6 @@ from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle, fixed_oracle
 from repro.graph.graph import Edge, Graph
 from repro.utils.rng import SeedLike
-from repro.utils.trace import Trace, maybe_record
 from repro.utils.validation import require, require_epsilon
 
 # Freeze iteration sentinel for "never froze during the run" (all edges are
@@ -75,7 +74,6 @@ def central_fractional_matching(
     randomized_thresholds: bool = False,
     seed: SeedLike = None,
     initial_weight: Optional[float] = None,
-    trace: Optional[Trace] = None,
     max_iterations: Optional[int] = None,
 ) -> CentralResult:
     """Run Central (or Central-Rand) to completion on ``graph``.
@@ -119,7 +117,6 @@ def central_fractional_matching(
         oracle=oracle,
         initial_weight=x0,
         max_iterations=max_iterations,
-        trace=trace,
     )
     return outcome
 
@@ -130,7 +127,6 @@ def run_freezing_process(
     oracle: ThresholdOracle,
     initial_weight: float,
     max_iterations: int,
-    trace: Optional[Trace] = None,
 ) -> CentralResult:
     """The shared freezing loop behind Central and Central-Rand.
 
@@ -193,13 +189,6 @@ def run_freezing_process(
                 active.discard(v)
         weight_t *= growth
         iteration += 1
-        maybe_record(
-            trace,
-            "central_iteration",
-            iteration=iteration,
-            frozen_vertices=len(frozen),
-            active_vertices=len(active),
-        )
 
     weights = edge_weights_from_freezes(
         graph, frozen, initial_weight, epsilon, final_iteration=iteration

@@ -50,7 +50,6 @@ from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph
 from repro.mpc.spec import ClusterSpec
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 
 
 @dataclass
@@ -85,7 +84,6 @@ def mpc_maximum_matching(
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
     max_passes: Optional[int] = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> IntegralMatchingResult:
@@ -122,12 +120,11 @@ def mpc_maximum_matching(
     per_pass: List[int] = []
     empty_streak = 0
 
-    for pass_index in range(max_passes):
+    for _ in range(max_passes):
         fractional, inside, x = fractional_matching_arrays(
             residual,
             config=config,
             seed=rng.getrandbits(64),
-            trace=trace,
             executor=executor,
             governor=governor,
         )
@@ -155,13 +152,6 @@ def mpc_maximum_matching(
         ).matching
         rounds += 1  # rounding is a single local-decision MPC round
         per_pass.append(len(extracted))
-        maybe_record(
-            trace,
-            "integral_pass",
-            pass_index=pass_index,
-            extracted=len(extracted),
-            fractional_weight=weight,
-        )
         if not extracted:
             empty_streak += 1
             if empty_streak >= 2:

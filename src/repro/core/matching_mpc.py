@@ -79,7 +79,6 @@ from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import edge_words, id_words
 from repro.utils import counter_rng
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 
 # Cap on the phase count, far above the O(log log n) bound; converts a
 # schedule bug into an exception instead of a hang.
@@ -163,7 +162,6 @@ def mpc_fractional_matching(
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
     oracle: Optional[ThresholdOracle] = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> MatchingMPCResult:
@@ -199,7 +197,6 @@ def mpc_fractional_matching(
         config=config,
         seed=seed,
         oracle=oracle,
-        trace=trace,
         executor=executor,
         governor=governor,
     )
@@ -218,7 +215,6 @@ def fractional_matching_arrays(
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
     oracle: Optional[ThresholdOracle] = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> Tuple[MatchingMPCResult, np.ndarray, np.ndarray]:
@@ -249,7 +245,7 @@ def fractional_matching_arrays(
     w0 = (1.0 - 2.0 * epsilon) / n
 
     spec = ClusterSpec.from_graph(csr, config.memory_factor, machines="sqrt")
-    cluster = spec.build_cluster(trace=trace)
+    cluster = spec.build_cluster()
     if governor is not None:
         governor.bind(cluster)
 
@@ -441,17 +437,6 @@ def fractional_matching_arrays(
         )
         freeze_at[newly_frozen] = t
         freeze_iteration.update(dict.fromkeys(newly_frozen.tolist(), t))
-        maybe_record(
-            trace,
-            "matching_phase",
-            phase=phases,
-            iterations=iterations,
-            degree_bound=d,
-            machines=num_machines,
-            max_machine_edges=max(local_edge_counts, default=0),
-            frozen=len(freeze_iteration),
-            heavy_removed=len(heavy_removed),
-        )
 
     # Line (4): direct simulation of the remaining Central-Rand iterations.
     t_before_direct = t

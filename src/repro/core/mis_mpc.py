@@ -49,7 +49,6 @@ from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import id_words
 from repro.utils import counter_rng
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 
 
 @dataclass
@@ -127,7 +126,6 @@ def mis_mpc(
     graph: Union[Graph, CSRGraph],
     seed: SeedLike = None,
     config: Optional[MISConfig] = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> MISResult:
@@ -166,7 +164,7 @@ def mis_mpc(
         )
 
     spec = ClusterSpec.from_graph(graph, config.memory_factor, machines="fit")
-    cluster = spec.build_cluster(trace=trace)
+    cluster = spec.build_cluster()
     csr = as_csr(graph)
     if governor is not None:
         governor.bind(cluster)
@@ -244,18 +242,6 @@ def mis_mpc(
             # Vertices of the prefix that were dominated are also decided.
             decided |= window
             previous_cutoff = cutoff
-            residual_degrees = csr.degrees(alive)
-            maybe_record(
-                trace,
-                "mis_prefix_phase",
-                phase=phase_index,
-                cutoff=cutoff,
-                shipped_edges=shipped,
-                residual_max_degree=int(residual_degrees[alive].max())
-                if alive.any()
-                else 0,
-                mis_size=int(np.count_nonzero(in_mis)),
-            )
     finally:
         if session_key is not None:
             executor.close_session(session_key)
@@ -269,7 +255,6 @@ def mis_mpc(
         seed=rng.getrandbits(64),
         cluster=cluster,
         rounds_factor=config.luby_rounds_factor,
-        trace=trace,
         strategy=config.sparse_strategy,
         governor=governor,
     )

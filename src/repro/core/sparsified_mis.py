@@ -57,7 +57,6 @@ from repro.mpc.cluster import MPCCluster
 from repro.mpc.words import edge_words
 from repro.utils import counter_rng
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 
 STRATEGIES = ("luby", "ghaffari")
 
@@ -135,7 +134,6 @@ def sparsified_mis(
     seed: SeedLike = None,
     cluster: Optional[MPCCluster] = None,
     rounds_factor: float = 2.0,
-    trace: Optional[Trace] = None,
     strategy: str = "luby",
     governor=None,
 ) -> SparsifiedMISOutcome:
@@ -179,7 +177,7 @@ def sparsified_mis(
         cluster.charge_rounds(rounds_charged, "sparsified-mis: ball gathering")
 
     winners_of = luby_winners if strategy == "luby" else GhaffariDesires(n).winners
-    slots = _ResidualSlots(csr, trace)
+    slots = _ResidualSlots(csr)
     mis_mask = np.zeros(n, dtype=bool)
     draw = np.zeros(n, dtype=np.float64)
     simulated = 0
@@ -218,13 +216,6 @@ def sparsified_mis(
         if not mis_mask[indices[indptr[v] : indptr[v + 1]]].any():
             mis_mask[v] = True
 
-    maybe_record(
-        trace,
-        "sparsified_mis",
-        luby_rounds=simulated,
-        rounds_charged=rounds_charged,
-        leftover_edges=leftover_count,
-    )
     return SparsifiedMISOutcome(
         mis=np.flatnonzero(mis_mask),
         rounds_charged=rounds_charged,
@@ -313,9 +304,8 @@ class _ResidualSlots:
     order either way, so both modes yield the same per-vertex sequences.
     """
 
-    def __init__(self, csr: CSRGraph, trace: Optional[Trace]) -> None:
+    def __init__(self, csr: CSRGraph) -> None:
         self._csr = csr
-        self._trace = trace
         self._src: Optional[np.ndarray] = None
         self._dst: Optional[np.ndarray] = None
 
@@ -344,7 +334,6 @@ class _ResidualSlots:
             empty = np.empty(0, dtype=np.int64)
             self._src = np.concatenate([s for s, _ in parts] or [empty])
             self._dst = np.concatenate([t for _, t in parts] or [empty])
-            maybe_record(self._trace, "sparsified_compacted", slots=len(self._src))
 
     def remove_closed_neighborhoods(
         self, winners: np.ndarray, active: np.ndarray

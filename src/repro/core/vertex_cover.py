@@ -17,7 +17,6 @@ from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import mpc_fractional_matching
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike
-from repro.utils.trace import Trace
 
 
 @dataclass
@@ -40,7 +39,6 @@ def mpc_vertex_cover(
     graph: Graph,
     config: Optional[MatchingConfig] = None,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     executor=None,
     governor=None,
 ) -> VertexCoverResult:
@@ -50,7 +48,6 @@ def mpc_vertex_cover(
         graph,
         config=config,
         seed=seed,
-        trace=trace,
         executor=executor,
         governor=governor,
     )
@@ -63,11 +60,9 @@ def mpc_vertex_cover(
     )
 
 
-def cover_from_maximal_matching(graph: Graph, matching: Set) -> Set[int]:
-    """The classic 2-approximate cover: endpoints of a maximal matching.
-
-    Used as a baseline and by the small-matching path of Section 4.4.5.
-    """
+def cover_from_maximal_matching(matching: Set) -> Set[int]:
+    """The classic 2-approximate cover: endpoints of a maximal matching
+    (the ``vertex_cover/greedy`` baseline)."""
     cover: Set[int] = set()
     for u, v in matching:
         cover.add(u)

@@ -25,7 +25,6 @@ from repro.graph.weighted import WeightedGraph
 from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import edge_words
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.trace import Trace, maybe_record
 from repro.utils.validation import require_epsilon
 
 
@@ -117,7 +116,6 @@ def mpc_weighted_matching(
     graph: WeightedGraph,
     epsilon: float = 0.1,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     memory_factor: int = 8,
     executor=None,
     governor=None,
@@ -182,13 +180,6 @@ def mpc_weighted_matching(
             matching.add(canonical_edge(u, v))
             matched.add(u)
             matched.add(v)
-        maybe_record(
-            trace,
-            "weight_class",
-            class_index=class_index,
-            class_edges=len(edges),
-            matched_here=len(class_matching),
-        )
 
     return WeightedMatchingResult(
         matching=matching,

@@ -411,7 +411,7 @@ class SupervisedTransport(Transport):
 
     The journal only records *stateful* phases (see
     :func:`repro.dist.kernels.is_stateful`): stateless phases leave no
-    worker-resident trace, so replaying them would be pure waste.
+    worker-resident state, so replaying them would be pure waste.
     """
 
     def __init__(

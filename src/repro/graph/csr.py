@@ -46,9 +46,6 @@ import numpy as np
 
 from repro.graph.graph import Edge, Graph
 
-# Sentinel "never frozen / no vertex" value for int64 bookkeeping arrays.
-NO_VERTEX = np.iinfo(np.int64).max
-
 # Below this many gathered rows, a per-row slice concatenation beats the
 # ragged-gather index arithmetic (see ``neighbors_bulk``); the crossover is
 # pinned by the ``remove_closed_neighborhoods_small`` kernel benchmark.
@@ -299,20 +296,6 @@ class CSRGraph:
             return 0
         return int(self.degrees(mask).max())
 
-    def sample_vertices(self, p: float, rng) -> np.ndarray:
-        """I.i.d. vertex sample: each vertex kept with probability ``p``.
-
-        ``rng`` is a ``numpy.random.Generator`` or a seed accepted by
-        ``numpy.random.default_rng``.  Returns the sampled vertex ids,
-        ascending.  This is the vertex-based sampling step of the
-        [CŁM+18]-style partitioning (Line (d) of MPC-Simulation).
-        """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        return np.flatnonzero(rng.random(self._n) < p)
-
     def count_edges_within(self, mask: MaskLike) -> int:
         """Number of edges with *both* endpoints inside ``mask``."""
         selected = self._as_mask(mask)
@@ -329,24 +312,6 @@ class CSRGraph:
         if selected is not None:
             forward &= selected[src] & selected[self._indices]
         return np.column_stack((src[forward], self._indices[forward]))
-
-    def induced_subgraph(self, mask: MaskLike) -> Tuple["CSRGraph", np.ndarray]:
-        """``G[mask]`` relabelled onto ``0..k-1``; returns ``(sub, vertices)``.
-
-        ``vertices[i]`` is the original label of new vertex ``i`` (the
-        ``i``-th smallest selected vertex).
-        """
-        selected = self._as_mask(mask)
-        if selected is None:
-            selected = np.ones(self._n, dtype=bool)
-        keep = np.flatnonzero(selected)
-        new_id = np.full(self._n, NO_VERTEX, dtype=np.int64)
-        new_id[keep] = np.arange(len(keep), dtype=np.int64)
-        inside = selected[self.src] & selected[self._indices]
-        sub = CSRGraph._from_directed(
-            len(keep), new_id[self.src[inside]], new_id[self._indices[inside]]
-        )
-        return sub, keep
 
     def filter_edges(self, mask: MaskLike) -> "CSRGraph":
         """Same vertex set, keeping only edges with both endpoints in ``mask``.
@@ -404,19 +369,6 @@ class CSRGraph:
         free.
         """
         yield self.src, self._indices
-
-    def threshold_filter(self, deg_cap: int, mask: MaskLike = None) -> np.ndarray:
-        """Boolean mask of vertices whose (residual) degree is ``<= deg_cap``.
-
-        With ``mask``, degrees are counted within the mask and vertices
-        outside it are excluded from the result — the "keep the low-degree
-        regime" filter of the sparsified finish.
-        """
-        selected = self._as_mask(mask)
-        keep = self.degrees(selected) <= deg_cap
-        if selected is not None:
-            keep &= selected
-        return keep
 
     # -- dunder --------------------------------------------------------------
 

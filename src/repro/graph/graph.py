@@ -161,16 +161,6 @@ class Graph:
 
     # -- structural operations ---------------------------------------------
 
-    def induced_edges(self, vertex_subset: Iterable[int]) -> List[Edge]:
-        """Edges of ``G[V']`` with original labels."""
-        subset = set(vertex_subset)
-        result: List[Edge] = []
-        for v in subset:
-            for u in self._adj[v]:
-                if u > v and u in subset:
-                    result.append((v, u))
-        return result
-
     def remove_closed_neighborhood(self, v: int) -> Set[int]:
         """Delete ``v`` and all its neighbors; return the deleted set.
 

@@ -8,8 +8,11 @@ Section 1.1.1 of the paper), delivers, and advances the round counter.
 
 Algorithms that use *standard techniques* the paper cites as O(1)-round
 black boxes (sorted load balancing of [GSZ11], aggregation trees) call
-:meth:`charge_rounds` with a reason string; the trace of charges is
-auditable in tests and experiments.  The 3-round sample sort that backs
+:meth:`charge_rounds` with a reason string.  Every primitive that spends
+a round (:meth:`exchange`, :meth:`ship_to_machine`, :meth:`broadcast`)
+goes through :meth:`charge_rounds` too, so it is the one choke point where
+the round counter moves: a test that wraps it sees every ``(count,
+reason)`` charge of a run.  The 3-round sample sort that backs
 the [GSZ11] charge is a test-side reference (``tests/reference/sort.py``):
 no solver runs it, and the suite checks on this cluster that it sorts in
 3 metered rounds within the word budget.
@@ -18,11 +21,10 @@ no solver runs it, and the suite checks on this cluster that it sorts in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.mpc.errors import MemoryExceededError, ProtocolError
 from repro.mpc.machine import Machine
-from repro.utils.trace import Trace, maybe_record
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,9 @@ class MPCCluster:
     words_per_machine:
         Memory budget ``S`` in words.  For the paper's regime this is
         ``Θ(n)``; callers size it as ``memory_factor * n``.
-    trace:
-        Optional :class:`Trace` receiving one event per round charged.
     """
 
-    def __init__(
-        self,
-        num_machines: int,
-        words_per_machine: int,
-        trace: Optional[Trace] = None,
-    ) -> None:
+    def __init__(self, num_machines: int, words_per_machine: int) -> None:
         if num_machines <= 0:
             raise ValueError(f"num_machines must be positive, got {num_machines}")
         self._machines = [
@@ -64,7 +59,6 @@ class MPCCluster:
         self._rounds = 0
         self._total_comm_words = 0
         self._peak_round_words = 0  # largest inbox or broadcast
-        self._trace = trace
         self._governor = None
 
     # -- accessors ----------------------------------------------------------
@@ -148,11 +142,14 @@ class MPCCluster:
     # -- round accounting -----------------------------------------------------
 
     def charge_rounds(self, count: int, reason: str) -> None:
-        """Consume ``count`` rounds for a cited O(1)-round primitive."""
+        """Consume ``count`` rounds — the only place the counter moves.
+
+        Callers charge the cited O(1)-round primitives; every
+        communication method below charges its one round here too.
+        """
         if count < 0:
             raise ValueError(f"round count must be >= 0, got {count}")
         self._rounds += count
-        maybe_record(self._trace, "rounds_charged", count=count, reason=reason)
 
     # -- communication ---------------------------------------------------------
 
@@ -190,19 +187,12 @@ class MPCCluster:
             self._peak_round_words = max(
                 self._peak_round_words, max(inbox_words.values())
             )
-        self._rounds += 1
+        self.charge_rounds(1, context)
         if self._governor is not None and inbox_words:
             # Post-delivery observation: per-receiver volumes feed the
             # peak-hold estimator so the *next* phase is predicted with
             # this phase's imbalance in hand.
             self._governor.observe_loads(inbox_words.values(), context)
-        maybe_record(
-            self._trace,
-            "rounds_charged",
-            count=1,
-            reason=context,
-            max_inbox_words=max(inbox_words.values(), default=0),
-        )
         return inboxes
 
     def ship_to_machine(
@@ -221,10 +211,7 @@ class MPCCluster:
         machine = self.machine(destination)
         machine.store(key, value, words, context=context)
         self._total_comm_words += words
-        self._rounds += 1
-        maybe_record(
-            self._trace, "rounds_charged", count=1, reason=context, words=words
-        )
+        self.charge_rounds(1, context)
 
     def broadcast(self, words: int, context: str = "broadcast") -> None:
         """Broadcast ``words`` of shared state from one machine to all.
@@ -245,10 +232,7 @@ class MPCCluster:
         # One copy lands on every other machine.
         self._total_comm_words += words * max(0, self.num_machines - 1)
         self._peak_round_words = max(self._peak_round_words, words)
-        self._rounds += 1
-        maybe_record(
-            self._trace, "rounds_charged", count=1, reason=context, words=words
-        )
+        self.charge_rounds(1, context)
 
     def release_all(self) -> None:
         """Clear every machine's store (end of a phase)."""

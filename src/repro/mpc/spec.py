@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.words import edge_words
-from repro.utils.trace import Trace
 
 # Below this budget a machine cannot hold even a handful of edges plus the
 # bookkeeping ids, and the substrate's validation becomes vacuous noise.
@@ -123,9 +122,9 @@ class ClusterSpec:
             memory_factor=memory_factor,
         )
 
-    def build_cluster(self, trace: Optional[Trace] = None) -> MPCCluster:
+    def build_cluster(self) -> MPCCluster:
         """Instantiate the :class:`MPCCluster` this spec describes."""
-        return MPCCluster(self.num_machines, self.words_per_machine, trace=trace)
+        return MPCCluster(self.num_machines, self.words_per_machine)
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready snapshot (stored in :class:`repro.api.RunReport`)."""

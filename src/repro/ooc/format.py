@@ -275,33 +275,6 @@ class MMapCSRGraph(CSRGraph):
     def edge_array(self) -> np.ndarray:
         return self.induced_edges(None)
 
-    def induced_subgraph(self, mask: MaskLike) -> Tuple[CSRGraph, np.ndarray]:
-        selected = self._as_mask(mask)
-        if selected is None:
-            selected = np.ones(self._n, dtype=bool)
-        keep = np.flatnonzero(selected)
-        from repro.graph.csr import NO_VERTEX
-
-        new_id = np.full(self._n, NO_VERTEX, dtype=np.int64)
-        new_id[keep] = np.arange(len(keep), dtype=np.int64)
-        src_parts, dst_parts = [], []
-        for src, dst in self.adjacency_chunks():
-            inside = selected[src] & selected[dst]
-            if inside.any():
-                src_parts.append(new_id[src[inside]])
-                dst_parts.append(new_id[np.asarray(dst[inside])])
-        if src_parts:
-            sub = CSRGraph._from_directed(
-                len(keep), np.concatenate(src_parts), np.concatenate(dst_parts)
-            )
-        else:
-            sub = CSRGraph._from_directed(
-                len(keep),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        return sub, keep
-
     def filter_edges(self, mask: MaskLike) -> CSRGraph:
         selected = self._as_mask(mask)
         if selected is None:

@@ -1,7 +1,6 @@
-"""Shared utilities: seeded randomness, tracing, and argument validation."""
+"""Shared utilities: seeded randomness and argument validation."""
 
 from repro.utils.rng import RngStream, make_rng
-from repro.utils.trace import Trace, TraceEvent
 from repro.utils.validation import (
     require,
     require_epsilon,
@@ -13,8 +12,6 @@ from repro.utils.validation import (
 __all__ = [
     "RngStream",
     "make_rng",
-    "Trace",
-    "TraceEvent",
     "require",
     "require_epsilon",
     "require_non_negative",

@@ -28,7 +28,7 @@ same way everywhere:
   maintainer properties.
 
 ``mask_of`` converts a subset to the boolean mask shape the CSR kernels
-take.
+take; ``induced_edge_list`` is the set-side oracle for ``G[subset]``.
 """
 
 from __future__ import annotations
@@ -150,6 +150,11 @@ def mask_of(subset, n: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[list(subset)] = True
     return mask
+
+
+def induced_edge_list(graph, subset) -> list:
+    """The edges of ``G[subset]``, canonical and ascending."""
+    return sorted((u, v) for u, v in graph.edges() if u in subset and v in subset)
 
 
 @st.composite

@@ -35,20 +35,6 @@ class TestGraphProperties:
         assert graph.copy() == graph
 
     @_SETTINGS
-    @given(graph=graphs(), seed=st.integers(0, 100))
-    def test_induced_subgraph_edge_subset(self, graph: Graph, seed: int):
-        import random
-
-        rng = random.Random(seed)
-        subset = [v for v in graph.vertices() if rng.random() < 0.5]
-        induced = graph.induced_edges(subset)
-        subset_set = set(subset)
-        assert all(
-            graph.has_edge(u, v) and u in subset_set and v in subset_set
-            for u, v in induced
-        )
-
-    @_SETTINGS
     @given(graph=graphs())
     def test_isolate_removes_exactly_degree(self, graph: Graph):
         if graph.num_vertices == 0:

@@ -68,9 +68,6 @@ def test_degree_and_edge_kernels(example):
     assert mapped.count_edges_within(mask) == ram.count_edges_within(mask)
     assert_same_array(mapped.edge_array(), ram.edge_array())
     assert_same_array(mapped.induced_edges(mask), ram.induced_edges(mask))
-    assert_same_array(
-        mapped.threshold_filter(2, mask), ram.threshold_filter(2, mask)
-    )
 
 
 @SETTINGS
@@ -99,10 +96,6 @@ def test_adjacency_chunks_cover_slots_in_order(example):
 def test_subgraph_kernels(example):
     ram, mapped, _tmp, mask = example
     assert mapped.filter_edges(mask) == ram.filter_edges(mask)
-    sub_ram, kept_ram = ram.induced_subgraph(mask)
-    sub_mapped, kept_mapped = mapped.induced_subgraph(mask)
-    assert sub_mapped == sub_ram
-    assert_same_array(kept_mapped, kept_ram)
 
 
 @SETTINGS
@@ -120,15 +113,6 @@ def test_removal_and_gather_kernels(example, seed):
     ram.remove_closed_neighborhoods(chosen, mask=mask_ram)
     mapped.remove_closed_neighborhoods(chosen, mask=mask_mapped)
     assert_same_array(mask_mapped, mask_ram)
-
-
-@SETTINGS
-@given(pairs_with_masks(), st.integers(min_value=0, max_value=2**31))
-def test_sample_vertices_parity(example, seed):
-    ram, mapped, _tmp, _mask = example
-    assert_same_array(
-        mapped.sample_vertices(0.4, seed), ram.sample_vertices(0.4, seed)
-    )
 
 
 @SETTINGS

@@ -17,12 +17,11 @@ that failure mode explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.mis_mpc import mis_mpc
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike
-from repro.utils.trace import Trace
 
 DEFAULT_LINE_GRAPH_EDGE_CAP = 2_000_000
 
@@ -59,7 +58,6 @@ class LineGraphMatchingResult:
 def maximal_matching_via_line_graph(
     graph: Graph,
     seed: SeedLike = None,
-    trace: Optional[Trace] = None,
     max_line_graph_edges: int = DEFAULT_LINE_GRAPH_EDGE_CAP,
 ) -> LineGraphMatchingResult:
     """Compute a maximal matching of ``graph`` as an MIS of ``L(G)``.
@@ -75,7 +73,7 @@ def maximal_matching_via_line_graph(
             f"(cap {max_line_graph_edges}); use the direct matching algorithm"
         )
     lg, edge_order = line_graph(graph)
-    mis_result = mis_mpc(lg, seed=seed, trace=trace)
+    mis_result = mis_mpc(lg, seed=seed)
     matching = {edge_order[index] for index in mis_result.mis}
     return LineGraphMatchingResult(
         matching=matching,

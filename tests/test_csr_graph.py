@@ -12,7 +12,6 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import registry, solve
 from repro.graph.csr import CSRGraph, GraphView, as_csr, as_graph
@@ -35,6 +34,7 @@ from repro.ooc import MMapCSRGraph, load_csr, save_csr
 from tests.property.strategies import (  # noqa: E402
     dense_pair_graphs as graphs,
     graphs_with_subsets,
+    induced_edge_list,
     mask_of,
 )
 
@@ -220,6 +220,22 @@ class TestCSRMemo:
         assert solve("weighted_matching", csr, seed=1, verify=True).valid
         assert calls == []
 
+    def test_greedy_mis_on_csr_builds_no_set_graph(self, monkeypatch):
+        graph = gnp_random_graph(80, 0.1, seed=2)
+        csr = CSRGraph.from_graph(graph)
+        calls = []
+        to_graph = CSRGraph.to_graph
+
+        def counting(self):
+            calls.append(self)
+            return to_graph(self)
+
+        monkeypatch.setattr(CSRGraph, "to_graph", counting)
+        report = solve("mis", csr, backend="greedy", seed=1)
+        assert calls == []
+        assert report.valid
+        assert report.solution == solve("mis", graph, backend="greedy", seed=1).solution
+
 
 class TestRoundTripEdgeCases:
     """Explicit pins for the empty graph and isolated-vertex shapes.
@@ -240,8 +256,6 @@ class TestRoundTripEdgeCases:
         csr = CSRGraph.from_graph(Graph(0))
         assert csr.degrees().tolist() == []
         assert csr.max_degree() == 0
-        sub, kept = csr.induced_subgraph(None)
-        assert sub.num_vertices == 0 and kept.tolist() == []
         assert csr.remove_closed_neighborhoods([]).tolist() == []
         assert csr.neighbors_bulk([]).tolist() == []
 
@@ -264,12 +278,6 @@ class TestRoundTripEdgeCases:
         assert csr.to_graph() == graph
         assert CSRGraph.from_edges(6, edges) == csr
         assert [csr.degree(v) for v in range(6)] == graph.degrees()
-
-    def test_isolated_only_induced_subgraph(self):
-        csr = CSRGraph.from_graph(Graph(6, [(0, 1), (2, 3)]))
-        sub, kept = csr.induced_subgraph([4, 5])
-        assert kept.tolist() == [4, 5]
-        assert sub.to_graph() == Graph(2)
 
 
 # -- kernel equivalence -----------------------------------------------------
@@ -318,7 +326,7 @@ class TestKernelEquivalence:
         n = graph.num_vertices
         csr = CSRGraph.from_graph(graph)
         mask = mask_of(subset, n)
-        expected = sorted(graph.induced_edges(subset))
+        expected = induced_edge_list(graph, subset)
         assert csr.count_edges_within(mask) == len(expected)
         assert [tuple(e) for e in csr.induced_edges(mask).tolist()] == expected
         # Vertex-list form of the mask argument is accepted too.
@@ -327,23 +335,13 @@ class TestKernelEquivalence:
         )
 
     @given(graphs_with_subsets())
-    def test_induced_subgraph(self, graph_and_subset):
-        graph, subset = graph_and_subset
-        csr = CSRGraph.from_graph(graph)
-        sub, vertices = csr.induced_subgraph(mask_of(subset, graph.num_vertices))
-        assert vertices.tolist() == sorted(subset)
-        index = {v: i for i, v in enumerate(sorted(subset))}
-        relabelled = [(index[u], index[v]) for u, v in graph.induced_edges(subset)]
-        assert sub.to_graph() == Graph(len(index), relabelled)
-
-    @given(graphs_with_subsets())
     def test_filter_edges(self, graph_and_subset):
         graph, subset = graph_and_subset
         n = graph.num_vertices
         csr = CSRGraph.from_graph(graph)
         filtered = csr.filter_edges(mask_of(subset, n))
         assert filtered.num_vertices == n
-        assert filtered.edge_list() == sorted(graph.induced_edges(subset))
+        assert filtered.edge_list() == induced_edge_list(graph, subset)
 
     @given(graphs())
     def test_remove_closed_neighborhoods(self, graph):
@@ -386,31 +384,6 @@ class TestKernelEquivalence:
         for v in independent:
             removed |= residual.remove_closed_neighborhood(v)
         assert set(np.flatnonzero(~alive).tolist()) == removed
-
-    @given(graphs(), st.integers(min_value=0, max_value=6))
-    def test_threshold_filter(self, graph, cap):
-        csr = CSRGraph.from_graph(graph)
-        expected = {v for v in range(graph.num_vertices) if graph.degree(v) <= cap}
-        assert set(np.flatnonzero(csr.threshold_filter(cap)).tolist()) == expected
-
-    def test_threshold_filter_respects_mask(self):
-        graph = star_graph(6)  # center 0 has degree 6
-        csr = CSRGraph.from_graph(graph)
-        mask = np.array([True, True, True, False, False, False, False])
-        kept = csr.threshold_filter(2, mask)
-        # Center keeps only 2 masked neighbors, so it passes; leaves pass;
-        # vertices outside the mask never pass.
-        assert set(np.flatnonzero(kept).tolist()) == {0, 1, 2}
-
-    def test_sample_vertices(self):
-        csr = CSRGraph.from_graph(gnp_random_graph(200, 0.05, seed=1))
-        assert csr.sample_vertices(0.0, 1).size == 0
-        assert csr.sample_vertices(1.0, 1).size == 200
-        first = csr.sample_vertices(0.3, 42)
-        assert np.array_equal(first, csr.sample_vertices(0.3, 42))
-        assert 20 <= first.size <= 120  # loose binomial sanity band
-        with pytest.raises(ValueError):
-            csr.sample_vertices(1.5, 1)
 
     def test_neighbors_bulk(self):
         graph = gnp_random_graph(40, 0.2, seed=9)

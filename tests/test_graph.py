@@ -99,10 +99,6 @@ class TestMutation:
 
 
 class TestStructural:
-    def test_induced_edges_keeps_labels(self):
-        g = Graph(5, [(1, 3), (3, 4), (0, 1)])
-        assert sorted(g.induced_edges([1, 3, 4])) == [(1, 3), (3, 4)]
-
     def test_line_graph_of_path(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         lg, order = line_graph(g)

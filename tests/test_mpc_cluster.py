@@ -14,7 +14,6 @@ from repro.mpc.words import (
     id_words,
     weighted_edge_words,
 )
-from repro.utils.trace import Trace
 
 
 class TestWords:
@@ -153,13 +152,20 @@ class TestCluster:
         cluster.release_all()
         assert cluster.peak_words() == 7
 
-    def test_trace_records_charges(self):
-        trace = Trace()
-        cluster = MPCCluster(2, words_per_machine=10, trace=trace)
+    def test_charges_carry_reasons(self, monkeypatch):
+        reasons = []
+        charge_rounds = MPCCluster.charge_rounds
+
+        def spy(self, count, reason):
+            reasons.append(reason)
+            charge_rounds(self, count, reason)
+
+        monkeypatch.setattr(MPCCluster, "charge_rounds", spy)
+        cluster = MPCCluster(2, words_per_machine=10)
         cluster.charge_rounds(1, "alpha")
         cluster.broadcast(5, context="beta")
-        reasons = trace.values("rounds_charged", "reason")
         assert reasons == ["alpha", "beta"]
+        assert cluster.rounds == 2
 
     def test_negative_round_charge_rejected(self):
         cluster = MPCCluster(1, words_per_machine=10)

@@ -1,4 +1,4 @@
-"""Unit tests for utils: rng, trace, validation."""
+"""Unit tests for utils: rng, validation."""
 
 import random
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import RngStream, make_rng
-from repro.utils.trace import Trace, maybe_record
 from repro.utils.validation import (
     require,
     require_epsilon,
@@ -78,28 +77,6 @@ class TestRng:
     def test_random_batch_empty(self):
         batch = RngStream(11).random_batch([], 1)
         assert batch.shape == (0,)
-
-
-class TestTrace:
-    def test_record_and_query(self):
-        trace = Trace()
-        trace.record("phase", index=1, edges=10)
-        trace.record("phase", index=2, edges=5)
-        trace.record("other", x=0)
-        assert trace.count("phase") == 2
-        assert trace.values("phase", "edges") == [10, 5]
-        assert trace.last("phase")["index"] == 2
-        assert trace.last("missing") is None
-        assert len(trace) == 3
-        assert len(trace.events()) == 3
-
-    def test_maybe_record_none_is_noop(self):
-        maybe_record(None, "anything", x=1)  # must not raise
-
-    def test_event_getitem(self):
-        trace = Trace()
-        trace.record("k", value=42)
-        assert trace.events("k")[0]["value"] == 42
 
 
 class TestValidation:

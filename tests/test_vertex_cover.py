@@ -67,7 +67,7 @@ class TestCoverQuality:
 class TestHelpers:
     def test_cover_from_maximal_matching(self):
         g = path_graph(5)
-        cover = cover_from_maximal_matching(g, {(0, 1), (2, 3)})
+        cover = cover_from_maximal_matching({(0, 1), (2, 3)})
         assert cover == {0, 1, 2, 3}
         assert is_vertex_cover(g, cover)
 
