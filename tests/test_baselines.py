@@ -4,6 +4,7 @@ brute-force maximum matching are the test-side references Blossom is
 checked against."""
 
 import math
+import random
 from typing import Set
 
 import pytest
@@ -18,6 +19,7 @@ from repro.baselines.filtering import filtering_maximal_matching
 from repro.baselines.greedy import greedy_maximal_matching, greedy_mis_sequential
 from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.luby import luby_mis
+from repro.core.greedy_mis import greedy_mis
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     barabasi_albert,
@@ -93,6 +95,36 @@ class TestGreedyBaselines:
     def test_greedy_mis(self):
         g = gnp_random_graph(100, 0.1, seed=4)
         assert is_maximal_independent_set(g, greedy_mis_sequential(g, seed=4))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            gnp_random_graph(120, 0.06, seed=7),
+            barabasi_albert(120, 3, seed=7),
+            Graph(9, [(0, 1), (1, 2), (5, 6)]),
+        ],
+        ids=["gnp", "ba", "isolated"],
+    )
+    def test_greedy_mis_is_greedy_over_shuffled_range(self, graph):
+        # The CSR walk keeps the set-graph semantics: greedy over an MT
+        # shuffle of range(n), each pick blocking its closed neighbourhood.
+        for seed in range(5):
+            order = list(range(graph.num_vertices))
+            random.Random(seed).shuffle(order)
+            assert greedy_mis_sequential(graph, seed=seed) == greedy_mis(graph, order)
+
+    def test_greedy_mis_same_on_csr_and_mmap(self, tmp_path):
+        g = barabasi_albert(150, 2, seed=3)
+        expected = greedy_mis_sequential(g, seed=11)
+        csr = CSRGraph.from_graph(g)
+        assert greedy_mis_sequential(csr, seed=11) == expected
+        save_csr(csr, tmp_path / "g")
+        assert greedy_mis_sequential(load_csr(tmp_path / "g"), seed=11) == expected
+
+    def test_greedy_mis_edgeless_and_empty(self):
+        assert greedy_mis_sequential(Graph(0), seed=1) == set()
+        assert greedy_mis_sequential(CSRGraph.from_graph(Graph(0)), seed=1) == set()
+        assert greedy_mis_sequential(Graph(4), seed=1) == {0, 1, 2, 3}
 
     def test_greedy_matching_maximal(self):
         g = gnp_random_graph(100, 0.1, seed=5)

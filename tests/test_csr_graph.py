@@ -279,6 +279,12 @@ class TestRoundTripEdgeCases:
         assert CSRGraph.from_edges(6, edges) == csr
         assert [csr.degree(v) for v in range(6)] == graph.degrees()
 
+    def test_isolated_only_induced_edges(self):
+        csr = CSRGraph.from_graph(Graph(6, [(0, 1), (2, 3)]))
+        assert csr.count_edges_within([4, 5]) == 0
+        assert csr.induced_edges([4, 5]).shape == (0, 2)
+        assert csr.filter_edges([4, 5]).edge_list() == []
+
 
 # -- kernel equivalence -----------------------------------------------------
 
