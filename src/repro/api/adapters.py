@@ -3,6 +3,8 @@
 Each adapter is a thin shim — the algorithm modules keep their bespoke
 signatures and result dataclasses (all existing callers and tests stay
 valid), and the registry entry translates to the façade convention.
+Unweighted adapters receive the façade's :class:`~repro.graph.csr.CSRGraph`;
+weighted ones receive the :class:`~repro.graph.weighted.WeightedGraph`.
 Backend-specific measurements (prefix phases, Lenzen volumes, supersteps)
 are preserved in ``extras`` so experiment tables lose nothing by going
 through :func:`repro.api.solve`.
@@ -16,18 +18,19 @@ from typing import Any, Optional
 from repro.api.registry import SolverOutput, registry
 from repro.api.report import EDGE_SET, FRACTIONAL, VERTEX_SET
 from repro.baselines.blossom import maximum_matching as blossom_maximum_matching
-from repro.baselines.greedy import greedy_maximal_matching, greedy_mis_sequential
+from repro.baselines.greedy import greedy_maximal_matching
 from repro.congested_clique.matching import congested_clique_fractional_matching
 from repro.congested_clique.mis import congested_clique_mis
 from repro.core.augmenting import improve_matching, one_plus_eps_matching
 from repro.core.central import central_fractional_matching
 from repro.core.config import MatchingConfig, MISConfig
+from repro.core.greedy_mis import randomized_greedy_mis
 from repro.core.integral import mpc_maximum_matching
 from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.mis_mpc import mis_mpc
 from repro.core.vertex_cover import cover_from_maximal_matching, mpc_vertex_cover
 from repro.core.weighted_matching import mpc_weighted_matching
-from repro.graph.csr import as_graph, canonical_graph
+from repro.graph.csr import canonical_graph
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.utils.rng import SeedLike
@@ -149,7 +152,7 @@ def _mis_greedy(
     config: Any = None,
     seed: SeedLike = None,
 ) -> SolverOutput:
-    return SolverOutput(solution=greedy_mis_sequential(graph, seed=seed))
+    return SolverOutput(solution=randomized_greedy_mis(graph, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ def _fractional_central(
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = central_fractional_matching(
-        as_graph(graph),
+        graph,
         epsilon=config.epsilon,
         randomized_thresholds=True,
         seed=seed,
@@ -415,7 +418,7 @@ def _cover_central(
 ) -> SolverOutput:
     config = config or MatchingConfig()
     result = central_fractional_matching(
-        as_graph(graph),
+        graph,
         epsilon=config.epsilon,
         randomized_thresholds=True,
         seed=seed,
@@ -508,10 +511,7 @@ def _one_plus_eps_greedy(
     start = greedy_maximal_matching(graph, seed=seed)
     k = max(1, math.ceil(1.0 / config.epsilon))
     improved = improve_matching(
-        canonical_graph(graph),
-        start,
-        max_path_length=2 * k - 1,
-        seed=seed,
+        canonical_graph(graph), start, max_path_length=2 * k - 1
     )
     return SolverOutput(
         solution=improved.matching,

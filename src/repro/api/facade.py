@@ -65,10 +65,12 @@ def solve(
     task:
         One of :data:`repro.api.TASKS` (``"mis"``, ``"matching"``, ...).
     graph:
-        A :class:`Graph`; ``"weighted_matching"`` takes a
+        A :class:`Graph` or :class:`CSRGraph` (an out-of-core
+        ``MMapCSRGraph`` too); ``"weighted_matching"`` takes a
         :class:`WeightedGraph` (a plain graph is wrapped with unit
         weights).  Weighted inputs to unweighted tasks run on their
-        ``structure``.
+        ``structure``.  Unweighted backends receive the input's CSR form
+        (memoized on a ``Graph``, so repeated solves convert once).
     backend:
         A backend name or ``"auto"`` (the task's highest-priority backend
         — the paper's MPC algorithm wherever one exists).
@@ -165,6 +167,7 @@ def solve(
     # Input preparation, not solver time: a Graph memoizes this form, so
     # solvers and validators reuse it and repeated solves convert once.
     csr = as_csr(structure)
+    solver_graph = csr if weighted is None else weighted
     resolved_config = _resolve_config(entry, config, budget)
 
     gov_policy = GovernancePolicy.from_any(governance)
@@ -192,7 +195,7 @@ def solve(
         started = time.perf_counter()
         try:
             output = entry.fn(
-                prepared,
+                solver_graph,
                 config=resolved_config,
                 seed=seed,
                 **solver_kwargs,
@@ -221,7 +224,7 @@ def solve(
                 None,
             )
             output = degraded_entry.fn(
-                prepared, config=fallback_config, seed=seed
+                solver_graph, config=fallback_config, seed=seed
             )
         elapsed = time.perf_counter() - started
     finally:

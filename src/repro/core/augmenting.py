@@ -24,7 +24,7 @@ from repro.core.config import MatchingConfig
 from repro.core.integral import mpc_maximum_matching
 from repro.graph.csr import CSRGraph, canonical_graph
 from repro.graph.graph import Edge, Graph, canonical_edge
-from repro.utils.rng import SeedLike, make_rng
+from repro.utils.rng import SeedLike
 from repro.utils.validation import require_epsilon
 
 
@@ -73,9 +73,7 @@ def one_plus_eps_matching(
     max_length = 2 * k - 1
     # The path search walks set-based adjacency in iteration order, so it
     # reads the canonical form of every representation.
-    improved = improve_matching(
-        canonical_graph(graph), matching, max_length, seed=seed
-    )
+    improved = improve_matching(canonical_graph(graph), matching, max_length)
     return AugmentingResult(
         matching=improved.matching,
         rounds=rounds + improved.rounds,
@@ -101,7 +99,6 @@ def improve_matching(
     graph: Graph,
     matching: Set[Edge],
     max_path_length: int,
-    seed: SeedLike = None,
 ) -> ImprovementOutcome:
     """Eliminate augmenting paths of length ``<= max_path_length``.
 

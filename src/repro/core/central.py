@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Union
 
 import numpy as np
 
 from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle, fixed_oracle
+from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require, require_epsilon
@@ -69,7 +70,7 @@ class CentralResult:
 
 
 def central_fractional_matching(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     epsilon: float = 0.1,
     randomized_thresholds: bool = False,
     seed: SeedLike = None,
@@ -93,10 +94,11 @@ def central_fractional_matching(
         bound and raises if exceeded (a termination bug should be loud).
     """
     require_epsilon(epsilon)
-    n = graph.num_vertices
-    if n == 0 or graph.num_edges == 0:
+    csr = as_csr(graph)
+    n = csr.num_vertices
+    if n == 0 or csr.num_edges == 0:
         return CentralResult(
-            matching=FractionalMatching(graph=graph, weights={}, vertex_cover=set()),
+            matching=FractionalMatching(graph=csr, weights={}, vertex_cover=set()),
             iterations=0,
             freeze_iteration={},
         )
@@ -112,7 +114,7 @@ def central_fractional_matching(
         max_iterations = 10 + 4 * int(math.log(n + 1) / -math.log(1.0 - epsilon))
 
     outcome = run_freezing_process(
-        graph=graph,
+        graph=csr,
         epsilon=epsilon,
         oracle=oracle,
         initial_weight=x0,
@@ -122,7 +124,7 @@ def central_fractional_matching(
 
 
 def run_freezing_process(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     epsilon: float,
     oracle: ThresholdOracle,
     initial_weight: float,
@@ -132,12 +134,15 @@ def run_freezing_process(
 
     Exposed separately so the concentration experiment (E11) can run the
     reference process with the *same* :class:`ThresholdOracle` instance the
-    MPC simulation consumes.
+    MPC simulation consumes.  Walks the CSR rows, taken once as lists.
     """
-    n = graph.num_vertices
+    csr = as_csr(graph)
+    n = csr.num_vertices
     growth = 1.0 / (1.0 - epsilon)
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
 
-    active_degree = graph.degrees()
+    active_degree = [hi - lo for lo, hi in zip(indptr, indptr[1:])]
     frozen: Dict[int, int] = {}
     frozen_load: List[float] = [0.0] * n  # weight of already-frozen incident edges
     active: Set[int] = {v for v in range(n) if active_degree[v] > 0}
@@ -165,7 +170,7 @@ def run_freezing_process(
         # *first* endpoint freezes.
         newly_frozen = set(to_freeze)
         for v in to_freeze:
-            for u in graph.neighbors_view(v):
+            for u in indices[indptr[v] : indptr[v + 1]]:
                 if u in newly_frozen:
                     # Edge between two same-iteration freezes: count once by
                     # the smaller endpoint.
@@ -191,11 +196,11 @@ def run_freezing_process(
         iteration += 1
 
     weights = edge_weights_from_freezes(
-        graph, frozen, initial_weight, epsilon, final_iteration=iteration
+        csr, frozen, initial_weight, epsilon, final_iteration=iteration
     )
     freeze_map = {v: frozen.get(v, NEVER_FROZEN) for v in range(n)}
     matching = FractionalMatching(
-        graph=graph, weights=weights, vertex_cover=set(frozen)
+        graph=csr, weights=weights, vertex_cover=set(frozen)
     )
     return CentralResult(
         matching=matching, iterations=iteration, freeze_iteration=freeze_map
@@ -203,7 +208,7 @@ def run_freezing_process(
 
 
 def edge_weights_from_freezes(
-    graph: Graph,
+    graph: Union[Graph, CSRGraph],
     frozen: Dict[int, int],
     initial_weight: float,
     epsilon: float,
@@ -214,13 +219,21 @@ def edge_weights_from_freezes(
     ``x_e = initial_weight / (1-ε)^{t'}`` where ``t'`` is the first
     iteration at which an endpoint of ``e`` froze (both endpoints unfrozen
     means the edge grew until the process ended — only possible when the
-    process was truncated externally).
+    process was truncated externally).  Keys are in sorted edge order.
     """
     growth = 1.0 / (1.0 - epsilon)
-    weights: Dict[Edge, float] = {}
-    for u, v in graph.edges():
-        t_u = frozen.get(u, final_iteration)
-        t_v = frozen.get(v, final_iteration)
-        t_freeze = min(t_u, t_v)
-        weights[(u, v)] = initial_weight * (growth ** t_freeze)
-    return weights
+    csr = as_csr(graph)
+    first = np.full(csr.num_vertices, final_iteration, dtype=np.int64)
+    first[list(frozen)] = list(frozen.values())
+    edges = csr.edge_array()
+    t_freeze = np.minimum(first[edges[:, 0]], first[edges[:, 1]]).tolist()
+    # One scalar power per iteration, so every weight is exactly
+    # ``initial_weight * growth ** t'`` in Python floats.
+    top = max(t_freeze, default=0)
+    scale = [initial_weight * (growth**t) for t in range(top + 1)]
+    return dict(
+        zip(
+            zip(edges[:, 0].tolist(), edges[:, 1].tolist()),
+            [scale[t] for t in t_freeze],
+        )
+    )

@@ -10,68 +10,52 @@ a property the test suite asserts verbatim.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import require
 
 
-def greedy_mis(graph: Graph, order: Sequence[int]) -> Set[int]:
+def greedy_mis(graph: Union[Graph, CSRGraph], order: Sequence[int]) -> Set[int]:
     """Greedy MIS processing vertices in ``order``.
 
     ``order`` must enumerate every vertex exactly once.  Runs in
-    ``O(n + m)`` time.
+    ``O(n + m)`` time over the CSR rows, so CSR and memory-mapped inputs
+    are never converted to a set graph.
     """
     require(
         sorted(order) == list(range(graph.num_vertices)),
         "order must be a permutation of the vertex set",
     )
+    return _greedy_walk(as_csr(graph), order)
+
+
+def randomized_greedy_mis(
+    graph: Union[Graph, CSRGraph], seed: SeedLike = None
+) -> Set[int]:
+    """Greedy MIS over a uniformly random permutation (the paper's process)."""
+    csr = as_csr(graph)
+    order = list(range(csr.num_vertices))
+    make_rng(seed).shuffle(order)
+    return _greedy_walk(csr, order)
+
+
+def _greedy_walk(csr: CSRGraph, order: Sequence[int]) -> Set[int]:
+    """Greedy MIS over the permutation ``order``: each pick blocks its row."""
+    indptr = csr.indptr.tolist()
+    indices = csr.indices
+    blocked = np.zeros(csr.num_vertices, dtype=bool)
     in_mis: Set[int] = set()
-    blocked = [False] * graph.num_vertices
     for v in order:
         if blocked[v]:
             continue
         in_mis.add(v)
-        blocked[v] = True
-        for u in graph.neighbors_view(v):
-            blocked[u] = True
+        blocked[indices[indptr[v] : indptr[v + 1]]] = True
     return in_mis
-
-
-def randomized_greedy_mis(graph: Graph, seed: SeedLike = None) -> Set[int]:
-    """Greedy MIS over a uniformly random permutation (the paper's process)."""
-    rng = make_rng(seed)
-    order = list(graph.vertices())
-    rng.shuffle(order)
-    return greedy_mis(graph, order)
-
-
-def greedy_mis_on_prefix(
-    residual: Graph,
-    ranks: Sequence[int],
-    prefix_vertices: Iterable[int],
-) -> Set[int]:
-    """Greedy MIS restricted to ``prefix_vertices`` of a residual graph.
-
-    Processes the given vertices in increasing rank order against the
-    *induced* subgraph on them — exactly the computation one MPC machine
-    performs on the shipped prefix (Section 3.2).  Correctness rests on the
-    prefix property: a vertex's greedy outcome depends only on
-    earlier-ranked vertices, all of which are inside the prefix.
-
-    Returns the subset joining the MIS, in original labels.
-    """
-    chosen: Set[int] = set()
-    prefix_set = set(prefix_vertices)
-    for v in sorted(prefix_set, key=lambda vertex: ranks[vertex]):
-        if any(u in chosen for u in residual.neighbors_view(v) if u in prefix_set):
-            continue
-        chosen.add(v)
-    return chosen
 
 
 def greedy_mis_on_prefix_csr(
@@ -79,14 +63,19 @@ def greedy_mis_on_prefix_csr(
     ranks: np.ndarray,
     prefix: np.ndarray,
 ) -> np.ndarray:
-    """CSR form of :func:`greedy_mis_on_prefix`; returns chosen vertices.
+    """Greedy MIS restricted to the ``prefix`` vertices; returns the chosen.
+
+    Processes the prefix in increasing rank order against the *induced*
+    subgraph on it — exactly the computation one MPC machine performs on
+    the shipped prefix (Section 3.2).  Correctness rests on the prefix
+    property: a vertex's greedy outcome depends only on earlier-ranked
+    vertices, all of which are inside the prefix.
 
     ``csr`` is the *original* graph: residual edges among prefix vertices
     coincide with original edges (prefix vertices are undecided, hence
     never isolated), so no residual structure is needed.  The greedy walk
     itself is inherently sequential, but each step is one vectorized
-    neighbor-slice membership test.  Output is identical to the set-based
-    function on the same inputs.
+    neighbor-slice membership test.
     """
     order = prefix[np.argsort(ranks[prefix], kind="stable")]
     chosen = np.zeros(csr.num_vertices, dtype=bool)

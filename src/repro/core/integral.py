@@ -18,9 +18,10 @@ leftover polylog-size matching via the LMSV11 filtering algorithm.
 
 Residual layout.  The residual graph is never copied or mutated: it is
 one vertex mask ``matched`` over the input's canonical CSR edge rows, and
-each pass runs on ``csr.filter_edges(~matched)``.  The residual's rows are
-the input's live rows in ascending order, so the per-pass weights of the
-array core :func:`~repro.core.matching_mpc.fractional_matching_arrays`,
+each pass, like the filtering cleanup, runs on
+``csr.filter_edges(~matched)``.  The residual's rows are the input's live
+rows in ascending order, so the per-pass weights of the array core
+:func:`~repro.core.matching_mpc.fractional_matching_arrays`,
 ``(inside, x)`` over the residual's rows, map back to input rows with one
 gather.  The rounding walks the weighted edges in that canonical order
 for every input representation.
@@ -165,7 +166,7 @@ def mpc_maximum_matching(
     # Section 4.4.5: the residual optimum is now small; the LMSV11 filtering
     # maximal matching finishes it (maximal => 2-approximate on the residual).
     cleanup = filtering_maximal_matching(
-        Graph(n, residual.edge_list()),
+        residual,
         words_per_machine=ClusterSpec.from_graph(
             graph, config.memory_factor
         ).words_per_machine,

@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.filtering import filtering_maximal_matching
 from repro.dist.executor import in_process
-from repro.graph.graph import Edge, Graph, canonical_edge
+from repro.graph.csr import CSRGraph
+from repro.graph.graph import Edge, canonical_edge
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import edge_words
@@ -79,7 +80,7 @@ def _filter_class(
     """
     if sizes is None:
         outcome = filtering_maximal_matching(
-            Graph(n, available),
+            CSRGraph.from_edges(n, available),
             words_per_machine=words_per_machine,
             seed=class_seed,
         )
@@ -100,7 +101,7 @@ def _filter_class(
         if not batch:
             continue
         outcome = filtering_maximal_matching(
-            Graph(n, batch),
+            CSRGraph.from_edges(n, batch),
             words_per_machine=words_per_machine,
             seed=batch_rng.getrandbits(64),
         )

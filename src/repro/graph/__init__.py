@@ -1,7 +1,7 @@
 """Graph substrate: graph types, generators, validators, and I/O."""
 
 from repro.graph.graph import Graph
-from repro.graph.csr import CSRGraph, GraphView, as_csr, as_graph
+from repro.graph.csr import CSRGraph, GraphView, as_csr
 from repro.graph.weighted import WeightedGraph
 from repro.graph.generators import (
     barabasi_albert,
@@ -32,7 +32,6 @@ __all__ = [
     "GraphView",
     "WeightedGraph",
     "as_csr",
-    "as_graph",
     "barabasi_albert",
     "caterpillar",
     "complete_graph",

@@ -16,15 +16,19 @@ Design points:
   stays a flat array pass.  This matches how the residual graphs actually
   evolve: vertices are only ever isolated, never re-wired, so the residual
   edge set is exactly "original edges with both endpoints alive".
-* Conversion to/from the set-based :class:`~repro.graph.graph.Graph` is
-  lossless; the pure-Python class remains the reference implementation
-  the property-test suite cross-checks against.
+* Every solver reads this form: the façade converts its input once
+  (:func:`as_csr`, memoized on a :class:`~repro.graph.graph.Graph`) and
+  hands the result to the backend.  Conversion to the set-based graph
+  is lossless and kept for the searches that walk adjacency sets (the
+  augmenting-path DFS, Blossom, the brute-force oracle), which read
+  :func:`canonical_graph`.
 * Neighbor lists are sorted ascending within each row, which makes
   ``has_edge`` a binary search and lets the edge kernels emit canonical
   ``(u, v), u < v`` output in ascending order for free.
 
 The :class:`GraphView` protocol names the read-only surface shared by
-both representations so call sites can stay representation-agnostic.
+both representations; a call site that needs the arrays takes
+:func:`as_csr` of whatever it was given.
 """
 
 from __future__ import annotations
@@ -59,8 +63,7 @@ class GraphView(Protocol):
     """The read-only surface shared by :class:`Graph` and :class:`CSRGraph`.
 
     Call sites written against this protocol work with either
-    representation; :func:`as_csr` / :func:`as_graph` convert when a
-    specific one is required.
+    representation; :func:`as_csr` converts when the arrays are needed.
     """
 
     @property
@@ -248,8 +251,7 @@ class CSRGraph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate edges in canonical ``(u, v), u < v`` form, ascending."""
-        for u, v in self.edge_array():
-            yield (int(u), int(v))
+        return iter(self.edge_list())
 
     def edge_array(self) -> np.ndarray:
         """All edges as a canonical ``(m, 2)`` array, ascending."""
@@ -258,7 +260,8 @@ class CSRGraph:
 
     def edge_list(self) -> List[Edge]:
         """All edges as a sorted list of tuples."""
-        return [(int(u), int(v)) for u, v in self.edge_array()]
+        edges = self.edge_array()
+        return list(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
 
     # -- vectorized kernels --------------------------------------------------
 
@@ -431,13 +434,6 @@ def as_csr(graph: Union[Graph, CSRGraph]) -> CSRGraph:
     if graph._csr is None:
         graph._csr = CSRGraph.from_graph(graph)
     return graph._csr
-
-
-def as_graph(graph: Union[Graph, CSRGraph]) -> Graph:
-    """``graph`` as a set-based :class:`Graph` (identity when already one)."""
-    if isinstance(graph, Graph):
-        return graph
-    return graph.to_graph()
 
 
 def canonical_graph(graph: Union[Graph, CSRGraph]) -> Graph:

@@ -8,7 +8,7 @@ to a few hundred vertices) and the brute-force solvers in
 Each oracle returns ``None`` above its size cap instead of silently
 burning CPU; callers record the check as skipped-by-size.  The exact
 solvers walk set-based adjacency, so a CSR input (``CSRGraph`` or
-``MMapCSRGraph``) under the cap is converted with ``as_graph`` first.
+``MMapCSRGraph``) under the cap is converted with ``canonical_graph`` first.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.baselines.exact import (
     brute_force_maximum_weight_matching,
     brute_force_minimum_vertex_cover,
 )
-from repro.graph.csr import CSRGraph, as_graph
+from repro.graph.csr import CSRGraph, canonical_graph
 from repro.graph.graph import Graph
 from repro.graph.weighted import WeightedGraph
 
@@ -37,7 +37,7 @@ def maximum_matching_size(
     """Exact maximum-matching size ``ν(G)`` via Blossom, or ``None``."""
     if graph.num_vertices > cap:
         return None
-    return _blossom_size(as_graph(graph))
+    return _blossom_size(canonical_graph(graph))
 
 
 def minimum_vertex_cover_size(
@@ -46,7 +46,7 @@ def minimum_vertex_cover_size(
     """Exact minimum vertex-cover size, or ``None`` above the cap."""
     if graph.num_vertices > cap:
         return None
-    return len(brute_force_minimum_vertex_cover(as_graph(graph)))
+    return len(brute_force_minimum_vertex_cover(canonical_graph(graph)))
 
 
 def maximum_weight_matching_weight(

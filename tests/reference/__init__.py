@@ -11,4 +11,6 @@ runs them.
 * :mod:`tests.reference.parallel_greedy` — the local-minima rounds of
   randomized greedy MIS, equal to sequential greedy under one permutation.
 * :mod:`tests.reference.hopcroft_karp` — exact bipartite maximum matching.
+* :mod:`tests.reference.filtering` — the LMSV11 filtering maximal
+  matching on a mutable set graph (``copy``/``isolate``).
 """

@@ -8,6 +8,7 @@ seeds — the contract that makes backends interchangeable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -26,9 +27,11 @@ from repro.api import (
     sweep,
 )
 from repro.api.batch import RunSpec
+from repro.api.facade import _DEGRADE_BACKENDS
 from repro.api.registry import SolverOutput
 from repro.api.__main__ import main as cli_main, parse_graph_spec
 from repro.core.config import MatchingConfig, MISConfig
+from repro.graph.csr import as_csr
 from repro.graph.generators import (
     cycle_graph,
     gnp_random_graph,
@@ -146,6 +149,71 @@ class TestCrossBackendConsistency:
             first = solve(task, graph, backend=backend, seed=23)
             again = solve(task, graph, backend=backend, seed=23)
             assert first.solution == again.solution, (task, backend)
+
+
+UNWEIGHTED_PAIRS = [
+    (entry.task, entry.backend) for entry in registry.entries() if not entry.weighted
+]
+
+
+def _spy_on_entries(monkeypatch, pairs):
+    """Wrap each pair's registered adapter; returns the list of inputs seen."""
+    seen = []
+    for pair in pairs:
+        entry = registry.get(*pair)
+
+        def spy(graph, *, _fn=entry.fn, _pair=pair, **kwargs):
+            seen.append((_pair, graph))
+            return _fn(graph, **kwargs)
+
+        monkeypatch.setitem(
+            registry._entries, pair, dataclasses.replace(entry, fn=spy)
+        )
+    return seen
+
+
+class TestSolverInput:
+    """The façade hands every unweighted backend its memoized CSR form."""
+
+    @pytest.mark.parametrize(
+        "task,backend",
+        UNWEIGHTED_PAIRS,
+        ids=[f"{t}-{b}" for t, b in UNWEIGHTED_PAIRS],
+    )
+    def test_unweighted_entries_receive_the_csr(self, monkeypatch, task, backend):
+        seen = _spy_on_entries(monkeypatch, [(task, backend)])
+        graph = gnp_random_graph(40, 0.1, seed=2)
+        weighted = random_weighted_graph(40, 0.1, seed=2)
+        solve(task, graph, backend=backend, seed=1)
+        solve(task, weighted, backend=backend, seed=1)
+        assert [pair for pair, _ in seen] == [(task, backend)] * 2
+        assert seen[0][1] is as_csr(graph)
+        assert seen[1][1] is as_csr(weighted.structure)
+
+    @pytest.mark.parametrize(
+        "task",
+        ["mis", "fractional_matching", "vertex_cover", "matching",
+         "one_plus_eps_matching"],
+    )
+    def test_degrade_fallback_receives_the_csr(self, monkeypatch, task):
+        fallback = (task, _DEGRADE_BACKENDS[task])
+        seen = _spy_on_entries(monkeypatch, [fallback])
+        graph = gnp_random_graph(300, 0.03, seed=1)
+        report = solve(
+            task, graph, backend="mpc", seed=0, budget=0.05,
+            governance={"allow_sparsify": False, "allow_chunk": False},
+        )
+        assert report.extras["governance"]["degraded"]
+        assert [pair for pair, _ in seen] == [fallback]
+        assert seen[0][1] is as_csr(graph)
+
+    def test_central_cover_weight_is_the_fractional_weight(self):
+        # Both sum Central-Rand's weights in sorted edge order, so the two
+        # readings agree to the bit.
+        graph = random_weighted_graph(300, 0.05, seed=7).structure
+        cover = solve("vertex_cover", graph, backend="central", seed=9)
+        fractional = solve("fractional_matching", graph, backend="central", seed=9)
+        assert cover.extras["fractional_weight"] == fractional.metrics["weight"]
 
 
 def _check_ground_truth(task: str, graph, report: RunReport) -> None:

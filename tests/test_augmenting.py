@@ -48,7 +48,7 @@ class TestPathFinding:
 class TestImprovement:
     def test_empty_matching_becomes_maximal_plus(self):
         g = path_graph(7)
-        outcome = improve_matching(g, set(), max_path_length=5, seed=2)
+        outcome = improve_matching(g, set(), max_path_length=5)
         assert is_matching(g, outcome.matching)
         assert len(outcome.matching) == 3  # optimum on P7
 
@@ -57,7 +57,7 @@ class TestImprovement:
         from repro.baselines.greedy import greedy_maximal_matching
 
         start = greedy_maximal_matching(g, seed=3)
-        outcome = improve_matching(g, start, max_path_length=5, seed=3)
+        outcome = improve_matching(g, start, max_path_length=5)
         assert len(outcome.matching) >= len(start)
         assert is_matching(g, outcome.matching)
 

@@ -16,10 +16,10 @@ from repro.baselines.exact import (
     exact_maximum_independent_set,
 )
 from repro.baselines.filtering import filtering_maximal_matching
-from repro.baselines.greedy import greedy_maximal_matching, greedy_mis_sequential
+from repro.baselines.greedy import greedy_maximal_matching
 from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.luby import luby_mis
-from repro.core.greedy_mis import greedy_mis
+from repro.core.greedy_mis import greedy_mis, randomized_greedy_mis
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     barabasi_albert,
@@ -39,6 +39,7 @@ from repro.graph.properties import (
 )
 from repro.graph.weighted import WeightedGraph
 from repro.ooc import load_csr, save_csr
+from tests.reference import filtering as reference_filtering
 from tests.reference.hopcroft_karp import bipartition, hopcroft_karp_matching
 
 _MAX_BRUTE_FORCE_VERTICES = 40
@@ -94,7 +95,7 @@ class TestLuby:
 class TestGreedyBaselines:
     def test_greedy_mis(self):
         g = gnp_random_graph(100, 0.1, seed=4)
-        assert is_maximal_independent_set(g, greedy_mis_sequential(g, seed=4))
+        assert is_maximal_independent_set(g, randomized_greedy_mis(g, seed=4))
 
     @pytest.mark.parametrize(
         "graph",
@@ -111,20 +112,25 @@ class TestGreedyBaselines:
         for seed in range(5):
             order = list(range(graph.num_vertices))
             random.Random(seed).shuffle(order)
-            assert greedy_mis_sequential(graph, seed=seed) == greedy_mis(graph, order)
+            expected = set()
+            for v in order:
+                if not graph.neighbors_view(v) & expected:
+                    expected.add(v)
+            assert greedy_mis(graph, order) == expected
+            assert randomized_greedy_mis(graph, seed=seed) == expected
 
     def test_greedy_mis_same_on_csr_and_mmap(self, tmp_path):
         g = barabasi_albert(150, 2, seed=3)
-        expected = greedy_mis_sequential(g, seed=11)
+        expected = randomized_greedy_mis(g, seed=11)
         csr = CSRGraph.from_graph(g)
-        assert greedy_mis_sequential(csr, seed=11) == expected
+        assert randomized_greedy_mis(csr, seed=11) == expected
         save_csr(csr, tmp_path / "g")
-        assert greedy_mis_sequential(load_csr(tmp_path / "g"), seed=11) == expected
+        assert randomized_greedy_mis(load_csr(tmp_path / "g"), seed=11) == expected
 
     def test_greedy_mis_edgeless_and_empty(self):
-        assert greedy_mis_sequential(Graph(0), seed=1) == set()
-        assert greedy_mis_sequential(CSRGraph.from_graph(Graph(0)), seed=1) == set()
-        assert greedy_mis_sequential(Graph(4), seed=1) == {0, 1, 2, 3}
+        assert randomized_greedy_mis(Graph(0), seed=1) == set()
+        assert randomized_greedy_mis(CSRGraph.from_graph(Graph(0)), seed=1) == set()
+        assert randomized_greedy_mis(Graph(4), seed=1) == {0, 1, 2, 3}
 
     def test_greedy_matching_maximal(self):
         g = gnp_random_graph(100, 0.1, seed=5)
@@ -192,6 +198,42 @@ class TestFiltering:
         g = gnp_random_graph(50, 0.1, seed=8)
         result = filtering_maximal_matching(g, words_per_machine=10**6, seed=8)
         assert result.rounds == 1
+
+    @pytest.mark.parametrize("words", [2 * 60, 4 * 300])
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            gnp_random_graph(200, 0.08, seed=3),
+            barabasi_albert(200, 4, seed=3),
+            star_graph(80),
+        ],
+        ids=["gnp", "ba", "star"],
+    )
+    def test_matches_set_graph_reference(self, graph, words):
+        """The mask-over-CSR loop makes the set-graph loop's draws: same
+        matching, rounds and residual trajectory for every seed."""
+        for seed in range(10):
+            result = filtering_maximal_matching(
+                graph, words_per_machine=words, seed=seed
+            )
+            assert (
+                result.matching,
+                result.rounds,
+                result.residual_edges_per_round,
+            ) == reference_filtering.filtering_maximal_matching(
+                graph, words_per_machine=words, seed=seed
+            )
+
+    def test_output_independent_of_representation(self, tmp_path):
+        graph = barabasi_albert(150, 3, seed=5)
+        csr = CSRGraph.from_graph(graph)
+        mmap = load_csr(save_csr(csr, tmp_path / "graph"))
+        results = [
+            filtering_maximal_matching(g, words_per_machine=2 * 100, seed=4)
+            for g in (graph, csr, mmap)
+        ]
+        assert results[0].rounds > 1
+        assert results[0] == results[1] == results[2]
 
 
 class TestHopcroftKarp:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.api import registry, solve
-from repro.graph.csr import CSRGraph, GraphView, as_csr, as_graph
+from repro.graph.csr import CSRGraph, GraphView, as_csr, canonical_graph
 from repro.graph.generators import (
     barabasi_albert,
     complete_graph,
@@ -87,8 +87,8 @@ class TestConversion:
         graph = path_graph(6)
         csr = as_csr(graph)
         assert as_csr(csr) is csr
-        assert as_graph(csr) == graph
-        assert as_graph(graph) is graph
+        assert canonical_graph(csr) == graph
+        assert canonical_graph(graph) == graph
         assert isinstance(graph, GraphView)
         assert isinstance(csr, GraphView)
 

@@ -29,7 +29,7 @@ from repro.dist import (
     resolve_executor,
 )
 from repro.dist.kernels import get_kernel, kernel, kernel_names
-from repro.dist.pool import dedupe_by_identity, object_pool, worker_object
+from repro.dist.pool import dedupe_by_identity, object_executor, worker_object
 from repro.graph.generators import gnp_random_graph, random_weighted_graph
 
 
@@ -175,8 +175,8 @@ class TestPool:
         assert indices == [0, 1]
 
     def test_object_pool_ships_table_once(self):
-        with object_pool(2, ["alpha", "beta"]) as pool:
-            assert pool.map(_lookup, [0, 1, 0]) == ["alpha", "beta", "alpha"]
+        with object_executor(2, ["alpha", "beta"]) as pool:
+            assert list(pool.map(_lookup, [0, 1, 0])) == ["alpha", "beta", "alpha"]
 
 
 # ---------------------------------------------------------------------------

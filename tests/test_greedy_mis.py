@@ -1,13 +1,17 @@
 """Unit tests for the sequential randomized greedy MIS process."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.greedy_mis import (
     greedy_mis,
-    greedy_mis_on_prefix,
+    greedy_mis_on_prefix_csr,
     randomized_greedy_mis,
     residual_after_prefix,
 )
+from repro.graph.csr import as_csr
 from repro.graph.generators import gnp_random_graph, path_graph, star_graph
 from repro.graph.graph import Graph
 from repro.graph.properties import is_maximal_independent_set
@@ -49,14 +53,14 @@ class TestPrefixSimulation:
         """Batched prefix processing must replay sequential greedy exactly."""
         g = gnp_random_graph(100, 0.08, seed=3)
         ranks = list(range(100))
-        import random
-
         random.Random(5).shuffle(ranks)
         order = sorted(g.vertices(), key=lambda v: ranks[v])
         sequential = greedy_mis(g, order)
 
-        # Replay in three prefix batches.
-        residual = g.copy()
+        # Replay in three prefix batches on the original graph's CSR: the
+        # undecided prefix vertices induce the same edges in the residual.
+        csr = as_csr(g)
+        rank_array = np.asarray(ranks, dtype=np.int64)
         decided = set()
         batched = set()
         for cutoff in (30, 70, 100):
@@ -65,19 +69,19 @@ class TestPrefixSimulation:
                 for v in g.vertices()
                 if ranks[v] < cutoff and v not in decided
             ]
-            new_mis = greedy_mis_on_prefix(residual, ranks, prefix)
-            for v in sorted(new_mis, key=lambda x: ranks[x]):
+            new_mis = greedy_mis_on_prefix_csr(
+                csr, rank_array, np.asarray(prefix, dtype=np.int64)
+            ).tolist()
+            for v in new_mis:
                 batched.add(v)
-                removed = residual.remove_closed_neighborhood(v)
-                decided |= removed
+                decided.add(v)
+                decided |= g.neighbors_view(v)
             decided.update(prefix)
         assert batched == sequential
 
     def test_residual_after_prefix_degree_drops(self):
         g = gnp_random_graph(200, 0.2, seed=4)
         ranks = list(range(200))
-        import random
-
         random.Random(9).shuffle(ranks)
         residual, mis = residual_after_prefix(g, ranks, up_to_rank=100)
         # Lemma 3.1: degrees shrink markedly after half the ranks.
