@@ -98,15 +98,13 @@ def coupled_run(
         if central_freeze != mpc_freeze:
             bad += 1
 
-    central_loads = central.matching.vertex_loads()
-    mpc_loads = mpc.matching.vertex_loads()
+    central_loads = central.matching.vertex_loads().tolist()
+    mpc_loads = mpc.matching.vertex_loads().tolist()
     deviations: List[float] = []
     for v in graph.vertices():
         if graph.degree(v) == 0 or v in mpc.heavy_removed:
             continue
-        deviations.append(
-            abs(central_loads.get(v, 0.0) - mpc_loads.get(v, 0.0))
-        )
+        deviations.append(abs(central_loads[v] - mpc_loads[v]))
 
     return CouplingReport(
         bad_fraction=bad / relevant if relevant else 0.0,

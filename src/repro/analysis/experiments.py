@@ -29,7 +29,7 @@ from repro.baselines.luby import luby_mis
 from repro.core.central import central_fractional_matching
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import mpc_fractional_matching
-from repro.core.rounding import round_fractional_matching_detailed
+from repro.core.rounding import round_fractional_matching
 from repro.graph.generators import (
     gnp_random_graph,
     planted_matching_graph,
@@ -209,11 +209,11 @@ def run_e06_rounding(
         graph = gnp_random_graph(n, _avg_degree_p(n, avg_degree), seed=seed)
         fractional = mpc_fractional_matching(graph, config=config, seed=seed)
         candidates = fractional.rounding_candidates(epsilon)
-        outcome = round_fractional_matching_detailed(
-            graph, fractional.matching.weights, candidates, seed=seed
+        outcome = round_fractional_matching(
+            fractional.matching, candidates, seed=seed
         )
         yield_constant = (
-            len(outcome.matching) / len(candidates) if candidates else 0.0
+            len(outcome.matching) / len(candidates) if len(candidates) else 0.0
         )
         rows.append(
             {

@@ -98,7 +98,9 @@ def run_e14_whp_audit(
         result = mpc_fractional_matching(graph, config=matching_config, seed=seed)
         return (
             all_passed(
-                check_fractional_matching(graph, result.matching.weights)
+                check_fractional_matching(
+                    graph, result.matching.edges, result.matching.x
+                )
             )
             and all_passed(check_vertex_cover(graph, result.vertex_cover))
             and result.max_machine_edges <= 4 * n

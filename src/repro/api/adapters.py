@@ -187,7 +187,7 @@ def _fractional_mpc(
         governor=governor,
     )
     return SolverOutput(
-        solution=result.matching.weights,
+        solution=result.matching,
         rounds=result.rounds,
         max_machine_words=result.peak_words,
         total_comm_words=result.total_comm_words,
@@ -222,7 +222,7 @@ def _fractional_congested_clique(
 ) -> SolverOutput:
     result = congested_clique_fractional_matching(graph, config=config, seed=seed)
     return SolverOutput(
-        solution=result.matching.weights,
+        solution=result.matching,
         rounds=result.rounds,
         extras={
             "phases": result.phases,
@@ -254,7 +254,7 @@ def _fractional_central(
         seed=seed,
     )
     return SolverOutput(
-        solution=result.matching.weights,
+        solution=result.matching,
         extras={
             "iterations": result.iterations,
             "cover_size": len(result.vertex_cover),

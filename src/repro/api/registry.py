@@ -42,8 +42,8 @@ class SolverOutput:
     """What an adapter hands back to the façade.
 
     ``solution`` stays in the solver's natural type (set of vertices, set
-    of edges, or edge-weight dict); the façade canonicalizes it per the
-    entry's ``solution_kind``.
+    of edges, or :class:`~repro.core.fractional.FractionalMatching`); the
+    façade canonicalizes it per the entry's ``solution_kind``.
     """
 
     solution: Any

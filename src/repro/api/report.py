@@ -41,13 +41,20 @@ def canonical_solution(kind: str, solution: Any) -> Any:
 
     Sorted in NumPy and listed from ``tolist`` columns: no per-element
     ``int``/``float`` calls, no ``sorted`` over Python triples.  Edges
-    sort by ``(u, v)``, as ``sorted`` orders the lists.
+    sort by ``(u, v)``, as ``sorted`` orders the lists.  A fractional
+    solution is a :class:`~repro.core.fractional.FractionalMatching`,
+    whose ``(edges, x)`` rows are already canonical and ascending, so its
+    columns are listed as they are.
     """
     if kind == VERTEX_SET:
         if not isinstance(solution, np.ndarray):
             solution = np.fromiter(solution, dtype=np.int64)
         return np.sort(solution.astype(np.int64, copy=False)).tolist()
-    if kind not in (EDGE_SET, FRACTIONAL):
+    if kind == FRACTIONAL:
+        edges = solution.edges
+        columns = [edges[:, 0].tolist(), edges[:, 1].tolist(), solution.x.tolist()]
+        return list(map(list, zip(*columns)))
+    if kind != EDGE_SET:
         raise ValueError(f"unknown solution kind {kind!r}")
     ends = np.fromiter(
         chain.from_iterable(solution), dtype=np.int64, count=2 * len(solution)
@@ -55,11 +62,7 @@ def canonical_solution(kind: str, solution: Any) -> Any:
     lo = np.minimum(ends[:, 0], ends[:, 1])
     hi = np.maximum(ends[:, 0], ends[:, 1])
     order = np.lexsort((hi, lo))
-    columns = [lo[order].tolist(), hi[order].tolist()]
-    if kind == FRACTIONAL:
-        x = np.fromiter(solution.values(), dtype=np.float64, count=len(solution))
-        columns.append(x[order].tolist())
-    return list(map(list, zip(*columns)))
+    return list(map(list, zip(lo[order].tolist(), hi[order].tolist())))
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle, fixed_oracle
 from repro.graph.csr import CSRGraph, as_csr
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require, require_epsilon
 
@@ -98,7 +98,7 @@ def central_fractional_matching(
     n = csr.num_vertices
     if n == 0 or csr.num_edges == 0:
         return CentralResult(
-            matching=FractionalMatching(graph=csr, weights={}, vertex_cover=set()),
+            matching=FractionalMatching.empty(csr),
             iterations=0,
             freeze_iteration={},
         )
@@ -195,15 +195,14 @@ def run_freezing_process(
         weight_t *= growth
         iteration += 1
 
-    weights = edge_weights_from_freezes(
+    edges, x = edge_weights_from_freezes(
         csr, frozen, initial_weight, epsilon, final_iteration=iteration
     )
     freeze_map = {v: frozen.get(v, NEVER_FROZEN) for v in range(n)}
-    matching = FractionalMatching(
-        graph=csr, weights=weights, vertex_cover=set(frozen)
-    )
     return CentralResult(
-        matching=matching, iterations=iteration, freeze_iteration=freeze_map
+        matching=FractionalMatching(csr, edges, x, set(frozen)),
+        iterations=iteration,
+        freeze_iteration=freeze_map,
     )
 
 
@@ -213,27 +212,23 @@ def edge_weights_from_freezes(
     initial_weight: float,
     epsilon: float,
     final_iteration: int,
-) -> Dict[Edge, float]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Reconstruct ``x`` from per-vertex freeze iterations.
 
     ``x_e = initial_weight / (1-ε)^{t'}`` where ``t'`` is the first
     iteration at which an endpoint of ``e`` froze (both endpoints unfrozen
     means the edge grew until the process ended — only possible when the
-    process was truncated externally).  Keys are in sorted edge order.
+    process was truncated externally).  Returns ``(edges, x)``: every
+    canonical edge row of ``graph`` (``csr.edge_array()``) and its weight.
     """
     growth = 1.0 / (1.0 - epsilon)
     csr = as_csr(graph)
     first = np.full(csr.num_vertices, final_iteration, dtype=np.int64)
     first[list(frozen)] = list(frozen.values())
     edges = csr.edge_array()
-    t_freeze = np.minimum(first[edges[:, 0]], first[edges[:, 1]]).tolist()
+    t_freeze = np.minimum(first[edges[:, 0]], first[edges[:, 1]])
     # One scalar power per iteration, so every weight is exactly
     # ``initial_weight * growth ** t'`` in Python floats.
-    top = max(t_freeze, default=0)
-    scale = [initial_weight * (growth**t) for t in range(top + 1)]
-    return dict(
-        zip(
-            zip(edges[:, 0].tolist(), edges[:, 1].tolist()),
-            [scale[t] for t in t_freeze],
-        )
-    )
+    top = int(t_freeze.max(initial=0))
+    scale = np.array([initial_weight * (growth**t) for t in range(top + 1)])
+    return edges, scale[t_freeze]

@@ -90,25 +90,19 @@ def greedy_mis_on_prefix_csr(
 
 
 def residual_after_prefix(
-    graph: Graph, ranks: Sequence[int], up_to_rank: int, seed: SeedLike = None
-) -> Tuple[Graph, Set[int]]:
+    graph: Union[Graph, CSRGraph], ranks: Sequence[int], up_to_rank: int
+) -> Tuple[CSRGraph, Set[int]]:
     """The residual graph after greedily processing ranks ``< up_to_rank``.
 
     Utility for Lemma 3.1-style experiments: returns ``(residual, mis)``
-    where ``residual`` has every decided vertex isolated.
+    where ``residual`` is the CSR with every decided vertex (a pick or a
+    pick's neighbour) isolated.  One CSR walk over the prefix, then one
+    alive-mask filter of the edge rows.
     """
-    order = sorted(graph.vertices(), key=lambda v: ranks[v])
-    residual = graph.copy()
-    mis: Set[int] = set()
-    removed: Set[int] = set()
-    for v in order:
-        if ranks[v] >= up_to_rank:
-            break
-        if v in removed:
-            continue
-        mis.add(v)
-        removed.add(v)
-        for u in list(residual.neighbors_view(v)):
-            removed.add(u)
-        residual.remove_closed_neighborhood(v)
-    return residual, mis
+    csr = as_csr(graph)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    order = np.argsort(ranks, kind="stable")
+    prefix = order[: np.count_nonzero(ranks < up_to_rank)]
+    mis = _greedy_walk(csr, prefix.tolist())
+    alive = csr.remove_closed_neighborhoods(sorted(mis))
+    return csr.filter_edges(alive), mis

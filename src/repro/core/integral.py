@@ -17,21 +17,18 @@ Following Section 4.4.5, a final small-matching cleanup handles the
 leftover polylog-size matching via the LMSV11 filtering algorithm.
 
 Residual layout.  The residual graph is never copied or mutated: it is
-one vertex mask ``matched`` over the input's canonical CSR edge rows, and
-each pass, like the filtering cleanup, runs on
-``csr.filter_edges(~matched)``.  The residual's rows are the input's live
-rows in ascending order, so the per-pass weights of the array core
-:func:`~repro.core.matching_mpc.fractional_matching_arrays`,
-``(inside, x)`` over the residual's rows, map back to input rows with one
-gather.  The rounding walks the weighted edges in that canonical order
-for every input representation.
+one vertex mask ``matched`` over the input's CSR, and each pass, like the
+filtering cleanup, runs on ``csr.filter_edges(~matched)``.  The residual
+keeps the input's vertex labels, so each pass's
+:class:`~repro.core.fractional.FractionalMatching` rows are input edges in
+canonical order, and the rounding walks them in that order for every
+input representation.
 
-Float association.  The pass weight is the left-to-right Python ``sum``
-of the weights in row order.  The candidate loads ``C~`` are one
-``np.bincount`` over the interleaved ``(u0, v0, u1, v1, ...)`` endpoints,
-which adds in exactly the order of the ``FractionalMatching.vertex_loads``
-loop (``bincount(u) + bincount(v)`` would not).  The rounding sums are
-per-candidate sequential (see :func:`~repro.core.rounding.round_edge_arrays`).
+Float association.  Each pass uses the fractional matching's own
+arithmetic, with no copy here: the pass weight and the candidates ``C~``
+are :class:`~repro.core.fractional.FractionalMatching`'s row-order sum
+and interleaved-endpoint loads, and the rounding sums are per-candidate
+sequential (see :func:`~repro.core.rounding.round_fractional_matching`).
 """
 
 from __future__ import annotations
@@ -44,8 +41,8 @@ import numpy as np
 
 from repro.baselines.filtering import filtering_maximal_matching
 from repro.core.config import MatchingConfig
-from repro.core.matching_mpc import fractional_matching_arrays
-from repro.core.rounding import round_edge_arrays
+from repro.core.matching_mpc import mpc_fractional_matching
+from repro.core.rounding import round_fractional_matching
 from repro.dist.executor import in_process
 from repro.graph.csr import CSRGraph, as_csr
 from repro.graph.graph import Edge, Graph
@@ -108,11 +105,7 @@ def mpc_maximum_matching(
 
     executor = in_process(executor)
     csr = as_csr(graph)
-    n = csr.num_vertices
-    edges = csr.edge_array()
-    eu = edges[:, 0]
-    ev = edges[:, 1]
-    matched = np.zeros(n, dtype=bool)
+    matched = np.zeros(csr.num_vertices, dtype=bool)
     residual = csr
     matching: Set[Edge] = set()
     rounds = 0
@@ -122,7 +115,7 @@ def mpc_maximum_matching(
     empty_streak = 0
 
     for _ in range(max_passes):
-        fractional, inside, x = fractional_matching_arrays(
+        fractional = mpc_fractional_matching(
             residual,
             config=config,
             seed=rng.getrandbits(64),
@@ -133,23 +126,11 @@ def mpc_maximum_matching(
         comm_words += fractional.total_comm_words
         peak_words = max(peak_words, fractional.peak_words)
 
-        # The residual's rows are the input's live rows, ascending.
-        rows = np.flatnonzero(~(matched[eu] | matched[ev]))[inside]
-        wu, wv, wx = eu[rows], ev[rows], x
-        weight = sum(wx.tolist())
-
-        ends = np.column_stack((wu, wv)).ravel()
-        loads = np.bincount(ends, weights=np.repeat(wx, 2), minlength=n)
-        # Only vertices with a weighted edge have a load; this matters
-        # when 1 - 5ε <= 0.
-        present = np.bincount(ends, minlength=n) > 0
-        candidates = np.flatnonzero(
-            present & (loads >= 1.0 - 5.0 * config.epsilon)
-        )
-        if weight < 1.0 or candidates.size == 0:
+        candidates = fractional.rounding_candidates(config.epsilon)
+        if fractional.weight < 1.0 or candidates.size == 0:
             break
-        extracted = round_edge_arrays(
-            wu, wv, wx, candidates, seed=rng.getrandbits(64)
+        extracted = round_fractional_matching(
+            fractional.matching, candidates, seed=rng.getrandbits(64)
         ).matching
         rounds += 1  # rounding is a single local-decision MPC round
         per_pass.append(len(extracted))

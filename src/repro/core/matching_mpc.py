@@ -38,14 +38,13 @@ owner of vertex ``v`` in phase ``p`` a pure function of ``(seed, p, v)``.
 Nothing is consumed in an order, so every executor and every worker
 count reads the same values.
 
-:func:`fractional_matching_arrays` is the array core; it returns
-the weights as ``(inside, x)`` over the canonical CSR edge rows, and
-:func:`mpc_fractional_matching` wraps it in the public dict-based result.
-
-Output order.  The weight map lists the edges in canonical CSR row order
-(ascending ``(u, v)``, ``u < v``) for every input representation, so a
-``Graph``, a ``CSRGraph`` and an ``MMapCSRGraph`` of the same graph give
-the same bytes downstream (the Lemma 5.1 rounding, the total weight).
+Output form.  The weights come back as a
+:class:`~repro.core.fractional.FractionalMatching`: ``edges`` are the
+canonical CSR rows (ascending ``(u, v)``, ``u < v``) whose endpoints both
+survived, and ``x`` their weights in row order, for every input
+representation.  So a ``Graph``, a ``CSRGraph`` and an ``MMapCSRGraph`` of
+the same graph give the same bytes downstream (the Lemma 5.1 rounding, the
+total weight, the report).
 
 Float association.  Every float below is computed with one fixed
 operation order, because the outputs are byte-pinned across executors:
@@ -73,7 +72,7 @@ from repro.core.thresholds import ThresholdOracle
 from repro.dist.executor import in_process
 from repro.govern.governor import governed_broadcast
 from repro.graph.csr import CSRGraph, as_csr, gather_rows
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Graph
 from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import edge_words, id_words
@@ -152,8 +151,9 @@ class MatchingMPCResult:
         """Total fractional weight."""
         return self.matching.weight()
 
-    def rounding_candidates(self, epsilon: float) -> Set[int]:
-        """The high-load cover subset ``C~`` fed to Lemma 5.1 rounding."""
+    def rounding_candidates(self, epsilon: float) -> np.ndarray:
+        """The high-load cover subset ``C~`` fed to Lemma 5.1 rounding,
+        as sorted vertex ids."""
         return self.matching.heavy_vertices(1.0 - 5.0 * epsilon)
 
 
@@ -191,50 +191,16 @@ def mpc_fractional_matching(
         wave-splits over-budget scatters, and chunks the per-phase
         freeze broadcasts.  Exact pass-through when it never triggers.
     """
-    csr = as_csr(graph)
-    result, inside, x = fractional_matching_arrays(
-        csr,
-        config=config,
-        seed=seed,
-        oracle=oracle,
-        executor=executor,
-        governor=governor,
-    )
-    edges = csr.edge_array()[inside]
-    weights: Dict[Edge, float] = dict(
-        zip(zip(edges[:, 0].tolist(), edges[:, 1].tolist()), x.tolist())
-    )
-    result.matching = FractionalMatching(
-        graph=graph, weights=weights, vertex_cover=result.vertex_cover
-    )
-    return result
-
-
-def fractional_matching_arrays(
-    csr: CSRGraph,
-    config: Optional[MatchingConfig] = None,
-    seed: SeedLike = None,
-    oracle: Optional[ThresholdOracle] = None,
-    executor=None,
-    governor=None,
-) -> Tuple[MatchingMPCResult, np.ndarray, np.ndarray]:
-    """The array core of :func:`mpc_fractional_matching` on a CSR graph.
-
-    Returns ``(result, inside, x)``: ``inside`` marks the rows of
-    ``csr.edge_array()`` whose endpoints both survived, and ``x`` holds
-    their weights in row order.  ``result.matching.weights`` is left
-    empty; callers build the edge order they need from the arrays.
-    ``executor`` is as in :func:`mpc_fractional_matching`.
-    """
     config = config or MatchingConfig()
     epsilon = config.epsilon
     rng = make_rng(seed)
+    csr = as_csr(graph)
     n = csr.num_vertices
 
     if n == 0 or csr.num_edges == 0:
-        empty = FractionalMatching(graph=csr, weights={}, vertex_cover=set())
-        result = MatchingMPCResult(matching=empty, rounds=0, phases=0, iterations=0)
-        return result, np.zeros(csr.num_edges, dtype=bool), np.empty(0)
+        return MatchingMPCResult(
+            matching=FractionalMatching.empty(csr), rounds=0, phases=0, iterations=0
+        )
     executor = in_process(executor)
 
     if oracle is None:
@@ -460,8 +426,8 @@ def fractional_matching_arrays(
     inside = surviving_mask[eu] & surviving_mask[ev]
     x = _edge_weights(freeze_at, eu[inside], ev[inside], t, w0, growth)
     cover = set(freeze_iteration) | heavy_removed
-    result = MatchingMPCResult(
-        matching=FractionalMatching(graph=csr, weights={}, vertex_cover=cover),
+    return MatchingMPCResult(
+        matching=FractionalMatching(csr, edge_array[inside], x, cover),
         rounds=cluster.rounds,
         phases=phases,
         iterations=t,
@@ -473,7 +439,6 @@ def fractional_matching_arrays(
         total_comm_words=cluster.total_comm_words,
         peak_words=cluster.peak_words(),
     )
-    return result, inside, x
 
 
 def _ship_partitions(

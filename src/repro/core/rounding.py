@@ -15,16 +15,22 @@ least ``|C~| / 50`` with probability ``1 - 2 exp(-|C~|/5000)``; in practice
 the constant is far better (the E6 experiment measures it).  Every vertex
 decides from its own neighborhood only, so the procedure is a single MPC
 round.
+
+:func:`round_fractional_matching` is the one entry point: it reads a
+:class:`~repro.core.fractional.FractionalMatching`'s ``(edges, x)`` rows
+directly, and the Theorem 1.2 driver (:mod:`repro.core.integral`) calls it
+once per pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Set
+from typing import Iterable, Set
 
 import numpy as np
 
-from repro.graph.graph import Edge, Graph
+from repro.core.fractional import FractionalMatching
+from repro.graph.graph import Edge
 from repro.utils.rng import SeedLike, make_rng
 
 # The paper's dampening constant: proposals fire with probability x_e / 10.
@@ -41,59 +47,25 @@ class RoundingOutcome:
 
 
 def round_fractional_matching(
-    graph: Graph,
-    weights: Mapping[Edge, float],
-    candidates: Iterable[int],
-    seed: SeedLike = None,
-) -> Set[Edge]:
-    """Round ``weights`` to an integral matching (Lemma 5.1).
-
-    ``candidates`` is the high-load set ``C~``; only its members propose.
-    Returns the set of good edges — always a valid matching.
-    """
-    return round_fractional_matching_detailed(graph, weights, candidates, seed).matching
-
-
-def round_fractional_matching_detailed(
-    graph: Graph,
-    weights: Mapping[Edge, float],
+    fractional: FractionalMatching,
     candidates: Iterable[int],
     seed: SeedLike = None,
 ) -> RoundingOutcome:
-    """As :func:`round_fractional_matching` but with process statistics.
+    """Round ``fractional`` to an integral matching (Lemma 5.1).
 
-    The map's iteration order is the proposal order (see
-    :func:`round_edge_arrays`).
+    ``candidates`` is the high-load set ``C~``; only its members propose,
+    each once, in ascending order.  Each candidate ``v`` draws one
+    ``rng.random()`` roll and walks its incident positive-weight edges in
+    row order, adding ``x / 10`` to a running sum; it proposes the first
+    neighbour whose sum exceeds the roll, or nothing.  The running sums
+    are accumulated one incident position at a time across all
+    candidates, so each candidate's sum is the same sequence of float
+    additions as the scalar walk (a global cumsum minus offsets would
+    change low bits).  The good edges are always a valid matching.
     """
-    edges = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
-    x = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
-    return round_edge_arrays(
-        edges[:, 0],
-        edges[:, 1],
-        x,
-        np.array(sorted(set(candidates)), dtype=np.int64),
-        seed,
-    )
-
-
-def round_edge_arrays(
-    eu: np.ndarray,
-    ev: np.ndarray,
-    x: np.ndarray,
-    candidates: np.ndarray,
-    seed: SeedLike = None,
-) -> RoundingOutcome:
-    """Lemma 5.1 rounding over edge arrays ``(eu, ev, x)``.
-
-    ``candidates`` is ``C~``, sorted ascending without repeats.  Each
-    candidate ``v``, in that order, draws one ``rng.random()`` roll and
-    walks its incident positive-weight edges in array order, adding
-    ``x / 10`` to a running sum; it proposes the first neighbour whose sum
-    exceeds the roll, or nothing.  The running sums are accumulated one
-    incident position at a time across all candidates, so each
-    candidate's sum is the same sequence of float additions as the scalar
-    walk (a global cumsum minus offsets would change low bits).
-    """
+    if not isinstance(candidates, np.ndarray):
+        candidates = np.fromiter(candidates, dtype=np.int64)
+    candidates = np.unique(candidates.astype(np.int64, copy=False))
     if len(candidates) == 0:
         return RoundingOutcome(matching=set(), proposals=0, collisions=0)
     random = make_rng(seed).random
@@ -101,10 +73,11 @@ def round_edge_arrays(
 
     # Incident entries: each edge offers itself to u, then to v, in edge
     # order; a stable sort groups them by candidate without reordering.
-    keep = x > 0.0
-    ends = np.column_stack((eu[keep], ev[keep])).ravel()
-    others = np.column_stack((ev[keep], eu[keep])).ravel()
-    shares = np.repeat(x[keep] / PROPOSAL_DAMPENING, 2)
+    keep = fractional.x > 0.0
+    rows = fractional.edges[keep]
+    ends = rows.ravel()
+    others = rows[:, ::-1].ravel()
+    shares = np.repeat(fractional.x[keep] / PROPOSAL_DAMPENING, 2)
     group = np.minimum(np.searchsorted(candidates, ends), len(candidates) - 1)
     offered = candidates[group] == ends
     order = np.argsort(group[offered], kind="stable")

@@ -237,7 +237,8 @@ def luby_winners(
     """
     beaten = np.zeros(len(active), dtype=bool)
     for s, t in blocks:
-        beats = (draw[t] < draw[s]) | ((draw[t] == draw[s]) & (t < s))
+        drawn_t, drawn_s = draw[t], draw[s]
+        beats = (drawn_t < drawn_s) | ((drawn_t == drawn_s) & (t < s))
         beaten[s[beats]] = True
     return active & ~beaten
 
@@ -330,7 +331,9 @@ class _ResidualSlots:
                     parts = None
                 else:
                     parts.append((s, t))
-        if parts is not None:
+        if parts is not None and len(parts) == 1:
+            [(self._src, self._dst)] = parts
+        elif parts is not None:
             empty = np.empty(0, dtype=np.int64)
             self._src = np.concatenate([s for s, _ in parts] or [empty])
             self._dst = np.concatenate([t for _, t in parts] or [empty])

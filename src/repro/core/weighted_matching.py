@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.baselines.filtering import filtering_maximal_matching
 from repro.dist.executor import in_process
@@ -47,20 +49,32 @@ def weight_classes(
 
     Class ``j`` holds edges with weight in
     ``(w_max/(1+ε)^{j+1}, w_max/(1+ε)^j]``; edges below ``ε·w_max/n`` are
-    dropped (they cannot matter at the ``(2+ε)`` scale).
+    dropped (they cannot matter at the ``(2+ε)`` scale).  Within a class,
+    edges keep the order of ``graph.structure.edges()``.  The class index
+    is ``math.log`` over the one weight array's ``tolist()``: ``np.log``
+    may differ from it in the last bit, which could move a class boundary.
     """
     w_max = graph.max_weight()
     if w_max == 0.0:
         return []
-    floor = epsilon * w_max / max(1, graph.num_vertices)
-    ratio = 1.0 + epsilon
-    classes: Dict[int, List[Edge]] = {}
-    for u, v, w in graph.edges():
-        if w < floor:
-            continue
-        j = int(math.floor(math.log(w_max / w, ratio) + 1e-12))
-        classes.setdefault(j, []).append(canonical_edge(u, v))
-    return [classes[j] for j in sorted(classes)]
+    edges = list(graph.structure.edges())
+    weights = graph.weights_of(edges)
+    kept = np.flatnonzero(weights >= epsilon * w_max / max(1, graph.num_vertices))
+    log_ratio = math.log(1.0 + epsilon)
+    index = np.array(
+        [
+            math.floor(math.log(w_max / w) / log_ratio + 1e-12)
+            for w in weights[kept].tolist()
+        ],
+        dtype=np.int64,
+    )
+    order = kept[np.argsort(index, kind="stable")].tolist()
+    counts = np.bincount(index)
+    ends = np.cumsum(counts[counts > 0]).tolist()
+    return [
+        [edges[i] for i in order[start:end]]
+        for start, end in zip([0] + ends[:-1], ends)
+    ]
 
 
 def _filter_class(

@@ -14,7 +14,7 @@ solutions be validated at all (see OUT_OF_CORE.md).
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Mapping, Optional, Set, Union
+from typing import Iterable, Optional, Set, Union
 
 import numpy as np
 
@@ -129,37 +129,23 @@ def is_vertex_cover(graph: GraphLike, vertex_set: Iterable[int]) -> bool:
 
 
 def is_valid_fractional_matching(
-    graph: GraphLike, weights: Mapping[Edge, float], tolerance: float = 1e-9
+    graph: GraphLike, edges: np.ndarray, x: np.ndarray, tolerance: float = 1e-9
 ) -> bool:
     """Whether edge weights are nonnegative and each vertex's sum is ≤ 1.
 
-    This is the LP-feasibility condition the paper's duality argument
-    (Lemma 4.1) rests on; ``tolerance`` absorbs float accumulation.
+    ``edges`` is an int64 ``(k, 2)`` array of endpoint rows and ``x`` the
+    aligned weights.  This is the LP-feasibility condition the paper's
+    duality argument (Lemma 4.1) rests on; ``tolerance`` absorbs float
+    accumulation.
     """
     graph = as_csr(graph)
-    if not weights:
+    if len(x) == 0:
         return True
     n = graph.num_vertices
-    ends = np.fromiter(chain.from_iterable(weights), dtype=np.int64)
-    eu, ev = ends[0::2], ends[1::2]
-    x = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+    eu, ev = edges[:, 0], edges[:, 1]
     if bool(np.any(x < -tolerance)) or not _are_edges(graph, eu, ev):
         return False
     loads = np.bincount(eu, weights=x, minlength=n) + np.bincount(
         ev, weights=x, minlength=n
     )
     return bool(np.all(loads <= 1.0 + tolerance))
-
-
-def fractional_matching_weight(weights: Mapping[Edge, float]) -> float:
-    """Total weight ``sum_e x_e`` of a fractional matching."""
-    return sum(weights.values())
-
-
-def vertex_loads(weights: Mapping[Edge, float]) -> Dict[int, float]:
-    """Per-vertex load ``y_v = sum_{e ∋ v} x_e``."""
-    loads: Dict[int, float] = {}
-    for (u, v), x in weights.items():
-        loads[u] = loads.get(u, 0.0) + x
-        loads[v] = loads.get(v, 0.0) + x
-    return loads

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Edge, Graph, canonical_edge
 
@@ -64,6 +66,12 @@ class WeightedGraph:
         """Iterate ``(u, v, weight)`` triples in canonical edge order."""
         for u, v in self._graph.edges():
             yield u, v, self._weights[(u, v)]
+
+    def weights_of(self, edges: Sequence[Edge]) -> np.ndarray:
+        """Weights of the canonical ``edges`` as one float64 array."""
+        return np.fromiter(
+            map(self._weights.__getitem__, edges), dtype=np.float64, count=len(edges)
+        )
 
     def max_weight(self) -> float:
         """Largest edge weight (0.0 on an edgeless graph)."""

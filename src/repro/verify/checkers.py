@@ -25,7 +25,9 @@ reproduction's empirical bands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Collection, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Collection, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Edge, Graph
 from repro.graph.properties import (
@@ -99,16 +101,18 @@ def check_vertex_cover(graph: Graph, cover: Iterable[int]) -> List[CheckResult]:
 
 def check_fractional_matching(
     graph: Graph,
-    weights: Mapping[Edge, float],
+    edges: np.ndarray,
+    x: np.ndarray,
     tolerance: float = TOLERANCE,
 ) -> List[CheckResult]:
     """LP feasibility with ε-slack: ``x_e >= 0`` and ``y_v <= 1 + tol``.
 
-    This is the feasibility half of Lemma 4.1's duality argument;
-    ``tolerance`` absorbs float accumulation across the multiplicative
-    weight updates.
+    ``edges`` is the ``(k, 2)`` endpoint array and ``x`` the aligned
+    weights.  This is the feasibility half of Lemma 4.1's duality
+    argument; ``tolerance`` absorbs float accumulation across the
+    multiplicative weight updates.
     """
-    feasible = is_valid_fractional_matching(graph, weights, tolerance=tolerance)
+    feasible = is_valid_fractional_matching(graph, edges, x, tolerance=tolerance)
     return [
         CheckResult(
             name="fractional_feasible",
@@ -179,11 +183,11 @@ def check_vertex_cover_ratio(
 
 def check_fractional_bands(
     graph: Graph,
-    weights: Mapping[Edge, float],
+    x: np.ndarray,
     lower_factor: float,
     slack_vertices: int = 0,
 ) -> List[CheckResult]:
-    """Duality sandwich for a fractional matching's total weight ``W``.
+    """Duality sandwich for the total weight ``W`` of the weights ``x``.
 
     Upper: ``W <= 3/2 * ν`` (the fractional-matching polytope bound for
     simple graphs); lower: ``W * lower_factor >= ν - slack_vertices``
@@ -200,7 +204,7 @@ def check_fractional_bands(
     optimum = oracles.maximum_matching_size(graph)
     if optimum is None:
         return [_skipped("fractional_bands", "graph above matching-oracle cap")]
-    weight = sum(weights.values())
+    weight = sum(x.tolist())
     upper = 1.5 * optimum + TOLERANCE
     upper_ok = weight <= upper
     target = max(0, optimum - max(0, slack_vertices))
@@ -275,16 +279,17 @@ def weighted_factor(epsilon: float) -> float:
 @dataclass(frozen=True)
 class CheckedSolution:
     """A canonical solution in the one form its checks read (vertex list,
-    edge list or ``{(u, v): x}`` map), with its structural checks."""
+    edge list or ``(edges, x)`` arrays), with its structural checks."""
 
     form: Any
     checks: List[CheckResult]
+    size: int
     weight: Optional[float] = None
 
     def metrics(self) -> Dict[str, Any]:
         """The report's quality metrics: ``size``, ``valid``, ``weight``."""
         valid = all(check.passed for check in self.checks)
-        metrics: Dict[str, Any] = {"size": len(self.form), "valid": valid}
+        metrics: Dict[str, Any] = {"size": self.size, "valid": valid}
         if self.weight is not None:
             metrics["weight"] = self.weight
         return metrics
@@ -293,11 +298,24 @@ class CheckedSolution:
 _STRUCTURAL = {
     "mis": check_mis,
     "vertex_cover": check_vertex_cover,
-    "fractional_matching": check_fractional_matching,
     "matching": check_matching,
     "one_plus_eps_matching": check_matching,
     "weighted_matching": check_matching,
 }
+
+
+def fractional_columns(solution: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(edges, x)`` arrays of a fractional solution.
+
+    ``solution`` is a :class:`~repro.core.fractional.FractionalMatching`,
+    whose rows are the canonical order already, or the canonical
+    ``[u, v, x]`` triples, split into columns (vertex ids pass through
+    float64 exactly below ``2**53``).
+    """
+    if hasattr(solution, "edges"):
+        return solution.edges, solution.x
+    rows = np.array(solution, dtype=np.float64).reshape(-1, 3)
+    return rows[:, :2].astype(np.int64), rows[:, 2]
 
 
 def check_solution(
@@ -310,18 +328,22 @@ def check_solution(
 
     ``solution`` uses the canonical report shapes: a vertex list for
     ``mis``/``vertex_cover``, an edge list for the matching tasks, and
-    ``[u, v, x]`` triples for ``fractional_matching``.  ``weight`` is the
-    left-to-right sum in canonical order, or ``w(M)`` on ``weighted_graph``.
+    for ``fractional_matching`` anything :func:`fractional_columns` reads
+    (the solver's rows, or the report's ``[u, v, x]`` triples).
+    ``weight`` is the left-to-right sum in canonical order, or ``w(M)`` on
+    ``weighted_graph``.
     """
+    if task == "fractional_matching":
+        edges, x = fractional_columns(solution)
+        checks = check_fractional_matching(graph, edges, x)
+        return CheckedSolution((edges, x), checks, len(x), sum(x.tolist()))
     if task not in _STRUCTURAL:
         raise ValueError(f"unknown task {task!r}")
-    form, weight = solution, None
-    if task == "fractional_matching":
-        form = {(u, v): x for u, v, x in solution}
-        weight = sum(form.values())
-    elif task == "weighted_matching" and weighted_graph is not None:
-        weight = weighted_graph.matching_weight(form)
-    return CheckedSolution(form, _STRUCTURAL[task](graph, form), weight)
+    weight = None
+    if task == "weighted_matching" and weighted_graph is not None:
+        weight = weighted_graph.matching_weight(solution)
+    checks = _STRUCTURAL[task](graph, solution)
+    return CheckedSolution(solution, checks, len(solution), weight)
 
 
 def certify_solution(
@@ -357,6 +379,6 @@ def certify_solution(
         )
     elif task == "fractional_matching":
         results += check_fractional_bands(
-            graph, form, matching_factor(epsilon), slack_vertices=heavy_removed
+            graph, form[1], matching_factor(epsilon), slack_vertices=heavy_removed
         )
     return results

@@ -88,12 +88,10 @@ class TestMatchingInvariants:
     def test_rounding_always_matching(self, graph: Graph, seed: int):
         fractional = mpc_fractional_matching(graph, seed=seed)
         rounded = round_fractional_matching(
-            graph,
-            fractional.matching.weights,
-            fractional.rounding_candidates(0.1),
-            seed=seed,
+            fractional.matching, fractional.rounding_candidates(0.1), seed=seed
         )
-        assert is_matching(graph, rounded)
+        assert is_matching(graph, rounded.matching)
+        assert rounded.proposals == len(rounded.matching) + rounded.collisions
 
     @_SETTINGS
     @given(graph=random_graphs(), seed=st.integers(0, 1000))

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
-from repro.graph.graph import Graph, canonical_edge
+from repro.graph.graph import Graph
 from repro.graph.properties import (
     is_maximal_independent_set,
     is_maximal_matching,
@@ -29,6 +29,7 @@ from repro.graph.properties import (
 from repro.stream.dynamic import DynamicGraph
 from repro.stream.maintain import make_maintainer
 from repro.verify import agreement_band
+from repro.verify.checkers import fractional_columns
 from tests.property.strategies import graphs_with_batches
 
 _SETTINGS = settings(
@@ -165,13 +166,8 @@ class TestMaintainerConformance:
         for batch in batches:
             maintainer.step(batch)
             current = maintainer.graph.to_graph()
-            weights = {
-                canonical_edge(int(u), int(v)): float(x)
-                for u, v, x in maintainer.solution()
-            }
-            assert is_valid_fractional_matching(
-                current, weights, tolerance=1e-6
-            )
+            edges, x = fractional_columns(maintainer.solution())
+            assert is_valid_fractional_matching(current, edges, x, tolerance=1e-6)
             # The quality invariant behind the band: every edge sees a
             # saturated endpoint, so W >= nu / 2.
             loads = maintainer.loads

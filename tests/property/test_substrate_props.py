@@ -6,7 +6,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.rounding import round_fractional_matching_detailed
+from repro.core.rounding import round_fractional_matching
 from repro.core.thresholds import ThresholdOracle
 from repro.graph.generators import gnm_random_graph
 from repro.graph.graph import canonical_edge
@@ -14,6 +14,7 @@ from repro.graph.properties import is_matching
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.graph.properties import is_maximal_independent_set, is_maximal_matching
+from tests.reference.fractional import from_weights
 from tests.reference.sort import mpc_prefix_sums, mpc_sort
 
 _SETTINGS = settings(
@@ -82,8 +83,8 @@ class TestRoundingProperties:
         weights = {
             canonical_edge(u, v): 1.0 / top for u, v in graph.edges()
         }
-        outcome = round_fractional_matching_detailed(
-            graph, weights, set(range(30)), seed=seed
+        outcome = round_fractional_matching(
+            from_weights(graph, weights), set(range(30)), seed=seed
         )
         assert is_matching(graph, outcome.matching)
         assert outcome.proposals == len(outcome.matching) + outcome.collisions

@@ -13,4 +13,7 @@ runs them.
 * :mod:`tests.reference.hopcroft_karp` — exact bipartite maximum matching.
 * :mod:`tests.reference.filtering` — the LMSV11 filtering maximal
   matching on a mutable set graph (``copy``/``isolate``).
+* :mod:`tests.reference.fractional` — the ``{(u, v): x}`` map form of a
+  fractional matching, with the scalar load, weight, heavy-set and
+  canonical-triple loops the array form must reproduce bit for bit.
 """

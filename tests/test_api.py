@@ -46,6 +46,7 @@ from repro.graph.properties import (
     is_valid_fractional_matching,
     is_vertex_cover,
 )
+from repro.verify.checkers import fractional_columns
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.spec import ClusterSpec
 
@@ -224,7 +225,9 @@ def _check_ground_truth(task: str, graph, report: RunReport) -> None:
     elif task == "vertex_cover":
         assert is_vertex_cover(structure, report.vertex_set())
     elif task == "fractional_matching":
-        assert is_valid_fractional_matching(structure, report.edge_weights())
+        assert is_valid_fractional_matching(
+            structure, *fractional_columns(report.solution)
+        )
     else:
         assert is_matching(structure, report.edge_set())
 

@@ -132,7 +132,7 @@ class TestSchedule:
     def test_weights_exclude_heavy_vertices(self):
         g = gnp_random_graph(256, 0.1, seed=13)
         result = mpc_fractional_matching(g, seed=13)
-        for (u, v) in result.matching.weights:
+        for u, v in result.matching.edges.tolist():
             assert u not in result.heavy_removed
             assert v not in result.heavy_removed
 

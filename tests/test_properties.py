@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.properties import (
-    fractional_matching_weight,
     is_independent_set,
     is_matching,
     is_maximal_independent_set,
@@ -21,9 +20,13 @@ from repro.graph.properties import (
     is_valid_fractional_matching,
     is_vertex_cover,
     matching_vertices,
-    vertex_loads,
 )
 from tests.property.strategies import dense_pair_graphs, graphs, graphs_with_subsets
+from tests.reference.fractional import (
+    edge_arrays,
+    fractional_matching_weight,
+    vertex_loads,
+)
 
 _SETTINGS = settings(
     max_examples=30,
@@ -99,6 +102,11 @@ def reference_is_maximal_matching(graph: Graph, edges) -> bool:
 def reference_is_vertex_cover(graph: Graph, vertex_set) -> bool:
     cover = set(vertex_set)
     return all(u in cover or v in cover for u, v in graph.edges())
+
+
+def is_valid_fractional_map(graph, weights, tolerance: float = 1e-9) -> bool:
+    """The library validator on the map's ``(edges, x)`` arrays."""
+    return is_valid_fractional_matching(graph, *edge_arrays(weights), tolerance)
 
 
 def reference_is_valid_fractional_matching(
@@ -182,18 +190,18 @@ class TestVertexCover:
 class TestFractional:
     def test_valid(self, square):
         weights = {(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5, (0, 3): 0.5}
-        assert is_valid_fractional_matching(square, weights)
+        assert is_valid_fractional_map(square, weights)
         assert fractional_matching_weight(weights) == pytest.approx(2.0)
 
     def test_overloaded_vertex(self, square):
         weights = {(0, 1): 0.8, (1, 2): 0.8}
-        assert not is_valid_fractional_matching(square, weights)
+        assert not is_valid_fractional_map(square, weights)
 
     def test_negative_weight(self, square):
-        assert not is_valid_fractional_matching(square, {(0, 1): -0.1})
+        assert not is_valid_fractional_map(square, {(0, 1): -0.1})
 
     def test_non_edge(self, square):
-        assert not is_valid_fractional_matching(square, {(0, 2): 0.1})
+        assert not is_valid_fractional_map(square, {(0, 2): 0.1})
 
     def test_vertex_loads(self, square):
         loads = vertex_loads({(0, 1): 0.25, (1, 2): 0.5})
@@ -265,7 +273,7 @@ class TestValidatorProperties:
         # x_e = 1/max(1, Δ) keeps every vertex load at most 1.
         cap = max(1, graph.max_degree())
         weights = {edge: 1.0 / cap for edge in graph.edges()}
-        assert is_valid_fractional_matching(graph, weights)
+        assert is_valid_fractional_map(graph, weights)
         assert fractional_matching_weight(weights) == pytest.approx(
             graph.num_edges / cap
         )
@@ -277,7 +285,7 @@ class TestValidatorProperties:
     def test_overloaded_fractional_rejected(self, graph: Graph):
         u, v = next(iter(graph.edges()))
         weights = {canonical_edge(u, v): 1.5}
-        assert not is_valid_fractional_matching(graph, weights)
+        assert not is_valid_fractional_map(graph, weights)
 
 
 class TestCSRAgreement:
@@ -356,8 +364,8 @@ class TestCSRAgreement:
         csr = CSRGraph.from_graph(graph)
         cap = max(1, graph.max_degree())
         uniform = {edge: 1.0 / cap for edge in graph.edges()}
-        assert is_valid_fractional_matching(graph, uniform)
-        assert is_valid_fractional_matching(csr, uniform)
+        assert is_valid_fractional_map(graph, uniform)
+        assert is_valid_fractional_map(csr, uniform)
         assert reference_is_valid_fractional_matching(graph, uniform)
         n = graph.num_vertices
         non_edges = [
@@ -373,5 +381,5 @@ class TestCSRAgreement:
             corrupted.append({**uniform, first: 1.5})
         for weights in corrupted:
             assert not reference_is_valid_fractional_matching(graph, weights)
-            assert not is_valid_fractional_matching(graph, weights)
-            assert not is_valid_fractional_matching(csr, weights)
+            assert not is_valid_fractional_map(graph, weights)
+            assert not is_valid_fractional_map(csr, weights)

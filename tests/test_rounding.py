@@ -11,11 +11,11 @@ from repro.core.rounding import (
     PROPOSAL_DAMPENING,
     RoundingOutcome,
     round_fractional_matching,
-    round_fractional_matching_detailed,
 )
 from repro.graph.generators import complete_graph, gnp_random_graph
 from repro.graph.graph import Graph
 from repro.graph.properties import is_matching
+from tests.reference.fractional import from_weights
 
 
 class TestRounding:
@@ -25,8 +25,8 @@ class TestRounding:
         candidates = fractional.rounding_candidates(0.1)
         for seed in range(5):
             matching = round_fractional_matching(
-                g, fractional.matching.weights, candidates, seed=seed
-            )
+                fractional.matching, candidates, seed=seed
+            ).matching
             assert is_matching(g, matching)
 
     def test_yield_meets_paper_guarantee(self):
@@ -36,19 +36,20 @@ class TestRounding:
         candidates = fractional.rounding_candidates(0.1)
         assert len(candidates) > 50
         matching = round_fractional_matching(
-            g, fractional.matching.weights, candidates, seed=3
-        )
+            fractional.matching, candidates, seed=3
+        ).matching
         assert len(matching) >= len(candidates) / 50
 
     def test_empty_candidates(self):
-        g = complete_graph(4)
-        assert round_fractional_matching(g, {(0, 1): 0.5}, set(), seed=1) == set()
+        fractional = from_weights(complete_graph(4), {(0, 1): 0.5})
+        outcome = round_fractional_matching(fractional, set(), seed=1)
+        assert outcome == RoundingOutcome(matching=set(), proposals=0, collisions=0)
 
     def test_zero_weights_never_proposed(self):
         g = Graph(4, [(0, 1), (2, 3)])
         weights = {(0, 1): 0.0, (2, 3): 0.0}
-        outcome = round_fractional_matching_detailed(
-            g, weights, {0, 1, 2, 3}, seed=4
+        outcome = round_fractional_matching(
+            from_weights(g, weights), {0, 1, 2, 3}, seed=4
         )
         assert outcome.proposals == 0
         assert outcome.matching == set()
@@ -57,25 +58,22 @@ class TestRounding:
         g = gnp_random_graph(100, 0.1, seed=5)
         fractional = mpc_fractional_matching(g, seed=5)
         candidates = fractional.rounding_candidates(0.1)
-        a = round_fractional_matching(g, fractional.matching.weights, candidates, seed=6)
-        b = round_fractional_matching(g, fractional.matching.weights, candidates, seed=6)
+        a = round_fractional_matching(fractional.matching, candidates, seed=6)
+        b = round_fractional_matching(fractional.matching, candidates, seed=6)
         assert a == b
 
     def test_statistics_consistent(self):
         g = gnp_random_graph(300, 0.05, seed=7)
         fractional = mpc_fractional_matching(g, seed=7)
         candidates = fractional.rounding_candidates(0.1)
-        outcome = round_fractional_matching_detailed(
-            g, fractional.matching.weights, candidates, seed=8
-        )
+        outcome = round_fractional_matching(fractional.matching, candidates, seed=8)
         assert outcome.proposals == len(outcome.matching) + outcome.collisions
 
     def test_single_edge_graph_high_weight(self):
         """A single saturated edge is proposed with prob ~2/10 per side."""
-        g = Graph(2, [(0, 1)])
-        weights = {(0, 1): 1.0}
+        fractional = from_weights(Graph(2, [(0, 1)]), {(0, 1): 1.0})
         hits = sum(
-            bool(round_fractional_matching(g, weights, {0, 1}, seed=s))
+            bool(round_fractional_matching(fractional, {0, 1}, seed=s).matching)
             for s in range(400)
         )
         # P(matched) = P(at least one endpoint proposes) = 1-(0.9)^2 = 0.19.
@@ -158,15 +156,16 @@ def rounding_inputs(draw):
     # Candidates may exceed the edge range: those draw a roll, propose nothing.
     candidates = draw(st.sets(st.integers(min_value=0, max_value=n + 2)))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return weights, candidates, seed
+    return n, weights, candidates, seed
 
 
 @settings(max_examples=300, deadline=None)
 @given(rounding_inputs())
 def test_array_rounding_matches_scalar_reference(case):
-    weights, candidates, seed = case
-    assert round_fractional_matching_detailed(
-        None, weights, candidates, seed=seed
+    n, weights, candidates, seed = case
+    fractional = from_weights(Graph(n, list(weights)), weights)
+    assert round_fractional_matching(
+        fractional, candidates, seed=seed
     ) == _reference_rounding(weights, candidates, seed)
 
 
@@ -181,7 +180,8 @@ def test_edge_proposed_by_both_endpoints_counts_once():
         return rng.random() < 0.1 and rng.random() < 0.1
 
     seed = next(s for s in range(10_000) if both_propose(s))
-    outcome = round_fractional_matching_detailed(None, weights, {0, 1}, seed=seed)
+    fractional = from_weights(Graph(2, [(0, 1)]), weights)
+    outcome = round_fractional_matching(fractional, {0, 1}, seed=seed)
     assert outcome == _reference_rounding(weights, {0, 1}, seed)
     assert outcome.matching == {(0, 1)}
     assert (outcome.proposals, outcome.collisions) == (1, 0)

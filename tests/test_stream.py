@@ -9,7 +9,7 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import gnm_random_graph, path_graph, star_graph
-from repro.graph.graph import Graph, canonical_edge
+from repro.graph.graph import Graph
 from repro.graph.properties import (
     is_matching,
     is_maximal_independent_set,
@@ -17,6 +17,7 @@ from repro.graph.properties import (
     is_valid_fractional_matching,
     is_vertex_cover,
 )
+from repro.verify.checkers import fractional_columns
 from repro.stream import (
     DynamicGraph,
     EdgeBatch,
@@ -443,10 +444,8 @@ class TestFractionalMaintainer:
             seed=0,
         )
         current = maintainer.graph.to_graph()
-        weights = {
-            (int(u), int(v)): float(x) for u, v, x in maintainer.solution()
-        }
-        assert is_valid_fractional_matching(current, weights, tolerance=1e-6)
+        edges, x = fractional_columns(maintainer.solution())
+        assert is_valid_fractional_matching(current, edges, x, tolerance=1e-6)
         # Every edge must see a saturated endpoint — the 2-approx invariant.
         loads = maintainer.loads
         for u, v in current.edges():
@@ -461,10 +460,8 @@ class TestFractionalMaintainer:
         before = maintainer.total_weight()
         maintainer.step(EdgeBatch.make(deletions=[(0, 1)]))
         current = maintainer.graph.to_graph()
-        weights = {
-            (int(u), int(v)): float(x) for u, v, x in maintainer.solution()
-        }
-        assert is_valid_fractional_matching(current, weights, tolerance=1e-6)
+        edges, x = fractional_columns(maintainer.solution())
+        assert is_valid_fractional_matching(current, edges, x, tolerance=1e-6)
         assert maintainer.total_weight() == pytest.approx(1.0)
         assert before >= 1.0 - 1e-9
 
@@ -784,7 +781,5 @@ class TestSecondReviewRegressions:
         elif task == "vertex_cover":
             assert is_vertex_cover(current, set(maintainer.solution()))
         else:
-            weights = {
-                (int(u), int(v)): float(x) for u, v, x in maintainer.solution()
-            }
-            assert is_valid_fractional_matching(current, weights, tolerance=1e-6)
+            edges, x = fractional_columns(maintainer.solution())
+            assert is_valid_fractional_matching(current, edges, x, tolerance=1e-6)

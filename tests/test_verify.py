@@ -12,6 +12,7 @@ import json
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.api import RunReport, read_jsonl, registry, solve
@@ -35,6 +36,7 @@ from repro.verify import (
 from repro.verify import checkers, oracles
 from repro.verify.__main__ import main as verify_cli
 from repro.verify.differential import FAMILIES, attach_weights, quality_of
+from tests.reference.fractional import from_weights
 
 
 @pytest.fixture(scope="module")
@@ -144,10 +146,28 @@ class TestCheckers:
 
     def test_fractional_checks(self):
         graph = path_graph(3)
-        good = {(0, 1): 0.5, (1, 2): 0.5}
-        assert checkers.check_fractional_matching(graph, good)[0].passed
-        bad = {(0, 1): 0.8, (1, 2): 0.8}
-        assert not checkers.check_fractional_matching(graph, bad)[0].passed
+        edges = np.array([[0, 1], [1, 2]])
+        good = np.array([0.5, 0.5])
+        assert checkers.check_fractional_matching(graph, edges, good)[0].passed
+        bad = np.array([0.8, 0.8])
+        assert not checkers.check_fractional_matching(graph, edges, bad)[0].passed
+
+    def test_fractional_columns_of_triples_and_solver_rows(self):
+        graph = path_graph(3)
+        triples = [[0, 1, 0.5], [1, 2, 0.25]]
+        edges, x = checkers.fractional_columns(triples)
+        assert edges.dtype == np.int64 and edges.tolist() == [[0, 1], [1, 2]]
+        assert x.tolist() == [0.5, 0.25]
+        rows = from_weights(graph, {(0, 1): 0.5, (1, 2): 0.25})
+        row_edges, row_x = checkers.fractional_columns(rows)
+        assert row_edges is rows.edges and row_x is rows.x
+        empty_edges, empty_x = checkers.fractional_columns([])
+        assert empty_edges.shape == (0, 2) and empty_x.shape == (0,)
+        checked = checkers.check_solution("fractional_matching", graph, triples)
+        assert checked.metrics() == {"size": 2, "valid": True, "weight": 0.75}
+        assert checkers.check_solution(
+            "fractional_matching", graph, rows
+        ).metrics() == checked.metrics()
 
     def test_matching_ratio_flags_degenerate_output(self):
         graph = path_graph(9)  # nu = 4
@@ -163,7 +183,7 @@ class TestCheckers:
 
     def test_fractional_bands_heavy_removal_discount(self):
         graph = star_graph(12)  # nu = 1
-        empty: dict = {}
+        empty = np.empty(0)
         strict = checkers.check_fractional_bands(graph, empty, 2.5)
         assert not strict[1].passed  # weight 0 vs nu=1
         discounted = checkers.check_fractional_bands(
