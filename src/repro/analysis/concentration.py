@@ -14,12 +14,15 @@ freeze iterations and final loads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.core.central import NEVER_FROZEN, run_freezing_process
+import numpy as np
+
+from repro.core.central import run_freezing_process
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import MatchingMPCResult, mpc_fractional_matching
 from repro.core.thresholds import ThresholdOracle
+from repro.graph.csr import as_csr
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike, make_rng
 
@@ -87,33 +90,25 @@ def coupled_run(
         max_iterations=100_000,
     )
 
-    bad = 0
-    relevant = 0
-    for v in graph.vertices():
-        if graph.degree(v) == 0:
-            continue
-        relevant += 1
-        central_freeze = central.freeze_iteration.get(v, NEVER_FROZEN)
-        mpc_freeze = mpc.freeze_iteration.get(v, NEVER_FROZEN)
-        if central_freeze != mpc_freeze:
-            bad += 1
-
-    central_loads = central.matching.vertex_loads().tolist()
-    mpc_loads = mpc.matching.vertex_loads().tolist()
-    deviations: List[float] = []
-    for v in graph.vertices():
-        if graph.degree(v) == 0 or v in mpc.heavy_removed:
-            continue
-        deviations.append(abs(central_loads[v] - mpc_loads[v]))
+    # Bad vertices: non-isolated ones whose freeze iterations differ (both
+    # arrays mark the vertices that never froze NEVER_FROZEN).
+    relevant = as_csr(graph).degrees() > 0
+    differ = central.freeze_at[relevant] != mpc.freeze_at[relevant]
+    bad = int(np.count_nonzero(differ))
+    present = relevant.copy()
+    present[mpc.heavy_removed] = False
+    deviations = np.abs(
+        central.matching.vertex_loads() - mpc.matching.vertex_loads()
+    )[present].tolist()
 
     return CouplingReport(
-        bad_fraction=bad / relevant if relevant else 0.0,
+        bad_fraction=bad / len(differ) if len(differ) else 0.0,
         mean_load_deviation=(
             sum(deviations) / len(deviations) if deviations else 0.0
         ),
         max_load_deviation=max(deviations, default=0.0),
         cover_symmetric_difference=len(
-            central.vertex_cover ^ mpc.vertex_cover
+            np.setxor1d(central.vertex_cover, mpc.vertex_cover)
         ),
         central_weight=central.weight,
         mpc_weight=mpc.weight,

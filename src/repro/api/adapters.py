@@ -2,7 +2,9 @@
 
 Each adapter is a thin shim — the algorithm modules keep their bespoke
 signatures and result dataclasses (all existing callers and tests stay
-valid), and the registry entry translates to the façade convention.
+valid), and the registry entry translates to the façade convention; the
+set-based backends' solutions become arrays here (``edge_rows``,
+``vertex_ids``).
 Unweighted adapters receive the façade's :class:`~repro.graph.csr.CSRGraph`;
 weighted ones receive the :class:`~repro.graph.weighted.WeightedGraph`.
 Backend-specific measurements (prefix phases, Lenzen volumes, supersteps)
@@ -30,7 +32,7 @@ from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.mis_mpc import mis_mpc
 from repro.core.vertex_cover import cover_from_maximal_matching, mpc_vertex_cover
 from repro.core.weighted_matching import mpc_weighted_matching
-from repro.graph.csr import canonical_graph
+from repro.graph.csr import canonical_graph, edge_rows, vertex_ids
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.programs import luby_vertex_program, matching_vertex_program
 from repro.utils.rng import SeedLike
@@ -132,7 +134,7 @@ def _mis_pregel(
 ) -> SolverOutput:
     result = luby_vertex_program(graph, seed=seed)
     return SolverOutput(
-        solution=result.mis,
+        solution=vertex_ids(result.mis),
         rounds=result.rounds,
         max_machine_words=result.max_machine_message_words,
         total_comm_words=result.total_message_words,
@@ -322,7 +324,7 @@ def _matching_pregel(
 ) -> SolverOutput:
     result = matching_vertex_program(graph, seed=seed)
     return SolverOutput(
-        solution=result.matching,
+        solution=edge_rows(result.matching),
         rounds=result.rounds,
         max_machine_words=result.max_machine_message_words,
         total_comm_words=result.total_message_words,
@@ -358,7 +360,7 @@ def _matching_central(
     seed: SeedLike = None,
 ) -> SolverOutput:
     return SolverOutput(
-        solution=blossom_maximum_matching(canonical_graph(graph)),
+        solution=edge_rows(blossom_maximum_matching(canonical_graph(graph))),
         extras={"exact": True},
     )
 
@@ -537,7 +539,7 @@ def _one_plus_eps_central(
     seed: SeedLike = None,
 ) -> SolverOutput:
     return SolverOutput(
-        solution=blossom_maximum_matching(canonical_graph(graph)),
+        solution=edge_rows(blossom_maximum_matching(canonical_graph(graph))),
         extras={"exact": True},
     )
 
@@ -608,4 +610,4 @@ def _weighted_greedy(
         matching.add((u, v))
         matched.add(u)
         matched.add(v)
-    return SolverOutput(solution=matching)
+    return SolverOutput(solution=edge_rows(matching))

@@ -23,7 +23,7 @@ from repro.api.registry import SolverEntry, registry
 from repro.dist.executor import resolve_executor
 from repro.govern import GovernanceDegraded, GovernancePolicy, Governor
 from repro.mpc.cluster import MemoryExceededError
-from repro.api.report import FRACTIONAL, RunReport, canonical_solution
+from repro.api.report import RunReport, canonical_solution
 from repro.graph.csr import CSRGraph, as_csr, canonical_graph
 from repro.graph.graph import Graph
 from repro.graph.weighted import WeightedGraph
@@ -240,14 +240,8 @@ def solve(
     from repro.verify import BudgetPolicy, certify_report, check_solution
 
     solution = canonical_solution(entry.solution_kind, output.solution)
-    # A fractional solution's rows are its canonical triples' columns, so
-    # the checks read them from the solver instead of re-parsing the list.
-    checked = check_solution(
-        entry.task,
-        csr,
-        output.solution if entry.solution_kind == FRACTIONAL else solution,
-        weighted,
-    )
+    # The checks read the solver's arrays, not the report's lists.
+    checked = check_solution(entry.task, csr, output.solution, weighted)
 
     extras = dict(output.extras)
     if dist_executor is not None:

@@ -41,9 +41,11 @@ BACKENDS = (
 class SolverOutput:
     """What an adapter hands back to the façade.
 
-    ``solution`` stays in the solver's natural type (set of vertices, set
-    of edges, or :class:`~repro.core.fractional.FractionalMatching`); the
-    façade canonicalizes it per the entry's ``solution_kind``.
+    ``solution`` has one form per ``solution_kind``: an int64 array of
+    distinct vertex ids, an int64 ``(k, 2)`` array of canonical ``u < v``
+    edge rows, or a :class:`~repro.core.fractional.FractionalMatching`.
+    The façade's checks read it in any order, and
+    :func:`~repro.api.report.canonical_solution` sorts it once.
     """
 
     solution: Any

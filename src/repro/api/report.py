@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,32 +36,24 @@ _SUPPORTED_SCHEMAS = (1, 2)
 
 
 def canonical_solution(kind: str, solution: Any) -> Any:
-    """Normalize a solver's raw solution into its canonical JSON shape.
+    """A solver's array solution (see
+    :class:`~repro.api.registry.SolverOutput`) as its canonical JSON lists.
 
-    Sorted in NumPy and listed from ``tolist`` columns: no per-element
-    ``int``/``float`` calls, no ``sorted`` over Python triples.  Edges
-    sort by ``(u, v)``, as ``sorted`` orders the lists.  A fractional
-    solution is a :class:`~repro.core.fractional.FractionalMatching`,
-    whose ``(edges, x)`` rows are already canonical and ascending, so its
-    columns are listed as they are.
+    Sorts once (ids ascending, rows by ``(u, v)`` as ``sorted`` orders the
+    lists) and lists the sorted columns with ``tolist``.  A fractional
+    matching's ``(edges, x)`` rows are canonical and ascending already, so
+    its columns are listed as they are.
     """
     if kind == VERTEX_SET:
-        if not isinstance(solution, np.ndarray):
-            solution = np.fromiter(solution, dtype=np.int64)
-        return np.sort(solution.astype(np.int64, copy=False)).tolist()
+        return np.sort(solution).tolist()
     if kind == FRACTIONAL:
         edges = solution.edges
         columns = [edges[:, 0].tolist(), edges[:, 1].tolist(), solution.x.tolist()]
         return list(map(list, zip(*columns)))
     if kind != EDGE_SET:
         raise ValueError(f"unknown solution kind {kind!r}")
-    ends = np.fromiter(
-        chain.from_iterable(solution), dtype=np.int64, count=2 * len(solution)
-    ).reshape(-1, 2)
-    lo = np.minimum(ends[:, 0], ends[:, 1])
-    hi = np.maximum(ends[:, 0], ends[:, 1])
-    order = np.lexsort((hi, lo))
-    return list(map(list, zip(lo[order].tolist(), hi[order].tolist())))
+    rows = solution[np.lexsort((solution[:, 1], solution[:, 0]))]
+    return list(map(list, zip(rows[:, 0].tolist(), rows[:, 1].tolist())))
 
 
 @dataclass(frozen=True)
@@ -154,13 +145,13 @@ class RunReport:
 
     # -- solution accessors -------------------------------------------------
 
-    def vertex_set(self) -> Set[int]:
+    def vertex_set(self) -> set[int]:
         """The solution as a vertex set (``vertex_set`` reports only)."""
         if self.solution_kind != VERTEX_SET:
             raise TypeError(f"solution is {self.solution_kind}, not a vertex set")
         return set(self.solution)
 
-    def edge_set(self) -> Set[Tuple[int, int]]:
+    def edge_set(self) -> set[Tuple[int, int]]:
         """The solution as a set of canonical edges (``edge_set`` only)."""
         if self.solution_kind != EDGE_SET:
             raise TypeError(f"solution is {self.solution_kind}, not an edge set")

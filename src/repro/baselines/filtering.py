@@ -17,21 +17,22 @@ live edge list and greedily matches a seeded shuffle of the sorted sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Union
+from typing import List, Union
 
 import numpy as np
 
+from repro.baselines.greedy import match_shuffled
 from repro.graph.csr import CSRGraph, as_csr
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Graph
 from repro.mpc.words import WORDS_PER_EDGE
 from repro.utils.rng import SeedLike, make_rng
 
 
 @dataclass
 class FilteringResult:
-    """Outcome of the filtering algorithm."""
+    """Outcome of the filtering algorithm; ``matching`` is the matched rows."""
 
-    matching: Set[Edge]
+    matching: np.ndarray
     rounds: int
     residual_edges_per_round: List[int] = field(default_factory=list)
 
@@ -55,7 +56,7 @@ def filtering_maximal_matching(
     matched = np.zeros(csr.num_vertices, dtype=bool)
     live = np.ones(len(edges), dtype=bool)
     live_count = len(edges)
-    matching: Set[Edge] = set()
+    matched_rows: List[np.ndarray] = []
     rounds = 0
     capacity_edges = max(2, words_per_machine // WORDS_PER_EDGE)
     residual_trajectory: List[int] = []
@@ -72,8 +73,7 @@ def filtering_maximal_matching(
         picked = np.sort(
             rows[rng.sample(range(live_count), min(live_count, capacity_edges))]
         )
-        sample = list(zip(eu[picked].tolist(), ev[picked].tolist()))
-        _match_greedily(sample, rng.getrandbits(64), matched, matching)
+        matched_rows.append(match_shuffled(edges[picked], rng.getrandbits(64), matched))
         live &= ~(matched[eu] | matched[ev])
         live_count = int(np.count_nonzero(live))
         residual_trajectory.append(live_count)
@@ -81,29 +81,10 @@ def filtering_maximal_matching(
     # Final round: the residual fits on one machine; finish exactly.
     if live_count > 0:
         rounds += 1
-        residual = list(zip(eu[live].tolist(), ev[live].tolist()))
-        _match_greedily(residual, rng.getrandbits(64), matched, matching)
+        matched_rows.append(match_shuffled(edges[live], rng.getrandbits(64), matched))
         residual_trajectory.append(0)
     return FilteringResult(
-        matching=matching,
+        matching=np.concatenate(matched_rows or [edges[:0]]),
         rounds=rounds,
         residual_edges_per_round=residual_trajectory,
     )
-
-
-def _match_greedily(
-    edges: List[Edge], seed: int, matched: np.ndarray, matching: Set[Edge]
-) -> None:
-    """One machine's greedy maximal matching of live ``edges``, in place.
-
-    Shuffles the sorted ``edges`` with ``seed``, then adds each edge whose
-    endpoints are both still unmatched to ``matching`` and marks them in
-    ``matched``.
-    """
-    make_rng(seed).shuffle(edges)
-    for u, v in edges:
-        if matched[u] or matched[v]:
-            continue
-        matching.add((u, v))
-        matched[u] = True
-        matched[v] = True

@@ -24,8 +24,10 @@ differs, and it is derived from measured volumes, not assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Set
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from repro.congested_clique.model import CongestedClique
 from repro.congested_clique.routing import LENZEN_ROUND_COST
@@ -44,11 +46,11 @@ class CCMatchingResult:
     rounds: int
     phases: int
     direct_iterations: int
-    heavy_removed: Set[int] = field(default_factory=set)
+    heavy_removed: np.ndarray
 
     @property
-    def vertex_cover(self) -> Set[int]:
-        """The reported vertex cover."""
+    def vertex_cover(self) -> np.ndarray:
+        """The reported vertex cover, as ascending int64 ids."""
         return self.matching.vertex_cover
 
     @property

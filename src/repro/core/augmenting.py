@@ -18,21 +18,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Container, Dict, Iterable, List, Optional, Union
+
+import numpy as np
 
 from repro.core.config import MatchingConfig
 from repro.core.integral import mpc_maximum_matching
-from repro.graph.csr import CSRGraph, canonical_graph
-from repro.graph.graph import Edge, Graph, canonical_edge
+from repro.graph.csr import CSRGraph, canonical_graph, edge_rows
+from repro.graph.graph import Edge, Graph
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require_epsilon
 
 
 @dataclass
 class AugmentingResult:
-    """Outcome of the augmenting-path improvement loop."""
+    """Outcome of the augmenting-path improvement loop; ``matching`` is an
+    int64 ``(k, 2)`` array of canonical ``u < v`` rows."""
 
-    matching: Set[Edge]
+    matching: np.ndarray
     rounds: int
     sweeps: int
     augmentations: int
@@ -66,17 +69,14 @@ def one_plus_eps_matching(
         executor=executor,
         governor=governor,
     )
-    matching = set(base.matching)
-    rounds = base.rounds
-
     k = max(1, math.ceil(1.0 / epsilon))
     max_length = 2 * k - 1
     # The path search walks set-based adjacency in iteration order, so it
     # reads the canonical form of every representation.
-    improved = improve_matching(canonical_graph(graph), matching, max_length)
+    improved = improve_matching(canonical_graph(graph), base.matching, max_length)
     return AugmentingResult(
         matching=improved.matching,
-        rounds=rounds + improved.rounds,
+        rounds=base.rounds + improved.rounds,
         sweeps=improved.sweeps,
         augmentations=improved.augmentations,
         max_path_length=max_length,
@@ -87,9 +87,10 @@ def one_plus_eps_matching(
 
 @dataclass
 class ImprovementOutcome:
-    """Result of :func:`improve_matching`."""
+    """Result of :func:`improve_matching`; ``matching`` is an int64
+    ``(k, 2)`` array of canonical ``u < v`` rows."""
 
-    matching: Set[Edge]
+    matching: np.ndarray
     rounds: int
     sweeps: int
     augmentations: int
@@ -97,7 +98,7 @@ class ImprovementOutcome:
 
 def improve_matching(
     graph: Graph,
-    matching: Set[Edge],
+    matching: Iterable[Edge],
     max_path_length: int,
 ) -> ImprovementOutcome:
     """Eliminate augmenting paths of length ``<= max_path_length``.
@@ -109,21 +110,24 @@ def improve_matching(
     with ℓ rounds of neighborhood exchange), which is what ``rounds``
     accounts.
     """
-    current = {canonical_edge(u, v) for u, v in matching}
+    mate = _mates(matching)
     sweeps = 0
     total_augmentations = 0
     rounds = 0
     while True:
-        paths = find_disjoint_augmenting_paths(graph, current, max_path_length)
+        paths = find_disjoint_augmenting_paths(graph, mate.items(), max_path_length)
         rounds += max(1, max_path_length)
         sweeps += 1
         if not paths:
             break
         for path in paths:
-            _apply_augmentation(current, path)
+            # Flip: the path's even-position edges become the matched ones.
+            for u, v in zip(path[0::2], path[1::2]):
+                mate[u] = v
+                mate[v] = u
         total_augmentations += len(paths)
     return ImprovementOutcome(
-        matching=current,
+        matching=edge_rows([(u, v) for u, v in mate.items() if u < v]),
         rounds=rounds,
         sweeps=sweeps,
         augmentations=total_augmentations,
@@ -131,7 +135,7 @@ def improve_matching(
 
 
 def find_disjoint_augmenting_paths(
-    graph: Graph, matching: Set[Edge], max_path_length: int
+    graph: Graph, matching: Iterable[Edge], max_path_length: int
 ) -> List[List[int]]:
     """A maximal set of vertex-disjoint augmenting paths of bounded length.
 
@@ -140,11 +144,8 @@ def find_disjoint_augmenting_paths(
     path's vertices, continue.  The DFS tracks per-attempt visitation, so a
     single attempt is ``O(m)`` worst case.
     """
-    mate: Dict[int, int] = {}
-    for u, v in matching:
-        mate[u] = v
-        mate[v] = u
-    used: Set[int] = set()
+    mate = _mates(matching)
+    used = set()  # vertices on an already chosen path
     paths: List[List[int]] = []
     for root in graph.vertices():
         if root in mate or root in used:
@@ -161,7 +162,7 @@ def _augmenting_dfs(
     mate: Dict[int, int],
     root: int,
     max_path_length: int,
-    locked: Set[int],
+    locked: Container[int],
 ) -> Optional[List[int]]:
     """DFS for one augmenting path from free vertex ``root``.
 
@@ -194,11 +195,7 @@ def _augmenting_dfs(
     return result
 
 
-def _apply_augmentation(matching: Set[Edge], path: Sequence[int]) -> None:
-    """Flip the matching along an augmenting path (odd-length, free ends)."""
-    for index in range(len(path) - 1):
-        edge = canonical_edge(path[index], path[index + 1])
-        if index % 2 == 0:
-            matching.add(edge)
-        else:
-            matching.remove(edge)
+def _mates(matching: Iterable[Edge]) -> Dict[int, int]:
+    """The mate map of a matching's edges, in both directions."""
+    rows = edge_rows(matching).tolist()
+    return dict(rows + [[v, u] for u, v in rows])

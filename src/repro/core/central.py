@@ -13,7 +13,7 @@ that makes the MPC simulation's estimate errors survivable (Lemma 4.11).
 The implementation tracks, per vertex, the iteration at which it froze.
 Because *every* active edge is scaled by the same factor each iteration,
 the final weight of edge ``e = {u, v}`` is determined by
-``t'(e) = min(freeze_iteration(u), freeze_iteration(v))`` alone:
+``t'(e) = min(freeze_at(u), freeze_at(v))`` alone:
 ``x_e = x_0 / (1-ε)^{t'(e)}``.  This is the same observation the paper's
 Line (g) of MPC-Simulation exploits, and it makes each iteration ``O(n)``
 after an ``O(m)`` setup.
@@ -22,8 +22,8 @@ after an ``O(m)`` setup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,18 +49,18 @@ class CentralResult:
         The fractional matching and the frozen-vertex cover.
     iterations:
         Iterations executed until every edge froze.
-    freeze_iteration:
-        Per-vertex iteration index at which the vertex froze
-        (:data:`NEVER_FROZEN` for vertices that never did).
+    freeze_at:
+        Per-vertex freeze iteration, int64 over ``range(n)``
+        (:data:`NEVER_FROZEN` if it never froze).
     """
 
     matching: FractionalMatching
     iterations: int
-    freeze_iteration: Dict[int, int] = field(default_factory=dict)
+    freeze_at: np.ndarray
 
     @property
-    def vertex_cover(self) -> Set[int]:
-        """The frozen-vertex cover."""
+    def vertex_cover(self) -> np.ndarray:
+        """The frozen-vertex cover, as ascending int64 ids."""
         return self.matching.vertex_cover
 
     @property
@@ -100,7 +100,7 @@ def central_fractional_matching(
         return CentralResult(
             matching=FractionalMatching.empty(csr),
             iterations=0,
-            freeze_iteration={},
+            freeze_at=np.full(n, NEVER_FROZEN, dtype=np.int64),
         )
 
     oracle = (
@@ -143,9 +143,9 @@ def run_freezing_process(
     indices = csr.indices.tolist()
 
     active_degree = [hi - lo for lo, hi in zip(indptr, indptr[1:])]
-    frozen: Dict[int, int] = {}
+    freeze_at = [NEVER_FROZEN] * n
     frozen_load: List[float] = [0.0] * n  # weight of already-frozen incident edges
-    active: Set[int] = {v for v in range(n) if active_degree[v] > 0}
+    active = {v for v in range(n) if active_degree[v] > 0}
 
     weight_t = initial_weight
     iteration = 0
@@ -163,7 +163,7 @@ def run_freezing_process(
         crossed = np.asarray(loads) >= oracle.thresholds_batch(candidates, iteration)
         to_freeze = [v for v, hit in zip(candidates, crossed.tolist()) if hit]
         for v in to_freeze:
-            frozen[v] = iteration
+            freeze_at[v] = iteration
             active.discard(v)
         # Freezing an edge fixes its weight at the current value; update the
         # neighbors' frozen load and active degree.  An edge freezes when its
@@ -180,7 +180,7 @@ def run_freezing_process(
                     frozen_load[u] += weight_t
                     active_degree[v] -= 1
                     active_degree[u] -= 1
-                elif u in frozen:
+                elif freeze_at[u] != NEVER_FROZEN:
                     continue  # edge already frozen in an earlier iteration
                 else:
                     frozen_load[u] += weight_t
@@ -195,25 +195,27 @@ def run_freezing_process(
         weight_t *= growth
         iteration += 1
 
+    freeze_at = np.array(freeze_at, dtype=np.int64)
     edges, x = edge_weights_from_freezes(
-        csr, frozen, initial_weight, epsilon, final_iteration=iteration
+        csr, freeze_at, initial_weight, epsilon, final_iteration=iteration
     )
-    freeze_map = {v: frozen.get(v, NEVER_FROZEN) for v in range(n)}
     return CentralResult(
-        matching=FractionalMatching(csr, edges, x, set(frozen)),
+        matching=FractionalMatching(
+            csr, edges, x, np.flatnonzero(freeze_at != NEVER_FROZEN)
+        ),
         iterations=iteration,
-        freeze_iteration=freeze_map,
+        freeze_at=freeze_at,
     )
 
 
 def edge_weights_from_freezes(
     graph: Union[Graph, CSRGraph],
-    frozen: Dict[int, int],
+    freeze_at: np.ndarray,
     initial_weight: float,
     epsilon: float,
     final_iteration: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reconstruct ``x`` from per-vertex freeze iterations.
+    """Reconstruct ``x`` from the per-vertex freeze iterations ``freeze_at``.
 
     ``x_e = initial_weight / (1-ε)^{t'}`` where ``t'`` is the first
     iteration at which an endpoint of ``e`` froze (both endpoints unfrozen
@@ -223,8 +225,7 @@ def edge_weights_from_freezes(
     """
     growth = 1.0 / (1.0 - epsilon)
     csr = as_csr(graph)
-    first = np.full(csr.num_vertices, final_iteration, dtype=np.int64)
-    first[list(frozen)] = list(frozen.values())
+    first = np.where(freeze_at == NEVER_FROZEN, final_iteration, freeze_at)
     edges = csr.edge_array()
     t_freeze = np.minimum(first[edges[:, 0]], first[edges[:, 1]])
     # One scalar power per iteration, so every weight is exactly

@@ -20,7 +20,6 @@ from zero (``bincount(u) + bincount(v)`` would not).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Set
 
 import numpy as np
 
@@ -41,13 +40,14 @@ class FractionalMatching:
     x:
         float64 weights ``x_e >= 0`` aligned with ``edges``.
     vertex_cover:
-        The frozen-vertex set the algorithm reports as its vertex cover.
+        The reported cover as ascending int64 ids: the frozen vertices
+        (plus the Line (i) removals, for MPC-Simulation).
     """
 
     graph: CSRGraph
     edges: np.ndarray
     x: np.ndarray
-    vertex_cover: Set[int] = field(default_factory=set)
+    vertex_cover: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     @classmethod
     def empty(cls, graph: CSRGraph) -> "FractionalMatching":

@@ -10,7 +10,7 @@ a property the test suite asserts verbatim.
 
 from __future__ import annotations
 
-from typing import Sequence, Set, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import require
 
 
-def greedy_mis(graph: Union[Graph, CSRGraph], order: Sequence[int]) -> Set[int]:
-    """Greedy MIS processing vertices in ``order``.
+def greedy_mis(graph: Union[Graph, CSRGraph], order: Sequence[int]) -> np.ndarray:
+    """Greedy MIS processing vertices in ``order``, as ascending int64 ids.
 
     ``order`` must enumerate every vertex exactly once.  Runs in
     ``O(n + m)`` time over the CSR rows, so CSR and memory-mapped inputs
@@ -36,26 +36,27 @@ def greedy_mis(graph: Union[Graph, CSRGraph], order: Sequence[int]) -> Set[int]:
 
 def randomized_greedy_mis(
     graph: Union[Graph, CSRGraph], seed: SeedLike = None
-) -> Set[int]:
-    """Greedy MIS over a uniformly random permutation (the paper's process)."""
+) -> np.ndarray:
+    """Greedy MIS over a uniformly random permutation (the paper's
+    process), as ascending int64 ids."""
     csr = as_csr(graph)
     order = list(range(csr.num_vertices))
     make_rng(seed).shuffle(order)
     return _greedy_walk(csr, order)
 
 
-def _greedy_walk(csr: CSRGraph, order: Sequence[int]) -> Set[int]:
+def _greedy_walk(csr: CSRGraph, order: Sequence[int]) -> np.ndarray:
     """Greedy MIS over the permutation ``order``: each pick blocks its row."""
     indptr = csr.indptr.tolist()
     indices = csr.indices
     blocked = np.zeros(csr.num_vertices, dtype=bool)
-    in_mis: Set[int] = set()
+    in_mis = np.zeros(csr.num_vertices, dtype=bool)
     for v in order:
         if blocked[v]:
             continue
-        in_mis.add(v)
+        in_mis[v] = True
         blocked[indices[indptr[v] : indptr[v + 1]]] = True
-    return in_mis
+    return np.flatnonzero(in_mis)
 
 
 def greedy_mis_on_prefix_csr(
@@ -91,7 +92,7 @@ def greedy_mis_on_prefix_csr(
 
 def residual_after_prefix(
     graph: Union[Graph, CSRGraph], ranks: Sequence[int], up_to_rank: int
-) -> Tuple[CSRGraph, Set[int]]:
+) -> Tuple[CSRGraph, np.ndarray]:
     """The residual graph after greedily processing ranks ``< up_to_rank``.
 
     Utility for Lemma 3.1-style experiments: returns ``(residual, mis)``
@@ -104,5 +105,5 @@ def residual_after_prefix(
     order = np.argsort(ranks, kind="stable")
     prefix = order[: np.count_nonzero(ranks < up_to_rank)]
     mis = _greedy_walk(csr, prefix.tolist())
-    alive = csr.remove_closed_neighborhoods(sorted(mis))
+    alive = csr.remove_closed_neighborhoods(mis)
     return csr.filter_edges(alive), mis

@@ -62,10 +62,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.central import NEVER_FROZEN
 from repro.core.config import MatchingConfig
 from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle
@@ -83,8 +84,9 @@ from repro.utils.rng import SeedLike, make_rng
 # schedule bug into an exception instead of a hang.
 _MAX_PHASES = 300
 
-# "Never froze" sentinel for the int64 freeze-time array.  Large enough to
-# lose every ``min(..., now)`` while staying far from int64 overflow.
+# "Never froze" sentinel for the int64 freeze-time array (NEVER_FROZEN in
+# the result).  Large enough to lose every ``min(..., now)`` while staying
+# far from int64 overflow.
 _NEVER = np.int64(2**62)
 
 
@@ -119,11 +121,13 @@ class MatchingMPCResult:
     rounds / phases / iterations:
         Measured MPC rounds, phase count, and total Central-Rand iterations
         simulated (compressed + direct).
-    freeze_iteration:
-        Per-vertex global iteration at which the vertex froze.
+    freeze_at:
+        Per-vertex global freeze iteration, int64 over ``range(n)``
+        (:data:`~repro.core.central.NEVER_FROZEN` if it never froze).
     heavy_removed:
-        Vertices removed at Line (i) (load exceeded 1); they are in the
-        cover but their edges are excluded from the fractional matching.
+        Ascending ids of the vertices removed at Line (i) (load exceeded
+        1); they are in the cover but their edges are excluded from the
+        fractional matching.
     max_machine_edges:
         Largest per-machine induced subgraph over all phases (Lemma 4.7's
         ``O(n)`` quantity).
@@ -133,8 +137,8 @@ class MatchingMPCResult:
     rounds: int
     phases: int
     iterations: int
-    freeze_iteration: Dict[int, int] = field(default_factory=dict)
-    heavy_removed: Set[int] = field(default_factory=set)
+    freeze_at: np.ndarray
+    heavy_removed: np.ndarray
     max_machine_edges: int = 0
     machine_edges_per_phase: List[int] = field(default_factory=list)
     direct_iterations: int = 0
@@ -142,8 +146,8 @@ class MatchingMPCResult:
     peak_words: int = 0
 
     @property
-    def vertex_cover(self) -> Set[int]:
-        """The reported vertex cover."""
+    def vertex_cover(self) -> np.ndarray:
+        """The reported vertex cover, as ascending int64 ids."""
         return self.matching.vertex_cover
 
     @property
@@ -199,7 +203,12 @@ def mpc_fractional_matching(
 
     if n == 0 or csr.num_edges == 0:
         return MatchingMPCResult(
-            matching=FractionalMatching.empty(csr), rounds=0, phases=0, iterations=0
+            matching=FractionalMatching.empty(csr),
+            rounds=0,
+            phases=0,
+            iterations=0,
+            freeze_at=np.full(n, NEVER_FROZEN, dtype=np.int64),
+            heavy_removed=np.empty(0, dtype=np.int64),
         )
     executor = in_process(executor)
 
@@ -235,9 +244,8 @@ def mpc_fractional_matching(
 
     # The paper's V'.
     surviving_mask = np.ones(n, dtype=bool)
-    freeze_iteration: Dict[int, int] = {}
     freeze_at = np.full(n, _NEVER, dtype=np.int64)
-    heavy_removed: Set[int] = set()
+    heavy = np.zeros(n, dtype=bool)
     d = float(n)
     t = 0
     phases = 0
@@ -373,7 +381,6 @@ def mpc_fractional_matching(
         )
         for vertices, times in results:
             freeze_at[vertices] = times
-            freeze_iteration.update(zip(vertices.tolist(), times.tolist()))
         t += iterations
         d *= (1.0 - epsilon) ** iterations
         phases += 1
@@ -393,7 +400,7 @@ def mpc_fractional_matching(
         loads = vertex_loads(t)
         over_one = np.flatnonzero(surviving_mask & (loads > 1.0))
         surviving_mask[over_one] = False
-        heavy_removed.update(over_one.tolist())
+        heavy[over_one] = True
         if over_one.size:
             loads = vertex_loads(t)
         newly_frozen = np.flatnonzero(
@@ -402,7 +409,6 @@ def mpc_fractional_matching(
             & (loads >= 1.0 - 2.0 * epsilon)
         )
         freeze_at[newly_frozen] = t
-        freeze_iteration.update(dict.fromkeys(newly_frozen.tolist(), t))
 
     # Line (4): direct simulation of the remaining Central-Rand iterations.
     t_before_direct = t
@@ -412,7 +418,6 @@ def mpc_fractional_matching(
         ev=ev,
         surviving_mask=surviving_mask,
         freeze_at=freeze_at,
-        freeze_iteration=freeze_iteration,
         oracle=oracle,
         cluster=cluster,
         start_iteration=t,
@@ -425,14 +430,15 @@ def mpc_fractional_matching(
 
     inside = surviving_mask[eu] & surviving_mask[ev]
     x = _edge_weights(freeze_at, eu[inside], ev[inside], t, w0, growth)
-    cover = set(freeze_iteration) | heavy_removed
+    frozen = freeze_at != _NEVER
+    cover = np.flatnonzero(frozen | heavy)
     return MatchingMPCResult(
         matching=FractionalMatching(csr, edge_array[inside], x, cover),
         rounds=cluster.rounds,
         phases=phases,
         iterations=t,
-        freeze_iteration=dict(freeze_iteration),
-        heavy_removed=heavy_removed,
+        freeze_at=np.where(frozen, freeze_at, NEVER_FROZEN),
+        heavy_removed=np.flatnonzero(heavy),
         max_machine_edges=max(machine_edges_per_phase, default=0),
         machine_edges_per_phase=machine_edges_per_phase,
         direct_iterations=t - t_before_direct,
@@ -589,7 +595,6 @@ def _direct_simulation(
     ev: np.ndarray,
     surviving_mask: np.ndarray,
     freeze_at: np.ndarray,
-    freeze_iteration: Dict[int, int],
     oracle: ThresholdOracle,
     cluster: MPCCluster,
     start_iteration: int,
@@ -675,7 +680,6 @@ def _direct_simulation(
                 )
             prev = np.concatenate([newly for newly, _ in results])
             freeze_at[prev] = t
-            freeze_iteration.update(dict.fromkeys(prev.tolist(), t))
             t += 1
             steps += 1
             cluster.charge_rounds(1, "matching: direct Central-Rand iteration")

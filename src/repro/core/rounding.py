@@ -25,12 +25,12 @@ once per pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Set
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.fractional import FractionalMatching
-from repro.graph.graph import Edge
+from repro.graph.csr import vertex_ids
 from repro.utils.rng import SeedLike, make_rng
 
 # The paper's dampening constant: proposals fire with probability x_e / 10.
@@ -39,9 +39,9 @@ PROPOSAL_DAMPENING = 10.0
 
 @dataclass(frozen=True)
 class RoundingOutcome:
-    """Result of one rounding pass."""
+    """Result of one rounding pass; ``matching`` is the good rows, ascending."""
 
-    matching: Set[Edge]
+    matching: np.ndarray
     proposals: int
     collisions: int
 
@@ -63,11 +63,11 @@ def round_fractional_matching(
     additions as the scalar walk (a global cumsum minus offsets would
     change low bits).  The good edges are always a valid matching.
     """
-    if not isinstance(candidates, np.ndarray):
-        candidates = np.fromiter(candidates, dtype=np.int64)
-    candidates = np.unique(candidates.astype(np.int64, copy=False))
+    candidates = np.unique(vertex_ids(candidates))
     if len(candidates) == 0:
-        return RoundingOutcome(matching=set(), proposals=0, collisions=0)
+        return RoundingOutcome(
+            matching=np.empty((0, 2), dtype=np.int64), proposals=0, collisions=0
+        )
     random = make_rng(seed).random
     rolls = np.array([random() for _ in range(len(candidates))], dtype=np.float64)
 
@@ -111,7 +111,7 @@ def round_fractional_matching(
         proposed.ravel(), return_inverse=True, return_counts=True
     )
     good = (touches[slot_of].reshape(-1, 2) == 1).all(axis=1)
-    matching = set(zip(proposed[good, 0].tolist(), proposed[good, 1].tolist()))
+    matching = proposed[good]
     return RoundingOutcome(
         matching=matching,
         proposals=len(proposed),

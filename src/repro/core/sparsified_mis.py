@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, as_csr
+from repro.graph.csr import CSRGraph, as_csr, vertex_ids
 from repro.graph.graph import Graph
 from repro.mpc.ball import ball_gather_rounds
 from repro.mpc.cluster import MPCCluster
@@ -150,7 +150,8 @@ def sparsified_mis(
         mutated); defaults to all vertices.
     cluster:
         If given, rounds are charged to it and the leftover-graph shipment
-        is memory-validated against its word budget.
+        is memory-validated against its word budget; a leftover too large
+        for machine 0 gets more process rounds first.
     rounds_factor:
         Simulate ``ceil(rounds_factor * log2(m + 2))`` LOCAL rounds before
         the leader finish.
@@ -181,20 +182,25 @@ def sparsified_mis(
     mis_mask = np.zeros(n, dtype=bool)
     draw = np.zeros(n, dtype=np.float64)
     simulated = 0
-    for round_index in range(local_rounds):
-        if not active_mask.any():
-            break
+    while True:
+        if simulated >= local_rounds or not active_mask.any():
+            leftover_count = slots.count_edges_within(active_mask)
+            if not _overflows_leader(cluster, leftover_count, governor):
+                break
+            # The leftover fits only w.h.p. as n grows; a small dense input
+            # runs more process rounds, one charged round each, until it does.
+            cluster.charge_rounds(1, "sparsified-mis: extra round to fit leader")
+            rounds_charged += 1
         for block_lo in range(0, n, _DRAW_BLOCK):
             ids = np.flatnonzero(active_mask[block_lo : block_lo + _DRAW_BLOCK])
             if ids.size:
                 ids += block_lo
-                draw[ids] = counter_rng.uniform01(key, ids, round_index)
+                draw[ids] = counter_rng.uniform01(key, ids, simulated)
         winners_mask = winners_of(draw, active_mask, slots.blocks(active_mask))
         simulated += 1
         mis_mask |= winners_mask
         active_mask = slots.remove_closed_neighborhoods(winners_mask, active_mask)
 
-    leftover_count = slots.count_edges_within(active_mask)
     if cluster is not None:
         rounds_charged += ship_edges_to_leader(
             cluster,
@@ -277,6 +283,16 @@ class GhaffariDesires:
         return marked & ~blocked
 
 
+def _overflows_leader(cluster: Optional[MPCCluster], count: int, governor) -> bool:
+    """Whether an unchunked ship of ``count`` edges would overflow machine
+    0 (a governor chunks anything over its soft watermark)."""
+    words = edge_words(count)
+    if cluster is None or (governor is not None and words > governor.soft_words):
+        return False
+    leader = cluster.machine(0)
+    return leader.used_words + words > leader.capacity_words
+
+
 def _active_mask(
     active: Union[Iterable[int], np.ndarray, None], n: int
 ) -> np.ndarray:
@@ -287,12 +303,8 @@ def _active_mask(
         if len(active) != n:
             raise ValueError(f"active mask length {len(active)} != n {n}")
         return active
-    ids = np.asarray(
-        active if isinstance(active, np.ndarray) else np.fromiter(active, np.int64),
-        dtype=np.int64,
-    )
     mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
+    mask[vertex_ids(active)] = True
     return mask
 
 

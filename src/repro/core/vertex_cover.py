@@ -11,7 +11,9 @@ the façade's ``metrics["valid"]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Optional
+
+import numpy as np
 
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import mpc_fractional_matching
@@ -21,9 +23,9 @@ from repro.utils.rng import SeedLike
 
 @dataclass
 class VertexCoverResult:
-    """A vertex cover with its cost accounting."""
+    """A vertex cover (ascending int64 ids) with its cost accounting."""
 
-    cover: Set[int]
+    cover: np.ndarray
     rounds: int
     fractional_weight: float
     total_comm_words: int = 0
@@ -52,7 +54,7 @@ def mpc_vertex_cover(
         governor=governor,
     )
     return VertexCoverResult(
-        cover=set(result.vertex_cover),
+        cover=result.vertex_cover,
         rounds=result.rounds,
         fractional_weight=result.weight,
         total_comm_words=result.total_comm_words,
@@ -60,11 +62,7 @@ def mpc_vertex_cover(
     )
 
 
-def cover_from_maximal_matching(matching: Set) -> Set[int]:
-    """The classic 2-approximate cover: endpoints of a maximal matching
-    (the ``vertex_cover/greedy`` baseline)."""
-    cover: Set[int] = set()
-    for u, v in matching:
-        cover.add(u)
-        cover.add(v)
-    return cover
+def cover_from_maximal_matching(matching: np.ndarray) -> np.ndarray:
+    """The classic 2-approximate cover: the unique endpoints of a maximal
+    matching's ``(k, 2)`` rows (the ``vertex_cover/greedy`` baseline)."""
+    return np.unique(matching)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.filtering import filtering_maximal_matching
 from repro.dist.executor import in_process
-from repro.graph.csr import CSRGraph
-from repro.graph.graph import Edge, canonical_edge
+from repro.graph.csr import CSRGraph, edge_rows
+from repro.graph.graph import Edge
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.spec import ClusterSpec
 from repro.mpc.words import edge_words
@@ -33,9 +33,10 @@ from repro.utils.validation import require_epsilon
 
 @dataclass
 class WeightedMatchingResult:
-    """Outcome of the weight-class reduction."""
+    """Outcome of the weight-class reduction; ``matching`` is an int64
+    ``(k, 2)`` array of canonical ``u < v`` rows, heaviest class first."""
 
-    matching: Set[Edge]
+    matching: np.ndarray
     weight: float
     rounds: int
     classes: int
@@ -79,12 +80,13 @@ def weight_classes(
 
 def _filter_class(
     n: int,
-    available: List[Edge],
+    available: np.ndarray,
     words_per_machine: int,
     class_seed: int,
     sizes: Optional[List[int]],
-) -> Tuple[Set[Edge], int]:
-    """Run one weight class through filtering, in ``len(sizes)`` batches.
+) -> Tuple[np.ndarray, int]:
+    """Run one weight class's free rows through filtering, in ``len(sizes)``
+    batches; returns the matched rows and the rounds.
 
     ``sizes`` is the governor's chunk plan for the class (``None`` = in
     budget): the unchunked path is byte-identical to calling
@@ -94,37 +96,32 @@ def _filter_class(
     """
     if sizes is None:
         outcome = filtering_maximal_matching(
-            CSRGraph.from_edges(n, available),
+            CSRGraph.from_edge_array(n, available),
             words_per_machine=words_per_machine,
             seed=class_seed,
         )
         return outcome.matching, outcome.rounds
     batch_rng = make_rng(class_seed)
     count = len(sizes)
-    class_matching: Set[Edge] = set()
-    class_matched: Set[int] = set()
+    class_matched = np.zeros(n, dtype=bool)
+    matched_rows = [available[:0]]
     rounds = 0
     for index in range(count):
         lo = index * len(available) // count
         hi = (index + 1) * len(available) // count
-        batch = [
-            (u, v)
-            for u, v in available[lo:hi]
-            if u not in class_matched and v not in class_matched
-        ]
-        if not batch:
+        batch = available[lo:hi]
+        batch = batch[~(class_matched[batch[:, 0]] | class_matched[batch[:, 1]])]
+        if len(batch) == 0:
             continue
         outcome = filtering_maximal_matching(
-            CSRGraph.from_edges(n, batch),
+            CSRGraph.from_edge_array(n, batch),
             words_per_machine=words_per_machine,
             seed=batch_rng.getrandbits(64),
         )
         rounds += outcome.rounds
-        for u, v in outcome.matching:
-            class_matching.add((u, v))
-            class_matched.add(u)
-            class_matched.add(v)
-    return class_matching, rounds
+        matched_rows.append(outcome.matching)
+        class_matched[outcome.matching.ravel()] = True
+    return np.concatenate(matched_rows), rounds
 
 
 def mpc_weighted_matching(
@@ -160,8 +157,8 @@ def mpc_weighted_matching(
     rng = make_rng(seed)
     classes = weight_classes(graph, epsilon)
     n = graph.num_vertices
-    matched: Set[int] = set()
-    matching: Set[Edge] = set()
+    matched = np.zeros(n, dtype=bool)
+    matched_rows = [np.empty((0, 2), dtype=np.int64)]
     rounds = 0
     per_class: List[int] = []
     executor = in_process(executor)
@@ -171,10 +168,9 @@ def mpc_weighted_matching(
         governor.bind_words(words_per_machine, spec.num_machines)
 
     for class_index, edges in enumerate(classes):
-        available = [
-            (u, v) for u, v in edges if u not in matched and v not in matched
-        ]
-        if not available:
+        rows = edge_rows(edges)
+        available = rows[~(matched[rows[:, 0]] | matched[rows[:, 1]])]
+        if len(available) == 0:
             per_class.append(0)
             continue
         class_seed = rng.getrandbits(64)
@@ -191,11 +187,10 @@ def mpc_weighted_matching(
         )
         rounds += class_rounds
         per_class.append(len(class_matching))
-        for u, v in class_matching:
-            matching.add(canonical_edge(u, v))
-            matched.add(u)
-            matched.add(v)
+        matched_rows.append(class_matching)
+        matched[class_matching.ravel()] = True
 
+    matching = np.concatenate(matched_rows)
     return WeightedMatchingResult(
         matching=matching,
         weight=graph.matching_weight(matching),

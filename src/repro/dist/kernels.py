@@ -170,8 +170,8 @@ def _matching_machines(ctx, payload: Any) -> List[Tuple[np.ndarray, np.ndarray]]
     local_v, y_range)`` machine-range input; ``payload["shared"]`` carries
     the oracle and the phase constants.  Returns the range's ``(vertices,
     t)`` freeze arrays in machine order — the driver concatenates the
-    ranges in worker order, so the ``freeze_iteration`` updates do not
-    depend on the worker count.
+    ranges in worker order, so the ``freeze_at`` writes do not depend on
+    the worker count.
     """
     from repro.core.matching_mpc import _machine_insertions
 
@@ -268,19 +268,13 @@ def _mis_prefix_greedy(ctx, payload: Any) -> List[np.ndarray]:
 
 
 @kernel("weighted.filtering")
-def _weighted_filtering(ctx, payload: Any) -> List[Tuple[list, int]]:
+def _weighted_filtering(ctx, payload: Any) -> List[Tuple[np.ndarray, int]]:
     """Run the LMSV11 filtering maximal matching on one weight class.
 
-    Tasks are ``(n, edges, words_per_machine, seed, sizes)``; the
+    Tasks are ``(n, rows, words_per_machine, seed, sizes)``; the
     per-class seed and the chunk plan ``sizes`` (``None`` = unchunked)
     come from the driver, so the run is a pure function of the task.
     """
     from repro.core.weighted_matching import _filter_class
 
-    results = []
-    for n, edges, words_per_machine, class_seed, sizes in payload["tasks"]:
-        matching, rounds = _filter_class(
-            n, edges, words_per_machine, class_seed, sizes
-        )
-        results.append((sorted(matching), rounds))
-    return results
+    return [_filter_class(*task) for task in payload["tasks"]]

@@ -168,13 +168,7 @@ class CSRGraph:
     @classmethod
     def from_edges(cls, num_vertices: int, edges: Iterable[Edge]) -> "CSRGraph":
         """Build from an iterable of ``(u, v)`` pairs."""
-        edge_list = list(edges)
-        array = (
-            np.array(edge_list, dtype=np.int64)
-            if edge_list
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        return cls.from_edge_array(num_vertices, array)
+        return cls.from_edge_array(num_vertices, edge_rows(edges))
 
     @classmethod
     def _from_directed(
@@ -389,6 +383,24 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self._n}, m={self.num_edges})"
+
+
+def edge_rows(edges: Union[np.ndarray, Iterable[Edge]]) -> np.ndarray:
+    """``edges`` as int64 ``(k, 2)`` rows, the edge-solution form (like
+    :meth:`CSRGraph.edge_array`).  Arrays pass through; this is the one
+    place a set of ``(u, v)`` pairs (or a report's lists) becomes rows, in
+    its order and orientation."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def vertex_ids(vertices: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
+    """``vertices`` as an int64 id array, the vertex-solution form: the
+    vertex counterpart of :func:`edge_rows`."""
+    if isinstance(vertices, np.ndarray):
+        return vertices.astype(np.int64, copy=False)
+    return np.fromiter(vertices, dtype=np.int64)
 
 
 def gather_rows(

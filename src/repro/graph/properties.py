@@ -8,17 +8,18 @@ Each predicate reads the CSR form (:func:`~repro.graph.csr.as_csr`, which
 a :class:`Graph` memoizes) through vectorized passes over
 :meth:`~repro.graph.csr.CSRGraph.adjacency_chunks` — O(chunk) residency,
 no per-vertex Python loops.  That is what lets the n=10M counter-mode
-solutions be validated at all (see OUT_OF_CORE.md).
+solutions be validated at all (see OUT_OF_CORE.md).  Solutions are read
+in the solvers' array forms as they are; other collections go through
+:func:`~repro.graph.csr.edge_rows` or :func:`~repro.graph.csr.vertex_ids`.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Optional, Set, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, as_csr
+from repro.graph.csr import CSRGraph, as_csr, edge_rows, vertex_ids
 from repro.graph.graph import Edge, Graph
 
 GraphLike = Union[Graph, CSRGraph]
@@ -26,12 +27,8 @@ GraphLike = Union[Graph, CSRGraph]
 
 def _vertex_mask(n: int, vertex_set: Iterable[int]) -> np.ndarray:
     """Boolean membership mask over ``range(n)`` (raises if out of range)."""
-    if isinstance(vertex_set, np.ndarray):
-        ids = vertex_set.astype(np.int64, copy=False)
-    else:
-        ids = np.fromiter(vertex_set, dtype=np.int64)
     mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
+    mask[vertex_ids(vertex_set)] = True
     return mask
 
 
@@ -94,9 +91,10 @@ def _matching_endpoints(
     graph: CSRGraph, edges: Iterable[Edge]
 ) -> Optional[np.ndarray]:
     """All endpoints of ``edges`` if they form a matching of ``graph``."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-    if not _are_edges(graph, ends[0::2], ends[1::2]):
+    rows = edge_rows(edges)
+    if not _are_edges(graph, rows[:, 0], rows[:, 1]):
         return None
+    ends = rows.ravel()
     return None if bool(np.any(np.bincount(ends) > 1)) else ends
 
 

@@ -6,6 +6,7 @@ from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
+from repro.graph.csr import edge_rows
 from repro.graph.graph import Edge, Graph, canonical_edge
 
 
@@ -82,8 +83,10 @@ class WeightedGraph:
         return min(self._weights.values(), default=0.0)
 
     def matching_weight(self, matching: Iterable[Edge]) -> float:
-        """Total weight of a set of edges."""
-        return sum(self._weights[canonical_edge(u, v)] for u, v in matching)
+        """Total weight of a set of edges, summed left to right in canonical
+        ``(u, v)`` order whatever order or orientation they come in."""
+        edges = sorted(map(tuple, np.sort(edge_rows(matching), axis=1).tolist()))
+        return sum(self.weights_of(edges).tolist())
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.num_vertices}, m={self.num_edges})"

@@ -49,8 +49,8 @@ def certify_report(
     policy:
         Budget policy (default :class:`BudgetPolicy`).
     checked:
-        The :func:`~repro.verify.checkers.check_solution` result for
-        ``report.solution`` when the caller already has it.
+        The :func:`~repro.verify.checkers.check_solution` result for the
+        run's solution (the solver's arrays) when the caller already has it.
     """
     if entry is None:
         from repro.api.registry import registry

@@ -131,7 +131,7 @@ def check_fractional_matching(
 
 def check_matching_ratio(
     graph: Graph,
-    edges: Iterable[Edge],
+    edges: Collection[Edge],
     factor: float,
     name: str = "matching_ratio",
     cap: Optional[int] = None,
@@ -147,7 +147,7 @@ def check_matching_ratio(
     )
     if optimum is None:
         return [_skipped(name, "graph above matching-oracle cap")]
-    size = len(list(edges))
+    size = len(edges)
     passed = size * factor >= optimum - TOLERANCE
     return [
         CheckResult(
@@ -278,8 +278,8 @@ def weighted_factor(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class CheckedSolution:
-    """A canonical solution in the one form its checks read (vertex list,
-    edge list or ``(edges, x)`` arrays), with its structural checks."""
+    """A solution in the form its checks read (id or edge-row arrays,
+    report lists, or ``(edges, x)``), with its structural checks."""
 
     form: Any
     checks: List[CheckResult]
@@ -324,14 +324,13 @@ def check_solution(
     solution: Any,
     weighted_graph: Optional[WeightedGraph] = None,
 ) -> CheckedSolution:
-    """The structural checks for one task's canonical solution.
+    """The structural checks for one task's solution.
 
-    ``solution`` uses the canonical report shapes: a vertex list for
-    ``mis``/``vertex_cover``, an edge list for the matching tasks, and
-    for ``fractional_matching`` anything :func:`fractional_columns` reads
-    (the solver's rows, or the report's ``[u, v, x]`` triples).
-    ``weight`` is the left-to-right sum in canonical order, or ``w(M)`` on
-    ``weighted_graph``.
+    ``solution`` is the solver's array form (what :func:`~repro.api.solve`
+    passes: :class:`~repro.api.registry.SolverOutput`), read directly in
+    any order, or the report's canonical lists (stored reports, the stream
+    layer).  ``weight`` is the left-to-right sum in canonical order, or
+    ``w(M)`` on ``weighted_graph``.
     """
     if task == "fractional_matching":
         edges, x = fractional_columns(solution)

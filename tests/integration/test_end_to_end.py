@@ -98,8 +98,8 @@ class TestFullPipelines:
         g = gnp_random_graph(150, 0.07, seed=8)
         assert mis_mpc(g, seed=0).mis.tolist() == mis_mpc(g, seed=0).mis.tolist()
         assert (
-            mpc_maximum_matching(g, seed=0).matching
-            == mpc_maximum_matching(g, seed=0).matching
+            mpc_maximum_matching(g, seed=0).matching.tolist()
+            == mpc_maximum_matching(g, seed=0).matching.tolist()
         )
         wg = random_weighted_graph(60, 0.1, seed=8)
         assert (

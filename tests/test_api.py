@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -49,6 +50,7 @@ from repro.graph.properties import (
 from repro.verify.checkers import fractional_columns
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.spec import ClusterSpec
+from repro.ooc.format import load_csr, save_csr
 
 
 def shared_grid():
@@ -215,6 +217,49 @@ class TestSolverInput:
         cover = solve("vertex_cover", graph, backend="central", seed=9)
         fractional = solve("fractional_matching", graph, backend="central", seed=9)
         assert cover.extras["fractional_weight"] == fractional.metrics["weight"]
+
+
+ALL_PAIRS = [(entry.task, entry.backend) for entry in registry.entries()]
+
+
+class TestSolverOutput:
+    """Every adapter hands the façade its kind's one array form."""
+
+    @pytest.mark.parametrize("representation", ["graph", "csr", "mmap"])
+    @pytest.mark.parametrize(
+        "task,backend", ALL_PAIRS, ids=[f"{t}-{b}" for t, b in ALL_PAIRS]
+    )
+    def test_solution_has_the_kind_array_form(
+        self, monkeypatch, tmp_path, task, backend, representation
+    ):
+        entry = registry.get(task, backend)
+        outputs = []
+
+        def spy(graph, **kwargs):
+            outputs.append(entry.fn(graph, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setitem(
+            registry._entries, (task, backend), dataclasses.replace(entry, fn=spy)
+        )
+        graph = gnp_random_graph(60, 0.1, seed=3)
+        if representation != "graph":
+            graph = as_csr(graph)
+        if representation == "mmap":
+            graph = load_csr(save_csr(graph, tmp_path / "graph"))
+        solve(task, graph, backend=backend, seed=4)
+        [output] = outputs
+        solution = output.solution
+        if entry.solution_kind == "vertex_set":
+            assert isinstance(solution, np.ndarray) and solution.dtype == np.int64
+            assert solution.ndim == 1 and solution.size > 0
+            assert len(np.unique(solution)) == len(solution)
+            return
+        rows = solution.edges if entry.solution_kind == "fractional" else solution
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+        assert rows.ndim == 2 and rows.shape[1] == 2 and len(rows) > 0
+        assert bool(np.all(rows[:, 0] < rows[:, 1]))
+        assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 def _check_ground_truth(task: str, graph, report: RunReport) -> None:

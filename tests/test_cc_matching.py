@@ -18,7 +18,7 @@ class TestCCMatching:
         mpc = mpc_fractional_matching(g, seed=3)
         assert np.array_equal(cc.matching.edges, mpc.matching.edges)
         assert np.array_equal(cc.matching.x, mpc.matching.x)
-        assert cc.vertex_cover == mpc.vertex_cover
+        assert np.array_equal(cc.vertex_cover, mpc.vertex_cover)
 
     def test_cover_covers(self):
         g = gnp_random_graph(200, 0.06, seed=2)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.baselines.blossom import maximum_matching
@@ -36,7 +37,8 @@ class TestTermination:
     def test_edgeless_graph(self):
         result = central_fractional_matching(Graph(5))
         assert result.weight == 0.0
-        assert result.vertex_cover == set()
+        assert result.vertex_cover.size == 0
+        assert result.freeze_at.tolist() == [NEVER_FROZEN] * 5
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
@@ -111,15 +113,17 @@ class TestFreezeBookkeeping:
     def test_freeze_iterations_recorded(self):
         g = path_graph(10)
         result = central_fractional_matching(g, epsilon=0.1, seed=10)
-        frozen = {
-            v for v, t in result.freeze_iteration.items() if t != NEVER_FROZEN
-        }
-        assert frozen == result.vertex_cover
+        frozen = np.flatnonzero(result.freeze_at != NEVER_FROZEN)
+        assert np.array_equal(frozen, result.vertex_cover)
 
     def test_edge_weights_reconstruction(self):
         g = Graph(3, [(0, 1), (1, 2)])
         edges, x = edge_weights_from_freezes(
-            g, frozen={1: 2}, initial_weight=0.1, epsilon=0.1, final_iteration=5
+            g,
+            freeze_at=np.array([NEVER_FROZEN, 2, NEVER_FROZEN]),
+            initial_weight=0.1,
+            epsilon=0.1,
+            final_iteration=5,
         )
         growth = 1 / 0.9
         assert edges.tolist() == [[0, 1], [1, 2]]
@@ -130,5 +134,5 @@ class TestFreezeBookkeeping:
         g = gnp_random_graph(100, 0.1, seed=11)
         a = central_fractional_matching(g, epsilon=0.1, seed=12, randomized_thresholds=True)
         b = central_fractional_matching(g, epsilon=0.1, seed=12, randomized_thresholds=True)
-        assert a.freeze_iteration == b.freeze_iteration
+        assert np.array_equal(a.freeze_at, b.freeze_at)
         assert a.weight == b.weight

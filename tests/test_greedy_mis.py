@@ -20,15 +20,15 @@ from repro.graph.properties import is_maximal_independent_set
 class TestGreedy:
     def test_path_first_order(self):
         g = path_graph(5)
-        assert greedy_mis(g, [0, 1, 2, 3, 4]) == {0, 2, 4}
+        assert greedy_mis(g, [0, 1, 2, 3, 4]).tolist() == [0, 2, 4]
 
     def test_star_center_first(self):
         g = star_graph(5)
-        assert greedy_mis(g, list(range(6))) == {0}
+        assert greedy_mis(g, list(range(6))).tolist() == [0]
 
     def test_star_leaf_first(self):
         g = star_graph(5)
-        assert greedy_mis(g, [1, 2, 3, 4, 5, 0]) == {1, 2, 3, 4, 5}
+        assert greedy_mis(g, [1, 2, 3, 4, 5, 0]).tolist() == [1, 2, 3, 4, 5]
 
     def test_invalid_order_rejected(self):
         g = path_graph(3)
@@ -45,7 +45,8 @@ class TestGreedy:
 
     def test_deterministic_under_seed(self):
         g = gnp_random_graph(60, 0.2, seed=2)
-        assert randomized_greedy_mis(g, seed=7) == randomized_greedy_mis(g, seed=7)
+        a = randomized_greedy_mis(g, seed=7)
+        assert np.array_equal(a, randomized_greedy_mis(g, seed=7))
 
 
 class TestPrefixSimulation:
@@ -77,7 +78,7 @@ class TestPrefixSimulation:
                 decided.add(v)
                 decided |= g.neighbors_view(v)
             decided.update(prefix)
-        assert batched == sequential
+        assert sorted(batched) == sequential.tolist()
 
     def test_residual_after_prefix_degree_drops(self):
         g = gnp_random_graph(200, 0.2, seed=4)

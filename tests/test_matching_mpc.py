@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.baselines.blossom import maximum_matching
+from repro.core.central import NEVER_FROZEN
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.thresholds import ThresholdOracle
@@ -29,14 +31,16 @@ class TestBasics:
     def test_edgeless_graph(self):
         result = mpc_fractional_matching(Graph(5))
         assert result.weight == 0.0
-        assert result.vertex_cover == set()
+        assert result.vertex_cover.size == 0
+        assert result.freeze_at.tolist() == [NEVER_FROZEN] * 5
 
     def test_determinism(self):
         g = gnp_random_graph(150, 0.1, seed=1)
         a = mpc_fractional_matching(g, seed=5)
         b = mpc_fractional_matching(g, seed=5)
         assert a.weight == b.weight
-        assert a.vertex_cover == b.vertex_cover
+        assert np.array_equal(a.vertex_cover, b.vertex_cover)
+        assert np.array_equal(a.freeze_at, b.freeze_at)
         assert a.rounds == b.rounds
 
 
@@ -127,7 +131,17 @@ class TestSchedule:
     def test_heavy_removed_are_in_cover(self):
         g = gnp_random_graph(256, 0.1, seed=12)
         result = mpc_fractional_matching(g, seed=12)
-        assert result.heavy_removed <= result.vertex_cover
+        assert np.isin(result.heavy_removed, result.vertex_cover).all()
+
+    def test_cover_is_frozen_plus_heavy_removed(self):
+        """Lemma 4.2's cover: the frozen vertices and the Line (i) ones."""
+        g = star_graph(1000)
+        result = mpc_fractional_matching(g, seed=5)
+        frozen = np.flatnonzero(result.freeze_at != NEVER_FROZEN)
+        assert result.heavy_removed.tolist() == [0]
+        assert np.array_equal(
+            result.vertex_cover, np.union1d(frozen, result.heavy_removed)
+        )
 
     def test_weights_exclude_heavy_vertices(self):
         g = gnp_random_graph(256, 0.1, seed=13)

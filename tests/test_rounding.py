@@ -43,7 +43,8 @@ class TestRounding:
     def test_empty_candidates(self):
         fractional = from_weights(complete_graph(4), {(0, 1): 0.5})
         outcome = round_fractional_matching(fractional, set(), seed=1)
-        assert outcome == RoundingOutcome(matching=set(), proposals=0, collisions=0)
+        assert _fields(outcome) == ([], 0, 0)
+        assert outcome.matching.shape == (0, 2)
 
     def test_zero_weights_never_proposed(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -52,7 +53,7 @@ class TestRounding:
             from_weights(g, weights), {0, 1, 2, 3}, seed=4
         )
         assert outcome.proposals == 0
-        assert outcome.matching == set()
+        assert outcome.matching.size == 0
 
     def test_determinism(self):
         g = gnp_random_graph(100, 0.1, seed=5)
@@ -60,7 +61,7 @@ class TestRounding:
         candidates = fractional.rounding_candidates(0.1)
         a = round_fractional_matching(fractional.matching, candidates, seed=6)
         b = round_fractional_matching(fractional.matching, candidates, seed=6)
-        assert a == b
+        assert _fields(a) == _fields(b)
 
     def test_statistics_consistent(self):
         g = gnp_random_graph(300, 0.05, seed=7)
@@ -73,7 +74,7 @@ class TestRounding:
         """A single saturated edge is proposed with prob ~2/10 per side."""
         fractional = from_weights(Graph(2, [(0, 1)]), {(0, 1): 1.0})
         hits = sum(
-            bool(round_fractional_matching(fractional, {0, 1}, seed=s).matching)
+            len(round_fractional_matching(fractional, {0, 1}, seed=s).matching) > 0
             for s in range(400)
         )
         # P(matched) = P(at least one endpoint proposes) = 1-(0.9)^2 = 0.19.
@@ -96,8 +97,15 @@ def _draw_proposal(incident: List[Tuple[int, float]], rng) -> Optional[int]:
     return None
 
 
-def _reference_rounding(weights, candidates, seed) -> RoundingOutcome:
-    """The scalar Lemma 5.1 loop: per-candidate incident lists in map order."""
+def _fields(outcome: RoundingOutcome) -> Tuple[List[List[int]], int, int]:
+    """An outcome as ``(matching rows, proposals, collisions)`` lists."""
+    return outcome.matching.tolist(), outcome.proposals, outcome.collisions
+
+
+def _reference_rounding(weights, candidates, seed) -> Tuple[List[List[int]], int, int]:
+    """The scalar Lemma 5.1 loop: per-candidate incident lists in map order.
+
+    Returns :func:`_fields` of the outcome, the good edges ascending."""
     import random
 
     rng = random.Random(seed)
@@ -127,9 +135,7 @@ def _reference_rounding(weights, candidates, seed) -> RoundingOutcome:
         for edge in proposed
         if touch_count[edge[0]] == 1 and touch_count[edge[1]] == 1
     }
-    return RoundingOutcome(
-        matching=good, proposals=len(proposed), collisions=len(proposed) - len(good)
-    )
+    return sorted(map(list, good)), len(proposed), len(proposed) - len(good)
 
 
 @st.composite
@@ -164,8 +170,8 @@ def rounding_inputs(draw):
 def test_array_rounding_matches_scalar_reference(case):
     n, weights, candidates, seed = case
     fractional = from_weights(Graph(n, list(weights)), weights)
-    assert round_fractional_matching(
-        fractional, candidates, seed=seed
+    assert _fields(
+        round_fractional_matching(fractional, candidates, seed=seed)
     ) == _reference_rounding(weights, candidates, seed)
 
 
@@ -182,6 +188,6 @@ def test_edge_proposed_by_both_endpoints_counts_once():
     seed = next(s for s in range(10_000) if both_propose(s))
     fractional = from_weights(Graph(2, [(0, 1)]), weights)
     outcome = round_fractional_matching(fractional, {0, 1}, seed=seed)
-    assert outcome == _reference_rounding(weights, {0, 1}, seed)
-    assert outcome.matching == {(0, 1)}
+    assert _fields(outcome) == _reference_rounding(weights, {0, 1}, seed)
+    assert outcome.matching.tolist() == [[0, 1]]
     assert (outcome.proposals, outcome.collisions) == (1, 0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import solve
 from repro.core.sparsified_mis import STRATEGIES, sparsified_mis
 from repro.graph.generators import cycle_graph, gnp_random_graph, star_graph
 from repro.graph.graph import Graph
@@ -92,3 +93,41 @@ def test_unknown_strategy_rejected():
 def test_mask_length_checked():
     with pytest.raises(ValueError, match="length"):
         sparsified_mis(Graph(3), active=np.ones(2, dtype=bool))
+
+
+def test_leftover_over_the_leader_budget_runs_more_rounds(monkeypatch):
+    """G(10, 0.95, seed=0) at seed 12: the ghaffari leftover after the
+    scheduled rounds would need 86 of machine 0's 80 words, so the process
+    runs charged extra rounds until it fits, and the MIS certifies."""
+    charges = []
+    original = MPCCluster.charge_rounds
+
+    def spy(self, count, reason):
+        charges.append((count, reason))
+        original(self, count, reason)
+
+    monkeypatch.setattr(MPCCluster, "charge_rounds", spy)
+    report = solve(
+        "mis",
+        gnp_random_graph(10, 0.95, seed=0),
+        backend="mpc",
+        seed=12,
+        config={"sparse_strategy": "ghaffari"},
+        verify=True,
+    )
+    assert report.valid and report.verified
+    extra = [c for c, reason in charges if "extra round to fit leader" in reason]
+    assert extra and all(count == 1 for count in extra)
+    assert sum(count for count, _ in charges) == report.rounds
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_leftover_fits_the_leader_it_is_shipped_to(strategy):
+    g = gnp_random_graph(40, 0.5, seed=2)
+    cluster = MPCCluster(2, words_per_machine=60)
+    outcome = sparsified_mis(
+        g, seed=1, cluster=cluster, rounds_factor=0.1, strategy=strategy
+    )
+    assert 2 * outcome.leftover_edges <= cluster.words_per_machine
+    assert cluster.rounds == outcome.rounds_charged
+    assert is_maximal_independent_set(g, outcome.mis)

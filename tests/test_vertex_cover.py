@@ -1,5 +1,6 @@
 """Unit tests for the vertex cover API (Theorem 1.2, cover half)."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.blossom import maximum_matching
@@ -37,7 +38,7 @@ class TestCoverValidity:
 
     def test_edgeless_cover_empty(self):
         result = mpc_vertex_cover(Graph(5), seed=3)
-        assert result.cover == set()
+        assert result.cover.size == 0
 
 
 class TestCoverQuality:
@@ -67,8 +68,8 @@ class TestCoverQuality:
 class TestHelpers:
     def test_cover_from_maximal_matching(self):
         g = path_graph(5)
-        cover = cover_from_maximal_matching({(0, 1), (2, 3)})
-        assert cover == {0, 1, 2, 3}
+        cover = cover_from_maximal_matching(np.array([[2, 3], [0, 1]]))
+        assert cover.tolist() == [0, 1, 2, 3]
         assert is_vertex_cover(g, cover)
 
     def test_fractional_weight_reported(self):
