@@ -18,7 +18,15 @@ The algorithm simulates Central-Rand in phases.  While the degree bound
 * updates ``d ← d(1-ε)^I`` (Line (f)).
 
 Once ``d`` reaches the floor the remaining iterations of Central-Rand are
-simulated directly, one round each (Line (4)).
+simulated directly (Line (4)).  When the live active residual fits one
+machine (two words per live edge plus one per active vertex, within
+``S``), it is shipped to machine 0, which runs every remaining iteration
+locally, and the freeze times are broadcast once: 2 rounds for the whole
+tail.  That is the standard finish once a residual fits (the matching
+algorithms of [CŁM+18] and of Assadi et al. (SODA'19), and the MIS
+"leftover to leader" of Section 3).  A larger residual is simulated one
+round per iteration.  Both forms run the same step function, so they
+freeze the same vertices at the same iterations.
 
 Hot-path layout: the graph's edge list is materialized **once** into flat
 NumPy arrays (via :class:`~repro.graph.csr.CSRGraph`) and every per-phase
@@ -88,6 +96,8 @@ _MAX_PHASES = 300
 # the result).  Large enough to lose every ``min(..., now)`` while staying
 # far from int64 overflow.
 _NEVER = np.int64(2**62)
+
+_CAP_MESSAGE = "direct Central-Rand simulation exceeded its iteration cap"
 
 
 def _edge_weights(
@@ -193,7 +203,11 @@ def mpc_fractional_matching(
         sparsification — changes the owner draws, so governed-and-
         triggered runs are validated by verify bands, not byte pins),
         wave-splits over-budget scatters, and chunks the per-phase
-        freeze broadcasts.  Exact pass-through when it never triggers.
+        freeze broadcasts.  Exact pass-through when it never triggers,
+        with one accounting exception: a direct tail is gathered onto
+        machine 0 only under the soft watermark, so a tail between the
+        watermark and ``S`` runs one round per iteration (same outputs,
+        more rounds) where an ungoverned run gathers it.
     """
     config = config or MatchingConfig()
     epsilon = config.epsilon
@@ -426,6 +440,7 @@ def mpc_fractional_matching(
         max_iterations=config.max_direct_iterations,
         vertex_loads=vertex_loads,
         executor=executor,
+        governor=governor,
     )
 
     inside = surviving_mask[eu] & surviving_mask[ev]
@@ -603,20 +618,34 @@ def _direct_simulation(
     max_iterations: int,
     vertex_loads,
     executor,
+    governor=None,
 ) -> int:
-    """Line (4): simulate Central-Rand directly, one MPC round per iteration.
+    """Line (4): simulate the remaining Central-Rand iterations directly.
 
-    Returns the final global iteration counter.  Every iteration is one
-    :func:`direct_step` per worker.  The vertex range is partitioned
-    contiguously over the executor's workers; each worker owns the
-    mutable per-vertex state (active flag, active degree, frozen load)
-    for its slice and reads the immutable CSR adjacency from the
-    session.  Per iteration the driver broadcasts the previous
-    iteration's global freeze list, sums the surviving active counts,
-    and merges the newly-frozen ids — charging exactly one cluster round
-    per executed iteration.  Every cell gets the same arithmetic
-    whichever worker owns it, so the outputs do not depend on the
-    worker count (the parity suite enforces it).
+    Returns the final global iteration counter.  The tail starts from
+    the live active residual: the unfrozen survivors with an unfrozen
+    surviving neighbour, their live edges, degrees and frozen loads.
+
+    *Gathered* when that residual fits machine 0
+    (:meth:`MPCCluster.fits_leader`: two words per live edge plus one
+    per active vertex, under the governor's soft watermark when one is
+    attached).  One ship puts it on the leader, one
+    ``matching.direct_tail`` task runs every remaining iteration there,
+    and one broadcast returns the freeze times: 2 charged rounds for the
+    whole tail.
+
+    *Per iteration* otherwise, one charged round each.  The vertex range
+    is partitioned contiguously over the executor's workers; each worker
+    owns the mutable per-vertex state (active flag, active degree, frozen
+    load) for its slice.  Per iteration the driver broadcasts the previous
+    iteration's global freeze list, sums the surviving active counts, and
+    merges the newly-frozen ids.
+
+    Both paths read the immutable CSR adjacency from the session and run
+    the same :func:`direct_step`, whose arithmetic does not depend on
+    which worker owns a cell, so the freeze times are identical either
+    way and for every worker count (the parity suite enforces it).  Only
+    the rounds and words differ.
     """
     t = start_iteration
     n = len(surviving_mask)
@@ -638,11 +667,50 @@ def _direct_simulation(
     frozen_load[active_ids] = loads[active_ids] - (
         active_degree[active_ids] * w0
     ) * (growth**t)
+    words = edge_words(int(np.count_nonzero(live_edge))) + id_words(
+        len(active_ids)
+    )
 
     key = executor.open_session(
         "matching-direct", {"indptr": csr.indptr, "indices": csr.indices}
     )
     try:
+        if cluster.fits_leader(words, governor):
+            cluster.ship_to_machine(
+                0,
+                "direct_tail",
+                None,
+                words,
+                context="matching: direct tail to leader",
+            )
+            [(ids, times, t)] = executor.map_tasks(
+                "matching.direct_tail",
+                [
+                    {
+                        "active": initially_active,
+                        "degree": active_degree,
+                        "load": frozen_load,
+                        "oracle": oracle,
+                        "w0": w0,
+                        "growth": growth,
+                        "start": t,
+                        "max_iterations": max_iterations,
+                    }
+                ],
+                shared={"session": key},
+                phase="direct-simulation",
+            )
+            freeze_at[ids] = times
+            # (vertex, iteration) pairs.
+            governed_broadcast(
+                cluster,
+                id_words(2 * len(ids)),
+                "matching: direct tail freezes",
+                governor,
+            )
+            cluster.machine(0).release("direct_tail")
+            return t
+
         payloads = [
             {
                 "session": key,
@@ -675,9 +743,7 @@ def _direct_simulation(
             if sum(count for _, count in results) == 0:
                 return t
             if steps >= max_iterations:
-                raise RuntimeError(
-                    "direct Central-Rand simulation exceeded its iteration cap"
-                )
+                raise RuntimeError(_CAP_MESSAGE)
             prev = np.concatenate([newly for newly, _ in results])
             freeze_at[prev] = t
             t += 1
@@ -762,3 +828,43 @@ def direct_step(
     newly = act[state["oracle"].crosses_batch(act, t, estimates)]
     state["active"][newly - lo] = False
     return newly, count
+
+
+def direct_tail(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    active: np.ndarray,
+    degree: np.ndarray,
+    load: np.ndarray,
+    oracle: ThresholdOracle,
+    w0: float,
+    growth: float,
+    start: int,
+    max_iterations: int,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """A whole gathered direct tail on one machine (``matching.direct_tail``).
+
+    Runs :func:`direct_step` over ``[0, n)`` from iteration ``start``
+    until no vertex is active, the loop the per-iteration driver runs
+    with one worker.  ``active``, ``degree`` and ``load`` are the full
+    initial state.  Returns ``(ids, times, t)``: the freezes in the order
+    the per-iteration driver applies them, and the final iteration
+    counter.  Raises :class:`RuntimeError` past ``max_iterations``.
+    """
+    state = direct_state(0, len(active), active, degree, load, oracle, w0, growth)
+    prev = np.empty(0, dtype=np.int64)
+    frozen: List[np.ndarray] = []
+    t = start
+    while True:
+        prev, count = direct_step(state, indptr, indices, t, prev)
+        if count == 0:
+            break
+        if t - start >= max_iterations:
+            raise RuntimeError(_CAP_MESSAGE)
+        frozen.append(prev)
+        t += 1
+    ids = np.concatenate(frozen) if frozen else np.empty(0, dtype=np.int64)
+    times = np.repeat(
+        np.arange(start, t, dtype=np.int64), [len(f) for f in frozen]
+    )
+    return ids, times, t

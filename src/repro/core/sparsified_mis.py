@@ -185,7 +185,10 @@ def sparsified_mis(
     while True:
         if simulated >= local_rounds or not active_mask.any():
             leftover_count = slots.count_edges_within(active_mask)
-            if not _overflows_leader(cluster, leftover_count, governor):
+            words = edge_words(leftover_count)
+            # A governor chunks anything over its soft watermark.
+            chunked = governor is not None and words > governor.soft_words
+            if cluster is None or chunked or cluster.fits_leader(words, governor):
                 break
             # The leftover fits only w.h.p. as n grows; a small dense input
             # runs more process rounds, one charged round each, until it does.
@@ -281,16 +284,6 @@ class GhaffariDesires:
             np.minimum(2.0 * self.desire, DESIRE_CAP),
         )
         return marked & ~blocked
-
-
-def _overflows_leader(cluster: Optional[MPCCluster], count: int, governor) -> bool:
-    """Whether an unchunked ship of ``count`` edges would overflow machine
-    0 (a governor chunks anything over its soft watermark)."""
-    words = edge_words(count)
-    if cluster is None or (governor is not None and words > governor.soft_words):
-        return False
-    leader = cluster.machine(0)
-    return leader.used_words + words > leader.capacity_words
 
 
 def _active_mask(

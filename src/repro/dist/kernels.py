@@ -10,6 +10,7 @@ The solver kernels here are the machine-local MPC phase units —
 :func:`repro.core.matching_mpc._machine_insertions` (one contiguous
 machine range per worker),
 :func:`repro.core.matching_mpc.direct_step`,
+:func:`repro.core.matching_mpc.direct_tail`,
 :func:`repro.core.greedy_mis.greedy_mis_on_prefix_csr`,
 :func:`repro.core.weighted_matching._filter_class` — and the only way
 the solvers run them.  The transport changes *where* those units run,
@@ -198,7 +199,9 @@ def _matching_machines(ctx, payload: Any) -> List[Tuple[np.ndarray, np.ndarray]]
 # owns the mutable per-vertex state for its slice and reads the immutable
 # CSR adjacency from the session's shared arrays.  One step per
 # iteration runs :func:`repro.core.matching_mpc.direct_step` (with one
-# worker, on the whole range).
+# worker, on the whole range).  A tail that fits one machine runs as a
+# single ``matching.direct_tail`` task instead: the same steps, looped
+# on one worker.
 
 
 @kernel("matching.direct_init", stateful=True)
@@ -232,6 +235,24 @@ def _direct_step(ctx, payload: Any) -> Tuple[np.ndarray, int]:
         int(payload["t"]),
         np.asarray(payload["prev"], dtype=np.int64),
     )
+
+
+@kernel("matching.direct_tail")
+def _direct_tail(ctx, payload: Any) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """Run a gathered direct tail to the end on this one worker.
+
+    The session holds the CSR arrays; each task is the tail's full
+    initial state.  Pure function of its inputs (a fresh
+    :func:`repro.core.matching_mpc.direct_state` per task), so a failed
+    step can be retried in place.
+    """
+    from repro.core.matching_mpc import direct_tail
+
+    session = ctx.session(payload["shared"]["session"])
+    return [
+        direct_tail(session.arrays["indptr"], session.arrays["indices"], **task)
+        for task in payload["tasks"]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,22 @@ def _install_session(
     ctx.add_session(key, arrays)
 
 
+def _close_segment(segment) -> None:
+    """Unmap a dropped session's segment once no view into it is left.
+
+    Views die with the session by reference counting, unless a cyclic
+    holder (e.g. a cached CSR wrapper) keeps one until a collection.
+    ``SharedMemory.close`` raises ``BufferError`` while a view is
+    exported, so a full collection (tens of milliseconds in a worker
+    with NumPy loaded) runs only then.
+    """
+    try:
+        segment.close()
+    except BufferError:
+        gc.collect()
+        segment.close()
+
+
 def _worker_main(conn, worker_id: int, num_workers: int) -> None:
     """Worker process loop: install/drop/step/close until EOF."""
     from repro.dist.kernels import get_kernel
@@ -409,12 +425,8 @@ def _worker_main(conn, worker_id: int, num_workers: int) -> None:
                 elif command == "drop":
                     _, key = message
                     ctx.drop_session(key)
-                    # Views into the segment die with the session (and a
-                    # collection sweeps any cyclic holders, e.g. cached
-                    # CSR wrappers); only then is unmapping safe.
-                    gc.collect()
                     for segment in segments.pop(key, []):
-                        segment.close()
+                        _close_segment(segment)
                     _send_msg(conn, ("ok", None))
                 elif command == "step":
                     _, kernel_name, payload = message

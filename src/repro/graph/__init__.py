@@ -23,7 +23,6 @@ from repro.graph.properties import (
     is_maximal_matching,
     is_valid_fractional_matching,
     is_vertex_cover,
-    matching_vertices,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "is_maximal_matching",
     "is_valid_fractional_matching",
     "is_vertex_cover",
-    "matching_vertices",
 ]

@@ -15,7 +15,7 @@ in the solvers' array forms as they are; other collections go through
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -109,11 +109,6 @@ def is_maximal_matching(graph: GraphLike, edges: Iterable[Edge]) -> bool:
     ends = _matching_endpoints(graph, edges)
     # Maximal exactly when the matched vertices cover every edge.
     return ends is not None and is_vertex_cover(graph, ends)
-
-
-def matching_vertices(edges: Iterable[Edge]) -> Set[int]:
-    """The set of endpoints of a set of edges."""
-    return {vertex for edge in edges for vertex in edge}
 
 
 def is_vertex_cover(graph: GraphLike, vertex_set: Iterable[int]) -> bool:

@@ -213,6 +213,19 @@ class MPCCluster:
         self._total_comm_words += words
         self.charge_rounds(1, context)
 
+    def fits_leader(self, words: int, governor=None) -> bool:
+        """Whether one unchunked :meth:`ship_to_machine` of ``words`` fits
+        machine 0 next to what it already stores.
+
+        The one rule every leader ship decides by.  Under a ``governor``
+        the soft watermark caps the ship too, so a governed ship that
+        fits never trips it.
+        """
+        if governor is not None and words > governor.soft_words:
+            return False
+        leader = self.machine(0)
+        return leader.used_words + words <= leader.capacity_words
+
     def broadcast(self, words: int, context: str = "broadcast") -> None:
         """Broadcast ``words`` of shared state from one machine to all.
 

@@ -16,4 +16,6 @@ runs them.
 * :mod:`tests.reference.fractional` — the ``{(u, v): x}`` map form of a
   fractional matching, with the scalar load, weight, heavy-set and
   canonical-triple loops the array form must reproduce bit for bit.
+* :mod:`tests.reference.cover` — the endpoint set of a matching, the
+  set form of :func:`repro.core.vertex_cover.cover_from_maximal_matching`.
 """

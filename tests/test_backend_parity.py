@@ -19,7 +19,14 @@ The 18 mpc pins (``fractional/mpc``, ``matching/mpc``, the n=2000 MPC
 cells and the mpc ``report/*`` cells) were re-captured once, for the
 accounting fields only, when every MPC solve began reporting the words
 its cluster metered, governed or not; their solutions and rounds did not
-move.  The ``mis/pregel`` and ``matching/pregel`` pins were re-captured
+move.  The 7 integral-matching mpc pins (``matching/mpc``, the n=2000
+``matching`` and ``one_plus_eps_matching`` cells and the two
+``report/matching`` cells) were re-captured once more, again for the
+accounting only, when a direct Central-Rand tail that fits one machine
+began finishing there: rounds, words, and the report cells' rounds
+budget (the matching ``rounds_constant`` went from 64 to 40).  Their
+solutions did not move.  The
+``mis/pregel`` and ``matching/pregel`` pins were re-captured
 when the Pregel engine's draws and vertex placement moved onto the
 counter generator and the matching proposal target became a uniform
 live neighbor.
@@ -166,20 +173,20 @@ PINS = {
     "fractional_matching/mpc/n2000/seed2": "0d51a2542fde316f22a23541c93591b9d9194ecfc6a0daa668125336ac2cbdb1",
     "israeli_itai": "47eed39d4c0274eab55fd49bc7baa038b5f9bf392daff924d51e9025e5ce019c",
     "luby": "f77e102d6259b7e96d985e94f818c0e25b6a9ab7b1558000d56a391d3e5b927c",
-    "matching/mpc": "786651661287597e96ac4113c72487e1408c08af800846b03e8a5f49b03e009c",
-    "matching/mpc/n2000/seed1": "6ec801f641386e2cf72f24c33d6ef0eb645a4eb5aeaf58543486c844a2fd8e5a",
-    "matching/mpc/n2000/seed2": "41bf95b3504343e45994c78b3a5ce97f87b491ba849988a830b2c4c4c27eaa12",
+    "matching/mpc": "527a7d2a71d762dcd3e74d3321744b3dab333afb941f044e2d8eb3ced3a9fa5b",
+    "matching/mpc/n2000/seed1": "c63aa53b5dbf7a3610d0e6fd977d3c49faaf78c54ce82093950c92d8baeab95f",
+    "matching/mpc/n2000/seed2": "9fc192c352b55abd6302e938ba5340cebb595482d2c94b80a5c5f958bf02fb18",
     "matching/pregel": "c3acf958e8d1e5172c70a12a60a9cd016aff2446763b9ebec02db9ca8296f185",
     "mis/congested_clique/dense": "93186594464b1d58171e110a8d093ef4695cfd733ecf4256709d3d9e21d1cdaa",
     "mis/congested_clique/sparse": "c597f125f0408c12fbe20548c9781a9450f51dc147988201cd57c7aa4422995f",
     "mis/pregel": "0faefe166cbd0c51e281517f4583354f6bfc912cbbf8ebfd5313815762deaeec",
-    "one_plus_eps_matching/mpc/n2000/seed1": "94c3f4e5de081206bfae149df1881bec93263968384565bc07fc8a6c15282e03",
-    "one_plus_eps_matching/mpc/n2000/seed2": "f1ec7256d872a7ca5b543c34af6cb388a6ebf3ab9c3c2a1c65c7f4b4527c7da5",
+    "one_plus_eps_matching/mpc/n2000/seed1": "1b99e325adcec9a6cd5c4aed4860a7458476e0916e9fd1efa68019333141a61f",
+    "one_plus_eps_matching/mpc/n2000/seed2": "96a4ba8d0b0943aaf2afc8be8f09fa29904513021ff1e7abd91ddf12d37e3b08",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
     "report/fractional_matching/mpc/n2000/seed1": "36e2bf49a5aa86430885d7c952cbac273e4dacd1265b89ea68062dc2145673f1",
     "report/fractional_matching/mpc/n2000/seed2": "fa779b9c5278c69448858bd145e8f900c1f6540c36ac2d2c3a872562ba339a2d",
-    "report/matching/mpc/n2000/seed1": "00f15dc5c5f6494d27f6f5469f5b7cbf0b78d2371d1e302660ba340c7b89048d",
-    "report/matching/mpc/n2000/seed2": "ed8da264cf33858571cdc0e380e3fb94d6605626e322c13e2497d84f9ccb814d",
+    "report/matching/mpc/n2000/seed1": "3b24043bb148bddb5bd44a72f0dce3a4decb283096619b7085c50fc23d6ac5df",
+    "report/matching/mpc/n2000/seed2": "03880fa3d132774f87dd8a6041edb14c12d933e9b90b67095da8a1946545208d",
     "report/mis/mpc/n2000/seed1": "eafcaf666c4cdf0e4f7e0179427545567b90b4e12f6ca6c62ba42226aa77a8a7",
     "report/mis/mpc/n2000/seed2": "9a987249c2e78a153c63c74048f22047d9349770a57f2cde5c45806ed61d0314",
     "report/vertex_cover/mpc/n2000/seed1": "bc39c00763046cb144a9a113a0b266f2bb3f8439e0d254fe5bc65671b25d4673",

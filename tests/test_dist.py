@@ -33,6 +33,16 @@ from repro.dist.pool import dedupe_by_identity, object_executor, worker_object
 from repro.graph.generators import gnp_random_graph, random_weighted_graph
 
 
+@kernel("test.cyclic_view")
+def _cyclic_view_kernel(ctx, payload):
+    """Test kernel: park a view of a session array in a reference cycle."""
+    session = ctx.session(payload["session"])
+    holder = {"view": session.arrays["x"][1:]}
+    holder["self"] = holder
+    session.state["holder"] = holder
+    return True
+
+
 @kernel("test.map_crash")
 def _map_crash_kernel(ctx, payload):
     """Test kernel: die mid-chunk on the victim worker (fork-inherited).
@@ -149,6 +159,17 @@ class TestMultiprocessTransport:
             transport.install("s", {"x": np.arange(3)})
             with pytest.raises(ValueError, match="already installed"):
                 transport.install("s", {"x": np.arange(3)})
+
+    def test_drop_unmaps_a_view_held_in_a_reference_cycle(self):
+        # A cycle outlives the session until a collection, which the drop
+        # runs when the segment still has a view exported.
+        with MultiprocessTransport(2) as transport:
+            transport.install("s", {"x": np.arange(10, dtype=np.int64)})
+            assert transport.step("test.cyclic_view", [{"session": "s"}] * 2)
+            transport.drop("s")
+            transport.install("s", {"x": np.arange(4, dtype=np.int64)})
+            results = transport.step("debug.echo", [{"sessions": ["s"]}] * 2)
+            assert [r["session_sums"] for r in results] == [{"s": {"x": 6.0}}] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +497,39 @@ class TestParity:
             transport.step = original_step
             executor.close()
 
+    def test_worker_death_in_gathered_tail_raises_dist_error(self):
+        # The tail of this sparse graph fits machine 0 and runs as one
+        # matching.direct_tail task; killing its worker must surface
+        # DistExecutionError too.
+        graph = gnp_random_graph(300, 0.02, seed=3)
+        transport = MultiprocessTransport(2)
+        executor = DistExecutor(transport, kind="parallel")
+        original_step = transport.step
+        killed = []
+
+        def sabotaged_step(kernel, payloads):
+            if kernel == "matching.direct_tail":
+                killed.append(kernel)
+                return original_step(
+                    "debug.crash", [{"exit": 3}] * len(payloads)
+                )
+            return original_step(kernel, payloads)
+
+        transport.step = sabotaged_step
+        try:
+            with pytest.raises(DistExecutionError, match="died"):
+                solve(
+                    "fractional_matching",
+                    graph,
+                    backend="mpc",
+                    seed=3,
+                    executor=executor,
+                )
+        finally:
+            transport.step = original_step
+            executor.close()
+        assert killed == ["matching.direct_tail"]
+
 
 # ---------------------------------------------------------------------------
 # failure windows: barriers, chunk streams, deadlines
@@ -666,6 +720,7 @@ class TestKernelRegistry:
             "matching.machines",
             "matching.direct_init",
             "matching.direct_step",
+            "matching.direct_tail",
             "mis.prefix_greedy",
             "weighted.filtering",
         ):

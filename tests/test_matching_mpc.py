@@ -8,10 +8,11 @@ import pytest
 from repro.baselines.blossom import maximum_matching
 from repro.core.central import NEVER_FROZEN
 from repro.core.config import MatchingConfig
+from repro.core.integral import mpc_maximum_matching
 from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.thresholds import ThresholdOracle
 from repro.dist.executor import DistExecutor
-from repro.dist.transport import LocalTransport
+from repro.dist.transport import LocalTransport, MultiprocessTransport
 from repro.graph.generators import (
     complete_graph,
     gnp_random_graph,
@@ -20,6 +21,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.graph.properties import is_vertex_cover
+from repro.mpc.cluster import MPCCluster
 
 
 class TestBasics:
@@ -184,3 +186,52 @@ class TestFusedMachineBlock:
             stop = start + phase["iterations"]
             made = sum(start <= t < stop for t in calls)
             assert made <= phase["iterations"] * workers
+
+
+class TestGatheredTail:
+    """A direct tail that fits machine 0 finishes there in one task.
+
+    It runs the same ``direct_step`` as the per-iteration path, so the
+    freeze times, and with them every output, are byte-identical; only
+    the rounds move.
+    """
+
+    @staticmethod
+    def _outputs(graph, executor):
+        fractional = mpc_fractional_matching(graph, seed=3, executor=executor)
+        integral = mpc_maximum_matching(graph, seed=3, executor=executor)
+        return fractional, integral, (
+            fractional.freeze_at.tobytes(),
+            fractional.matching.edges.tobytes(),
+            fractional.matching.x.tobytes(),
+            integral.matching.tobytes(),
+        )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_gather_is_output_neutral(self, monkeypatch, workers):
+        g = gnp_random_graph(300, 0.02, seed=3)
+        executor = (
+            None if workers is None else DistExecutor(MultiprocessTransport(workers))
+        )
+        try:
+            fractional, integral, gathered = self._outputs(g, executor)
+            monkeypatch.setattr(MPCCluster, "fits_leader", lambda *args: False)
+            per_fractional, per_integral, per_iteration = self._outputs(
+                g, executor
+            )
+        finally:
+            if executor is not None:
+                executor.close()
+        assert gathered == per_iteration
+        assert fractional.direct_iterations == per_fractional.direct_iterations
+        assert fractional.rounds < per_fractional.rounds
+        assert integral.rounds < per_integral.rounds
+
+    @pytest.mark.parametrize("gather", [True, False])
+    def test_iteration_cap_raises_on_both_paths(self, monkeypatch, gather):
+        if not gather:
+            monkeypatch.setattr(MPCCluster, "fits_leader", lambda *args: False)
+        g = gnp_random_graph(300, 0.02, seed=3)
+        config = MatchingConfig(max_direct_iterations=1)
+        with pytest.raises(RuntimeError, match="iteration cap"):
+            mpc_fractional_matching(g, config=config, seed=3)

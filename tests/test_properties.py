@@ -19,9 +19,9 @@ from repro.graph.properties import (
     is_maximal_matching,
     is_valid_fractional_matching,
     is_vertex_cover,
-    matching_vertices,
 )
 from tests.property.strategies import dense_pair_graphs, graphs, graphs_with_subsets
+from tests.reference.cover import matching_vertices
 from tests.reference.fractional import (
     edge_arrays,
     fractional_matching_weight,

@@ -49,6 +49,10 @@ def clique_charges(monkeypatch):
     return spy_on_charges(monkeypatch, CongestedClique)
 
 
+TAIL_SHIP = "matching: direct tail to leader"
+TAIL_BROADCAST = "matching: direct tail freezes"
+
+
 def reasons(charges):
     return [reason for _, reason in charges]
 
@@ -95,10 +99,40 @@ class TestMatchingRoundAudit:
         ]
 
     def test_direct_iterations_charged_individually(self, mpc_charges):
+        # Dense enough that the direct tail never fits machine 0.
         g = gnp_random_graph(300, 0.06, seed=6)
         result = mpc_fractional_matching(g, seed=6)
         direct = reasons(mpc_charges).count("matching: direct Central-Rand iteration")
         assert direct == result.direct_iterations
+        assert TAIL_SHIP not in reasons(mpc_charges)
+
+    def test_gathered_tail_charges_one_ship_and_one_broadcast(
+        self, monkeypatch, mpc_charges
+    ):
+        g = gnp_random_graph(300, 0.02, seed=3)
+        result = mpc_fractional_matching(g, seed=3)
+        charged = reasons(mpc_charges)
+        assert charged.count(TAIL_SHIP) == 1
+        assert charged.count(TAIL_BROADCAST) == 1
+        assert "matching: direct Central-Rand iteration" not in charged
+        assert sum(count for count, _ in mpc_charges) == result.rounds
+        clique_rounds = congested_clique_fractional_matching(g, seed=3).rounds
+
+        # The same iterations are simulated as on the per-iteration path,
+        # so the congested-clique charge built on them does not move.
+        monkeypatch.setattr(MPCCluster, "fits_leader", lambda *args: False)
+        del mpc_charges[:]
+        per_iteration = mpc_fractional_matching(g, seed=3)
+        assert per_iteration.direct_iterations == result.direct_iterations > 0
+        assert reasons(mpc_charges).count(
+            "matching: direct Central-Rand iteration"
+        ) == result.direct_iterations
+        assert result.rounds == (
+            per_iteration.rounds - result.direct_iterations + 2
+        )
+        assert congested_clique_fractional_matching(g, seed=3).rounds == (
+            clique_rounds
+        )
 
 
 class TestCongestedCliqueRoundAudit:
