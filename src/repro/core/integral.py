@@ -28,8 +28,9 @@ input representation.
 Float association.  Each pass uses the fractional matching's own
 arithmetic, with no copy here: the pass weight and the candidates ``C~``
 are :class:`~repro.core.fractional.FractionalMatching`'s row-order sum
-and interleaved-endpoint loads, and the rounding sums are per-candidate
-sequential (see :func:`~repro.core.rounding.round_fractional_matching`).
+and interleaved-endpoint loads; the rounding's per-candidate sequential
+sums end in each candidate's reach, which decides whether it proposes
+(see :func:`~repro.core.rounding.round_fractional_matching`).
 """
 
 from __future__ import annotations

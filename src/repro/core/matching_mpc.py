@@ -116,7 +116,8 @@ def _edge_weights(
     t_prime = np.minimum(
         np.minimum(freeze_at[endpoint_u], freeze_at[endpoint_v]), np.int64(now)
     )
-    return w0 * np.power(growth, t_prime)
+    # One power per iteration, not per edge; the same bits, indexed by t'.
+    return (w0 * np.power(growth, np.arange(now + 1)))[t_prime]
 
 
 @dataclass

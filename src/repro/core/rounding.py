@@ -14,7 +14,9 @@ The paper proves via McDiarmid's inequality that the output has size at
 least ``|C~| / 50`` with probability ``1 - 2 exp(-|C~|/5000)``; in practice
 the constant is far better (the E6 experiment measures it).  Every vertex
 decides from its own neighborhood only, so the procedure is a single MPC
-round.
+round.  Each candidate proposes with probability at most 1/10; only those
+whose roll is below their *reach*, the sum of their proposal
+probabilities, are walked (see :func:`round_fractional_matching`).
 
 :func:`round_fractional_matching` is the one entry point: it reads a
 :class:`~repro.core.fractional.FractionalMatching`'s ``(edges, x)`` rows
@@ -57,43 +59,59 @@ def round_fractional_matching(
     each once, in ascending order.  Each candidate ``v`` draws one
     ``rng.random()`` roll and walks its incident positive-weight edges in
     row order, adding ``x / 10`` to a running sum; it proposes the first
-    neighbour whose sum exceeds the roll, or nothing.  The running sums
-    are accumulated one incident position at a time across all
-    candidates, so each candidate's sum is the same sequence of float
-    additions as the scalar walk (a global cumsum minus offsets would
-    change low bits).  The good edges are always a valid matching.
+    neighbour whose sum exceeds the roll, or nothing.  Only proposers are
+    walked here: a candidate's *reach*, one ``np.bincount`` of its shares,
+    adds them in entry order from 0.0 like the walk, so it is the walk's
+    final sum bit for bit; as nonnegative sums never decrease under
+    round-to-nearest, a candidate proposes exactly when its roll is below
+    its reach.  The proposers' sums are then taken one incident position
+    at a time, the scalar walk's additions (a global cumsum minus offsets
+    would change low bits).  The good edges are always a valid matching.
     """
-    candidates = np.unique(vertex_ids(candidates))
-    if len(candidates) == 0:
+    # Sort and drop repeats: np.unique's hash path is slower on int ids.
+    candidates = np.sort(vertex_ids(candidates))
+    candidates = candidates[np.diff(candidates, prepend=candidates[:1] - 1) != 0]
+    k = len(candidates)
+    if k == 0:
         return RoundingOutcome(
             matching=np.empty((0, 2), dtype=np.int64), proposals=0, collisions=0
         )
     random = make_rng(seed).random
-    rolls = np.array([random() for _ in range(len(candidates))], dtype=np.float64)
+    rolls = np.array([random() for _ in range(k)], dtype=np.float64)
 
     # Incident entries: each edge offers itself to u, then to v, in edge
-    # order; a stable sort groups them by candidate without reordering.
+    # order.  ``slot`` maps a vertex to its candidate index, every other
+    # vertex to k; negative ids, a sorted prefix, have no edges.
     keep = fractional.x > 0.0
-    rows = fractional.edges[keep]
-    ends = rows.ravel()
-    others = rows[:, ::-1].ravel()
+    ends = np.compress(keep, fractional.edges, axis=0).ravel()
     shares = np.repeat(fractional.x[keep] / PROPOSAL_DAMPENING, 2)
-    group = np.minimum(np.searchsorted(candidates, ends), len(candidates) - 1)
-    offered = candidates[group] == ends
-    order = np.argsort(group[offered], kind="stable")
-    group = group[offered][order]
-    others = others[offered][order]
-    shares = shares[offered][order]
-    counts = np.bincount(group, minlength=len(candidates))
+    span = max(fractional.graph.num_vertices, int(candidates[-1]) + 1)
+    slot = np.full(span, k, dtype=np.int64)
+    first = int(np.searchsorted(candidates, 0))
+    slot[candidates[first:]] = np.arange(first, k)
+    group = slot[ends]
+
+    # Reach decides who proposes; only the proposers' entries are grouped,
+    # and a stable sort keeps each one's entries in entry order.
+    reach = np.bincount(group, weights=shares, minlength=k + 1)
+    proposing = np.append(rolls < reach[:k], False)
+    proposers = np.flatnonzero(proposing)
+    offered = np.flatnonzero(proposing[group])
+    local = (np.cumsum(proposing) - 1)[group[offered]]
+    order = offered[np.argsort(local, kind="stable")]
+    others = ends[order ^ 1]
+    shares = shares[order]
+    counts = np.bincount(local, minlength=len(proposers))
     starts = np.cumsum(counts) - counts
 
-    # Sweep incident positions; ``longest`` lists candidates by count,
+    # Sweep incident positions; ``longest`` lists proposers by count,
     # so the ones with a p-th entry are a prefix of it.
     longest = np.argsort(-counts, kind="stable")
     sorted_counts = counts[longest]
-    cumulative = np.zeros(len(candidates), dtype=np.float64)
-    chosen = np.zeros(len(candidates), dtype=bool)
-    partner = np.zeros(len(candidates), dtype=np.int64)
+    rolls = rolls[proposers]
+    cumulative = np.zeros(len(proposers), dtype=np.float64)
+    chosen = np.zeros(len(proposers), dtype=bool)
+    partner = np.zeros(len(proposers), dtype=np.int64)
     for position in range(int(counts.max(initial=0))):
         rows = longest[: np.count_nonzero(sorted_counts > position)]
         slots = starts[rows] + position
@@ -104,8 +122,8 @@ def round_fractional_matching(
 
     # H: distinct proposed edges (an edge proposed by both endpoints
     # counts once); an edge is good when no other edge of H touches it.
-    lo = np.minimum(candidates[chosen], partner[chosen])
-    hi = np.maximum(candidates[chosen], partner[chosen])
+    lo = np.minimum(candidates[proposers], partner)
+    hi = np.maximum(candidates[proposers], partner)
     proposed = np.unique(np.column_stack((lo, hi)), axis=0)
     _, slot_of, touches = np.unique(
         proposed.ravel(), return_inverse=True, return_counts=True

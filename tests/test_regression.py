@@ -15,6 +15,7 @@ these pins are portable.
 
 import pytest
 
+from repro.analysis.experiments import run_e06_rounding
 from repro.baselines.luby import luby_mis
 from repro.core.central import central_fractional_matching
 from repro.core.integral import mpc_maximum_matching
@@ -50,6 +51,10 @@ class TestPinnedOutputs:
         rows = sorted(map(tuple, result.matching.tolist()))
         assert rows[:4] == [(1, 65), (2, 12), (3, 60), (4, 83)]
 
+    def test_integral_matching_per_pass_pin(self, pinned_graph):
+        result = mpc_maximum_matching(pinned_graph, seed=123)
+        assert result.per_pass_sizes == [4, 5, 6, 6, 1, 3, 1, 1, 2, 2, 1, 1]
+
     def test_central_pin(self, pinned_graph):
         result = central_fractional_matching(pinned_graph, epsilon=0.1, seed=123)
         assert result.weight == pytest.approx(39.523292, abs=1e-5)
@@ -59,3 +64,14 @@ class TestPinnedOutputs:
         result = luby_mis(pinned_graph, seed=123)
         assert len(result.mis) == 22
         assert result.rounds == 3
+
+
+def test_e06_rounding_pin():
+    """Lemma 5.1 rounding at E6's sizes: candidates, yield and collisions."""
+    rows = run_e06_rounding(sizes=(512, 1024, 2048))
+    fields = ("n", "candidates", "rounded_matching", "proposals", "collisions")
+    assert [tuple(row[f] for f in fields) for row in rows] == [
+        (512, 489, 24, 33, 9),
+        (1024, 980, 63, 78, 15),
+        (2048, 1963, 114, 143, 29),
+    ]

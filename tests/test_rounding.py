@@ -1,18 +1,21 @@
 """Unit tests for the Lemma 5.1 randomized rounding."""
 
+import random
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.rounding import (
     PROPOSAL_DAMPENING,
     RoundingOutcome,
     round_fractional_matching,
 )
-from repro.graph.generators import complete_graph, gnp_random_graph
+from repro.graph.generators import barabasi_albert, complete_graph, gnp_random_graph
 from repro.graph.graph import Graph
 from repro.graph.properties import is_matching
 from tests.reference.fractional import from_weights
@@ -106,8 +109,6 @@ def _reference_rounding(weights, candidates, seed) -> Tuple[List[List[int]], int
     """The scalar Lemma 5.1 loop: per-candidate incident lists in map order.
 
     Returns :func:`_fields` of the outcome, the good edges ascending."""
-    import random
-
     rng = random.Random(seed)
     candidate_list = sorted(set(candidates))
     incident: Dict[int, List[Tuple[int, float]]] = {v: [] for v in candidate_list}
@@ -177,8 +178,6 @@ def test_array_rounding_matches_scalar_reference(case):
 
 def test_edge_proposed_by_both_endpoints_counts_once():
     """With ``x = 1`` each endpoint proposes when its roll is below 1/10."""
-    import random
-
     weights = {(0, 1): 1.0}
 
     def both_propose(seed):
@@ -191,3 +190,97 @@ def test_edge_proposed_by_both_endpoints_counts_once():
     assert _fields(outcome) == _reference_rounding(weights, {0, 1}, seed)
     assert outcome.matching.tolist() == [[0, 1]]
     assert (outcome.proposals, outcome.collisions) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Real-size fractional matchings, the reach boundary, out-of-range ids
+# ---------------------------------------------------------------------------
+
+
+def _row_weights(fractional) -> Dict[Tuple[int, int], float]:
+    """A fractional matching's rows as a weight map in row order."""
+    return dict(zip(map(tuple, fractional.edges.tolist()), fractional.x.tolist()))
+
+
+_REAL_GRAPHS = {
+    "gnp-2000-s1": lambda: gnp_random_graph(2000, 0.01, seed=1),
+    "gnp-2000-s2": lambda: gnp_random_graph(2000, 0.01, seed=2),
+    "gnp-2000-s3": lambda: gnp_random_graph(2000, 0.01, seed=3),
+    "ba-2000": lambda: barabasi_albert(2000, 4, seed=4),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_REAL_GRAPHS))
+def real_graph(request):
+    return _REAL_GRAPHS[request.param]()
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.2])
+def test_matches_scalar_reference_on_mpc_fractional_matchings(real_graph, epsilon):
+    result = mpc_fractional_matching(
+        real_graph, config=MatchingConfig(epsilon=epsilon), seed=9
+    )
+    candidates = result.rounding_candidates(epsilon)
+    assert len(candidates) > 100
+    weights = _row_weights(result.matching)
+    for seed in (1, 2):
+        outcome = round_fractional_matching(result.matching, candidates, seed=seed)
+        assert _fields(outcome) == _reference_rounding(weights, candidates, seed)
+        assert outcome.proposals > 0
+
+
+def test_out_of_range_candidates_at_scale(real_graph):
+    """Ids past ``n`` draw the last rolls and propose nothing; a negative id
+    draws the first roll and shifts every other candidate's."""
+    result = mpc_fractional_matching(real_graph, seed=5)
+    candidates = result.rounding_candidates(0.1)
+    n = real_graph.num_vertices
+    weights = _row_weights(result.matching)
+    plain = round_fractional_matching(result.matching, candidates, seed=3)
+    beyond = np.concatenate([candidates, [n, n + 7, 3 * n]])
+    wide = round_fractional_matching(result.matching, beyond, seed=3)
+    assert _fields(wide) == _fields(plain)
+    assert _fields(wide) == _reference_rounding(weights, beyond.tolist(), 3)
+    shifted = np.concatenate([[-3], candidates, [n + 1]])
+    assert _fields(
+        round_fractional_matching(result.matching, shifted, seed=3)
+    ) == _reference_rounding(weights, shifted.tolist(), 3)
+
+
+class _ScriptedRolls(random.Random):
+    """A generator whose ``random()`` returns the given rolls in order."""
+
+    def __init__(self, rolls):
+        super().__init__(0)
+        self._rolls = list(rolls)
+
+    def random(self):
+        return self._rolls.pop(0)
+
+
+def test_roll_at_reach_does_not_propose_and_one_ulp_below_does():
+    """A candidate proposes iff its roll is below its reach, the walk's
+    final running sum: at the reach exactly it proposes nothing, one ulp
+    below it proposes its last neighbour."""
+    weights = {(0, 1): 0.1, (0, 2): 0.7, (0, 3): 0.2, (3, 4): 0.3, (4, 5): 0.6}
+    fractional = from_weights(Graph(6, list(weights)), weights)
+    reach = {}
+    for v in (0, 4):
+        reach[v] = 0.0
+        for edge, x in weights.items():
+            if v in edge:
+                reach[v] += x / PROPOSAL_DAMPENING
+
+    at = _ScriptedRolls([reach[0], reach[4]])
+    outcome = round_fractional_matching(fractional, {0, 4}, seed=at)
+    assert _fields(outcome) == ([], 0, 0)
+
+    below = [np.nextafter(reach[v], 0.0) for v in (0, 4)]
+    outcome = round_fractional_matching(
+        fractional, {0, 4}, seed=_ScriptedRolls(below)
+    )
+    assert _fields(outcome) == ([[0, 3], [4, 5]], 2, 0)
+    incident = {0: [(1, 0.1), (2, 0.7), (3, 0.2)], 4: [(3, 0.3), (5, 0.6)]}
+    for v, roll in zip((0, 4), below):
+        last = incident[v][-1][0]
+        assert _draw_proposal(incident[v], _ScriptedRolls([roll])) == last
