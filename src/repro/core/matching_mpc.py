@@ -24,9 +24,12 @@ machine (two words per live edge plus one per active vertex, within
 locally, and the freeze times are broadcast once: 2 rounds for the whole
 tail.  That is the standard finish once a residual fits (the matching
 algorithms of [CŁM+18] and of Assadi et al. (SODA'19), and the MIS
-"leftover to leader" of Section 3).  A larger residual is simulated one
-round per iteration.  Both forms run the same step function, so they
-freeze the same vertices at the same iterations.
+"leftover to leader" of Section 3).  A larger residual is charged one
+round per iteration, as the paper's direct simulation.  Either way the
+executor runs the tail as one task on one worker: its iterations are
+small and each depends on the last, so a barrier per iteration would
+cost more than the step it splits.  Only the charges differ, so both
+forms freeze the same vertices at the same iterations.
 
 Hot-path layout: the graph's edge list is materialized **once** into flat
 NumPy arrays (via :class:`~repro.graph.csr.CSRGraph`) and every per-phase
@@ -207,8 +210,8 @@ def mpc_fractional_matching(
         freeze broadcasts.  Exact pass-through when it never triggers,
         with one accounting exception: a direct tail is gathered onto
         machine 0 only under the soft watermark, so a tail between the
-        watermark and ``S`` runs one round per iteration (same outputs,
-        more rounds) where an ungoverned run gathers it.
+        watermark and ``S`` is charged one round per iteration (same
+        outputs, more rounds) where an ungoverned run gathers it.
     """
     config = config or MatchingConfig()
     epsilon = config.epsilon
@@ -626,27 +629,22 @@ def _direct_simulation(
     Returns the final global iteration counter.  The tail starts from
     the live active residual: the unfrozen survivors with an unfrozen
     surviving neighbour, their live edges, degrees and frozen loads.
+    One ``matching.direct_tail`` task runs every remaining iteration on
+    one worker, reading the immutable CSR adjacency from the session.
 
     *Gathered* when that residual fits machine 0
     (:meth:`MPCCluster.fits_leader`: two words per live edge plus one
     per active vertex, under the governor's soft watermark when one is
-    attached).  One ship puts it on the leader, one
-    ``matching.direct_tail`` task runs every remaining iteration there,
-    and one broadcast returns the freeze times: 2 charged rounds for the
-    whole tail.
+    attached).  One ship puts it on the leader and one broadcast returns
+    the freeze times: 2 charged rounds for the whole tail.
 
-    *Per iteration* otherwise, one charged round each.  The vertex range
-    is partitioned contiguously over the executor's workers; each worker
-    owns the mutable per-vertex state (active flag, active degree, frozen
-    load) for its slice.  Per iteration the driver broadcasts the previous
-    iteration's global freeze list, sums the surviving active counts, and
-    merges the newly-frozen ids.
+    *Per iteration* otherwise: the tail is charged one round for each
+    iteration the task ran, the MPC cost of simulating Central-Rand one
+    round at a time over all machines.
 
-    Both paths read the immutable CSR adjacency from the session and run
-    the same :func:`direct_step`, whose arithmetic does not depend on
-    which worker owns a cell, so the freeze times are identical either
-    way and for every worker count (the parity suite enforces it).  Only
-    the rounds and words differ.
+    The task is the same either way, so the freeze times are identical
+    for both forms and every worker count (the parity suite enforces
+    it).  Only the rounds and words differ.
     """
     t = start_iteration
     n = len(surviving_mask)
@@ -672,11 +670,12 @@ def _direct_simulation(
         len(active_ids)
     )
 
+    gathered = cluster.fits_leader(words, governor)
     key = executor.open_session(
         "matching-direct", {"indptr": csr.indptr, "indices": csr.indices}
     )
     try:
-        if cluster.fits_leader(words, governor):
+        if gathered:
             cluster.ship_to_machine(
                 0,
                 "direct_tail",
@@ -684,151 +683,39 @@ def _direct_simulation(
                 words,
                 context="matching: direct tail to leader",
             )
-            [(ids, times, t)] = executor.map_tasks(
-                "matching.direct_tail",
-                [
-                    {
-                        "active": initially_active,
-                        "degree": active_degree,
-                        "load": frozen_load,
-                        "oracle": oracle,
-                        "w0": w0,
-                        "growth": growth,
-                        "start": t,
-                        "max_iterations": max_iterations,
-                    }
-                ],
-                shared={"session": key},
-                phase="direct-simulation",
-            )
-            freeze_at[ids] = times
-            # (vertex, iteration) pairs.
-            governed_broadcast(
-                cluster,
-                id_words(2 * len(ids)),
-                "matching: direct tail freezes",
-                governor,
-            )
-            cluster.machine(0).release("direct_tail")
-            return t
-
-        payloads = [
-            {
-                "session": key,
-                "lo": lo,
-                "hi": hi,
-                "active": initially_active,
-                "degree": active_degree[lo:hi],
-                "load": frozen_load[lo:hi],
-                "oracle": oracle,
-                "w0": w0,
-                "growth": growth,
-            }
-            for lo, hi in executor.partition(n)
-        ]
-        executor.scatter_step(
-            "matching.direct_init", payloads, phase="direct-simulation"
+        [(ids, times, t)] = executor.map_tasks(
+            "matching.direct_tail",
+            [
+                {
+                    "active": initially_active,
+                    "degree": active_degree,
+                    "load": frozen_load,
+                    "oracle": oracle,
+                    "w0": w0,
+                    "growth": growth,
+                    "start": t,
+                    "max_iterations": max_iterations,
+                }
+            ],
+            shared={"session": key},
+            phase="direct-simulation",
         )
-        # Termination and the iteration cap gate on the summed active
-        # count *before* any round is charged or any freeze applied: a
-        # step that finds every vertex inactive ends the loop without
-        # charging a round.
-        prev = np.empty(0, dtype=np.int64)
-        steps = 0
-        while True:
-            results = executor.broadcast_step(
-                "matching.direct_step",
-                {"session": key, "t": t, "prev": prev},
-                phase="direct-simulation",
-            )
-            if sum(count for _, count in results) == 0:
-                return t
-            if steps >= max_iterations:
-                raise RuntimeError(_CAP_MESSAGE)
-            prev = np.concatenate([newly for newly, _ in results])
-            freeze_at[prev] = t
-            t += 1
-            steps += 1
-            cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
     finally:
         executor.close_session(key)
-
-
-def direct_state(
-    lo: int,
-    hi: int,
-    init_mask: np.ndarray,
-    degree: np.ndarray,
-    load: np.ndarray,
-    oracle: ThresholdOracle,
-    w0: float,
-    growth: float,
-) -> Dict[str, object]:
-    """Mutable direct-simulation state for the owned vertex slice ``[lo, hi)``.
-
-    ``init_mask`` is the full initially-active mask; ``degree`` and
-    ``load`` are the owned slices (copied).
-    """
-    return {
-        "lo": lo,
-        "hi": hi,
-        # Filters adjacency rows to the live active-active edges.
-        "init_mask": init_mask,
-        "active": init_mask[lo:hi].copy(),
-        "degree": np.array(degree, dtype=np.int64),
-        "load": np.array(load, dtype=np.float64),
-        "oracle": oracle,
-        "w0": float(w0),
-        "growth": float(growth),
-    }
-
-
-def direct_step(
-    state: Dict, indptr: np.ndarray, indices: np.ndarray, t: int, prev: np.ndarray
-) -> Tuple[np.ndarray, int]:
-    """One direct Central-Rand iteration on the owned slice of ``state``.
-
-    1. *Apply* the previous iteration's global freeze list ``prev``:
-       every occurrence of an owned vertex in a newly-frozen vertex's
-       adjacency row adds ``w_{t-1}`` to its frozen load and decrements
-       its active degree.  Rows are filtered by the initially-active
-       mask, which leaves exactly the live edges (an edge with both
-       endpoints initially active is live).  All increments of one step
-       are the same value, so ``np.add.at`` gives the bits a
-       per-neighbour loop would, in any order.
-    2. Drop owned vertices whose active degree reached zero.
-    3. If none is left, return ``(empty, 0)``: the caller ends the loop
-       before charging a round.
-    4. *Decide* iteration ``t`` with one batched oracle call and return
-       the newly-frozen owned ids (ascending) and the active count.
-
-    Updates land on every initially-active occurrence, including
-    vertices that already froze or went inactive.  Those never re-enter
-    the active set, so their (divergent) cells are never read.
-    """
-    lo = state["lo"]
-    hi = state["hi"]
-    if prev.size:
-        w_prev = state["w0"] * state["growth"] ** (t - 1)
-        hits = gather_rows(indices, indptr, prev)
-        hits = hits[state["init_mask"][hits]]
-        own = hits[(hits >= lo) & (hits < hi)] - lo
-        if own.size:
-            np.add.at(state["load"], own, w_prev)
-            np.subtract.at(state["degree"], own, 1)
-        state["active"] &= state["degree"] != 0
-
-    count = int(np.count_nonzero(state["active"]))
-    if count == 0:
-        return prev[:0], 0
-
-    w_t = state["w0"] * state["growth"] ** t
-    local = np.flatnonzero(state["active"])
-    estimates = state["load"][local] + state["degree"][local] * w_t
-    act = local + lo
-    newly = act[state["oracle"].crosses_batch(act, t, estimates)]
-    state["active"][newly - lo] = False
-    return newly, count
+    freeze_at[ids] = times
+    if not gathered:
+        for _ in range(t - start_iteration):
+            cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
+        return t
+    # (vertex, iteration) pairs.
+    governed_broadcast(
+        cluster,
+        id_words(2 * len(ids)),
+        "matching: direct tail freezes",
+        governor,
+    )
+    cluster.machine(0).release("direct_tail")
+    return t
 
 
 def direct_tail(
@@ -843,26 +730,53 @@ def direct_tail(
     start: int,
     max_iterations: int,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """A whole gathered direct tail on one machine (``matching.direct_tail``).
+    """A whole direct tail on one worker (``matching.direct_tail``).
 
-    Runs :func:`direct_step` over ``[0, n)`` from iteration ``start``
-    until no vertex is active, the loop the per-iteration driver runs
-    with one worker.  ``active``, ``degree`` and ``load`` are the full
-    initial state.  Returns ``(ids, times, t)``: the freezes in the order
-    the per-iteration driver applies them, and the final iteration
+    ``active``, ``degree`` and ``load`` are the initial state over
+    ``[0, n)`` (``degree`` and ``load`` are copied).  The initially-active
+    mask also filters adjacency rows to the live edges: an edge with
+    both endpoints initially active is live.  Each iteration ``t``:
+
+    1. *Apply* iteration ``t - 1``'s freezes: every occurrence of a
+       vertex in a newly-frozen vertex's filtered row adds ``w_{t-1}``
+       to its frozen load and decrements its active degree.  All
+       increments of one step are the same value, so ``np.add.at``
+       gives the bits a per-neighbour loop would, in any order.
+       Updates also land on vertices that already froze or went
+       inactive; those never re-enter the active set, so their
+       (divergent) cells are never read.
+    2. Drop vertices whose active degree reached zero; the tail ends
+       when none is left.
+    3. *Decide* iteration ``t`` with one batched oracle call.
+
+    Returns ``(ids, times, t)``: the freezes in iteration order
+    (ascending ids within one iteration), and the final iteration
     counter.  Raises :class:`RuntimeError` past ``max_iterations``.
     """
-    state = direct_state(0, len(active), active, degree, load, oracle, w0, growth)
-    prev = np.empty(0, dtype=np.int64)
+    live = active
+    active = active.copy()
+    degree = np.array(degree, dtype=np.int64)
+    load = np.array(load, dtype=np.float64)
+    newly = np.empty(0, dtype=np.int64)
     frozen: List[np.ndarray] = []
     t = start
     while True:
-        prev, count = direct_step(state, indptr, indices, t, prev)
-        if count == 0:
+        if newly.size:
+            hits = gather_rows(indices, indptr, newly)
+            hits = hits[live[hits]]
+            np.add.at(load, hits, w0 * growth ** (t - 1))
+            np.subtract.at(degree, hits, 1)
+            active &= degree != 0
+        act = np.flatnonzero(active)
+        if act.size == 0:
             break
         if t - start >= max_iterations:
             raise RuntimeError(_CAP_MESSAGE)
-        frozen.append(prev)
+        w_t = w0 * growth**t
+        estimates = load[act] + degree[act] * w_t
+        newly = act[oracle.crosses_batch(act, t, estimates)]
+        active[newly] = False
+        frozen.append(newly)
         t += 1
     ids = np.concatenate(frozen) if frozen else np.empty(0, dtype=np.int64)
     times = np.repeat(

@@ -78,8 +78,8 @@ class FaultSpec:
         The worker id the fault targets.
     ``kernel``
         An ``fnmatch`` pattern over kernel names (``"*"`` = any phase,
-        ``"matching.direct_*"`` = the direct simulation, per-iteration
-        steps and gathered tails alike).
+        ``"matching.direct_*"`` = the direct simulation, one task per
+        tail).
     ``step`` / ``times``
         Fire on dispatches ``step .. step+times-1`` of matching phases
         (0-based, counted per spec).  ``times > 1`` models a repeatedly

@@ -9,17 +9,18 @@ free of code objects.
 The solver kernels here are the machine-local MPC phase units —
 :func:`repro.core.matching_mpc._machine_insertions` (one contiguous
 machine range per worker),
-:func:`repro.core.matching_mpc.direct_step`,
-:func:`repro.core.matching_mpc.direct_tail`,
+:func:`repro.core.matching_mpc.direct_tail` (a whole direct tail on one
+worker),
 :func:`repro.core.greedy_mis.greedy_mis_on_prefix_csr`,
 :func:`repro.core.weighted_matching._filter_class` — and the only way
 the solvers run them.  The transport changes *where* those units run,
 never what they compute, which is what keeps ``executor="parallel"``
 byte-identical to ``executor=None``.
 
-Worker-resident state (the direct-simulation vertex slices) lives in
-``ctx.session(key).state`` and survives across steps until the session is
-dropped.
+Every solver kernel is a pure function of its payload and the session's
+shared arrays.  Worker-resident state (``ctx.session(key).state``, which
+survives across steps until the session is dropped) is used only by the
+``debug.counter`` kernel and the ``mis.prefix_greedy`` CSR cache.
 
 The ``debug.*`` kernels are the transport test surface, including the
 fault-injection hook the worker-death test uses.
@@ -194,57 +195,16 @@ def _matching_machines(ctx, payload: Any) -> List[Tuple[np.ndarray, np.ndarray]]
 # ---------------------------------------------------------------------------
 # matching: direct Central-Rand simulation (Line (4))
 # ---------------------------------------------------------------------------
-#
-# The driver partitions the vertex range over the workers.  Each worker
-# owns the mutable per-vertex state for its slice and reads the immutable
-# CSR adjacency from the session's shared arrays.  One step per
-# iteration runs :func:`repro.core.matching_mpc.direct_step` (with one
-# worker, on the whole range).  A tail that fits one machine runs as a
-# single ``matching.direct_tail`` task instead: the same steps, looped
-# on one worker.
-
-
-@kernel("matching.direct_init", stateful=True)
-def _direct_init(ctx, payload: Any) -> int:
-    from repro.core.matching_mpc import direct_state
-
-    session = ctx.session(payload["session"])
-    state = direct_state(
-        int(payload["lo"]),
-        int(payload["hi"]),
-        np.asarray(payload["active"], dtype=bool),
-        payload["degree"],
-        payload["load"],
-        payload["oracle"],
-        payload["w0"],
-        payload["growth"],
-    )
-    session.state["direct"] = state
-    return int(state["active"].sum())
-
-
-@kernel("matching.direct_step", stateful=True)
-def _direct_step(ctx, payload: Any) -> Tuple[np.ndarray, int]:
-    from repro.core.matching_mpc import direct_step
-
-    session = ctx.session(payload["session"])
-    return direct_step(
-        session.state["direct"],
-        session.arrays["indptr"],
-        session.arrays["indices"],
-        int(payload["t"]),
-        np.asarray(payload["prev"], dtype=np.int64),
-    )
 
 
 @kernel("matching.direct_tail")
 def _direct_tail(ctx, payload: Any) -> List[Tuple[np.ndarray, np.ndarray, int]]:
-    """Run a gathered direct tail to the end on this one worker.
+    """Run a direct tail to the end on this one worker.
 
     The session holds the CSR arrays; each task is the tail's full
-    initial state.  Pure function of its inputs (a fresh
-    :func:`repro.core.matching_mpc.direct_state` per task), so a failed
-    step can be retried in place.
+    initial state.  Pure function of its inputs
+    (:func:`repro.core.matching_mpc.direct_tail` copies the state it
+    mutates), so a failed step can be retried in place.
     """
     from repro.core.matching_mpc import direct_tail
 

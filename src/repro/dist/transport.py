@@ -12,7 +12,8 @@ traffic between the driver and them:
   to worker ``i``, the named kernel (see :mod:`repro.dist.kernels`) runs
   on each, and the per-worker results come back in worker order.  Round
   payloads move as pickle-protocol-5 messages whose NumPy buffers travel
-  out-of-band through chunked, CRC32-checksummed pipe frames.
+  out-of-band through chunked, CRC32-checksummed pipe frames, and arrive
+  with NumPy's canonical dtype descriptors.
 * ``drop``/``close`` — session and worker teardown.
 
 :class:`LocalTransport` is the in-process reference implementation: the
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import atexit
 import gc
+import io
 import pickle
 import time
 import traceback
@@ -89,7 +91,7 @@ class Session:
 
     ``arrays`` holds the read-only install payload; ``state`` is the
     kernel scratch space that persists across ``step`` calls (e.g. the
-    direct-simulation per-worker vertex state).
+    ``mis.prefix_greedy`` CSR wrapper).
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray]) -> None:
@@ -268,9 +270,36 @@ def _wait_readable(conn, deadline_ts, pretend_until) -> None:
             return
 
 
+def _rebuild_array(buffer, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
+    return np.frombuffer(buffer, dtype=np.dtype(dtype)).reshape(shape)
+
+
+class _Pickler(pickle.Pickler):
+    """Protocol-5 pickler that ships numeric arrays as buffer + ``dtype.str``.
+
+    NumPy's own reduction pickles the dtype object, and the receiver gets
+    a descriptor equal to, but not the same object as, NumPy's canonical
+    one; ``ufunc.at`` then misses its fast loop (``np.add.at`` ran 10-24x
+    slower on received arrays).  Rebuilding from ``dtype.str`` restores
+    the canonical descriptor.  Non-contiguous arrays are sent as a
+    C-contiguous copy, as NumPy's reduction does.
+    """
+
+    def reducer_override(self, obj):
+        if type(obj) is np.ndarray and obj.dtype.kind in "biufc":
+            return _rebuild_array, (
+                pickle.PickleBuffer(np.ascontiguousarray(obj)),
+                obj.dtype.str,
+                obj.shape,
+            )
+        return NotImplemented
+
+
 def _send_msg(conn, obj: Any) -> None:
     buffers: List[pickle.PickleBuffer] = []
-    head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    stream = io.BytesIO()
+    _Pickler(stream, protocol=5, buffer_callback=buffers.append).dump(obj)
+    head = stream.getvalue()
     views = [buf.raw().cast("B") for buf in buffers]
     sizes = pickle.dumps([len(view) for view in views])
     checksums = [zlib.crc32(head), zlib.crc32(sizes)]

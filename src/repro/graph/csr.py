@@ -155,7 +155,9 @@ class CSRGraph:
                 raise ValueError("self-loops are not allowed")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            canonical = np.unique(lo * np.int64(num_vertices) + hi)
+            # Sort and drop repeats: np.unique's hash path is slower on int keys.
+            canonical = np.sort(lo * np.int64(num_vertices) + hi)
+            canonical = canonical[np.diff(canonical, prepend=-1) != 0]
             lo = canonical // num_vertices
             hi = canonical % num_vertices
             src = np.concatenate([lo, hi])

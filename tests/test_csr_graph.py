@@ -77,6 +77,29 @@ class TestConversion:
         assert csr.num_edges == 2
         assert csr.edge_list() == [(0, 1), (2, 3)]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_from_edge_array_matches_unique_reference(self, seed):
+        # Multisets with repeats in both orientations, against the
+        # np.unique canonicalization the sort-and-compare path replaced.
+        rng = np.random.default_rng(seed)
+        n = 40
+        edges = rng.integers(0, n, size=(600, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        edges = np.concatenate([edges, edges[::3, ::-1], edges[::5]])
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        keys = np.unique(lo * n + hi)
+        lo, hi = keys // n, keys % n
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+
+        csr = CSRGraph.from_edge_array(n, edges)
+        np.testing.assert_array_equal(csr.indptr, indptr)
+        np.testing.assert_array_equal(csr.indices, dst[order])
+
     def test_from_edge_array_rejects_self_loops_and_range(self):
         with pytest.raises(ValueError):
             CSRGraph.from_edge_array(3, np.array([[1, 1]]))

@@ -21,6 +21,7 @@ import pytest
 
 from repro.api import registry, solve
 from repro.dist import (
+    DistCorruptionError,
     DistExecutionError,
     DistExecutor,
     DistTimeoutError,
@@ -30,7 +31,9 @@ from repro.dist import (
 )
 from repro.dist.kernels import get_kernel, kernel, kernel_names
 from repro.dist.pool import dedupe_by_identity, object_executor, worker_object
+from repro.dist.transport import _recv_msg, _send_msg
 from repro.graph.generators import gnp_random_graph, random_weighted_graph
+from repro.mpc.cluster import MPCCluster
 
 
 @kernel("test.cyclic_view")
@@ -41,6 +44,15 @@ def _cyclic_view_kernel(ctx, payload):
     holder["self"] = holder
     session.state["holder"] = holder
     return True
+
+
+@kernel("test.dtype_report")
+def _dtype_report_kernel(ctx, payload):
+    """Test kernel: how each received array's dtype and flags arrived."""
+    return [
+        (array.dtype is np.dtype(array.dtype.str), array.flags.writeable)
+        for array in payload["arrays"]
+    ], payload["arrays"]
 
 
 @kernel("test.map_crash")
@@ -170,6 +182,64 @@ class TestMultiprocessTransport:
             transport.install("s", {"x": np.arange(4, dtype=np.int64)})
             results = transport.step("debug.echo", [{"sessions": ["s"]}] * 2)
             assert [r["session_sums"] for r in results] == [{"s": {"x": 6.0}}] * 2
+
+
+def _wire_arrays():
+    return [
+        np.arange(5, dtype=np.float64),
+        np.arange(5, dtype=np.int64),
+        np.array([True, False, True]),
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+        np.empty(0, dtype=np.float64),
+        np.empty((0, 2), dtype=np.int64),
+        np.arange(10, dtype=np.int64)[::3],
+        np.arange(12, dtype=np.float64).reshape(3, 4).T,
+    ]
+
+
+class TestCanonicalDtypes:
+    """Arrays cross the pipe with NumPy's canonical dtype descriptor.
+
+    An unpickled descriptor that merely compares equal sends ``ufunc.at``
+    off its fast loop, so received arrays must carry the very object
+    ``np.dtype`` returns.
+    """
+
+    def test_message_round_trip(self):
+        import multiprocessing
+
+        sender, receiver = multiprocessing.Pipe()
+        try:
+            for array in _wire_arrays():
+                _send_msg(sender, {"a": array})
+                received = _recv_msg(receiver, timeout=10)["a"]
+                assert received.dtype is np.dtype(array.dtype.str)
+                assert received.flags.writeable
+                assert received.shape == array.shape
+                np.testing.assert_array_equal(received, array)
+            _send_msg(sender, np.arange(3))
+            with pytest.raises(DistCorruptionError):
+                _recv_msg(receiver, timeout=10, _corrupt=True)
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_transport_step_both_directions(self):
+        arrays = _wire_arrays()
+        with MultiprocessTransport(2) as transport:
+            results = transport.step(
+                "test.dtype_report", [{"arrays": arrays}] * 2
+            )
+            for flags, echoed in results:
+                # Worker side, then driver side.
+                assert flags == [(True, True)] * len(arrays)
+                for sent, back in zip(arrays, echoed):
+                    assert back.dtype is np.dtype(sent.dtype.str)
+                    assert back.flags.writeable
+                    np.testing.assert_array_equal(back, sent)
+            transport.corrupt_next_receive(1)
+            with pytest.raises(DistCorruptionError):
+                transport.step("test.dtype_report", [{"arrays": arrays}] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +537,20 @@ class TestParity:
         )
         assert parallel == baseline
 
-    def test_worker_death_mid_solve_raises_dist_error(self):
-        # Kill a worker once the direct-simulation session is installed:
-        # the solver must surface DistExecutionError, not hang or return
-        # a partial result.
+    def test_worker_death_mid_solve_raises_dist_error(self, monkeypatch):
+        # Kill the worker running a direct tail that does not fit machine
+        # 0: the solver must surface DistExecutionError, not hang or
+        # return a partial result.
+        monkeypatch.setattr(MPCCluster, "fits_leader", lambda *args: False)
         graph = gnp_random_graph(150, 0.05, seed=7)
         transport = MultiprocessTransport(2)
         executor = DistExecutor(transport, kind="parallel")
         original_step = transport.step
+        killed = []
 
         def sabotaged_step(kernel, payloads):
-            if kernel == "matching.direct_step":
+            if kernel == "matching.direct_tail":
+                killed.append(kernel)
                 return original_step(
                     "debug.crash", [{"exit": 3}] * len(payloads)
                 )
@@ -496,6 +569,7 @@ class TestParity:
         finally:
             transport.step = original_step
             executor.close()
+        assert killed == ["matching.direct_tail"]
 
     def test_worker_death_in_gathered_tail_raises_dist_error(self):
         # The tail of this sparse graph fits machine 0 and runs as one
@@ -718,13 +792,13 @@ class TestKernelRegistry:
             "debug.fail",
             "debug.crash",
             "matching.machines",
-            "matching.direct_init",
-            "matching.direct_step",
             "matching.direct_tail",
             "mis.prefix_greedy",
             "weighted.filtering",
         ):
             assert required in names
+        assert "matching.direct_init" not in names
+        assert "matching.direct_step" not in names
 
     def test_unknown_kernel_raises_with_listing(self):
         with pytest.raises(KeyError, match="registered"):

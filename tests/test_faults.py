@@ -62,9 +62,9 @@ class TestFaultPlan:
         )
         assert plan.fire("debug.echo") == []  # non-matching: no count
         assert plan.fire("matching.machines") == []  # seen=0 < step
-        fired = plan.fire("matching.direct_step")  # seen=1 == step
+        fired = plan.fire("matching.direct_tail")  # seen=1 == step
         assert [spec.kind for spec in fired] == ["crash"]
-        assert plan.fire("matching.direct_step") == []  # window passed
+        assert plan.fire("matching.direct_tail") == []  # window passed
 
     def test_times_window_and_reset(self):
         plan = FaultPlan([FaultSpec("corrupt", worker=1, step=0, times=2)])

@@ -191,9 +191,9 @@ class TestFusedMachineBlock:
 class TestGatheredTail:
     """A direct tail that fits machine 0 finishes there in one task.
 
-    It runs the same ``direct_step`` as the per-iteration path, so the
-    freeze times, and with them every output, are byte-identical; only
-    the rounds move.
+    It runs the same ``matching.direct_tail`` task as a tail charged per
+    iteration, so the freeze times, and with them every output, are
+    byte-identical; only the rounds move.
     """
 
     @staticmethod

@@ -16,6 +16,7 @@ from repro.congested_clique.mis import congested_clique_mis
 from repro.congested_clique.model import CongestedClique
 from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.mis_mpc import mis_mpc
+from repro.dist import DistExecutor, MultiprocessTransport
 from repro.graph.generators import gnp_random_graph
 from repro.mpc.cluster import Message, MPCCluster
 
@@ -105,6 +106,37 @@ class TestMatchingRoundAudit:
         direct = reasons(mpc_charges).count("matching: direct Central-Rand iteration")
         assert direct == result.direct_iterations
         assert TAIL_SHIP not in reasons(mpc_charges)
+
+    def test_unfit_tail_is_one_pool_step_charged_per_iteration(
+        self, mpc_charges
+    ):
+        # The same graph: on a 2-worker pool the tail runs as one task,
+        # and the charges equal the executor=None run's.
+        g = gnp_random_graph(300, 0.06, seed=6)
+        runs = []
+        executor = DistExecutor(MultiprocessTransport(2), kind="parallel")
+        try:
+            for candidate in (None, executor):
+                del mpc_charges[:]
+                result = mpc_fractional_matching(g, seed=6, executor=candidate)
+                runs.append(
+                    (
+                        result.rounds,
+                        reasons(mpc_charges).count(
+                            "matching: direct Central-Rand iteration"
+                        ),
+                        result.direct_iterations,
+                        result.total_comm_words,
+                        result.freeze_at.tobytes(),
+                    )
+                )
+            walls = {w["phase"]: w["steps"] for w in executor.phase_walls()}
+        finally:
+            executor.close()
+        assert TAIL_SHIP not in reasons(mpc_charges)
+        assert runs[0] == runs[1]
+        assert runs[0][1] == runs[0][2] > 0
+        assert walls["direct-simulation"] == 1
 
     def test_gathered_tail_charges_one_ship_and_one_broadcast(
         self, monkeypatch, mpc_charges
