@@ -9,7 +9,11 @@ The algorithm simulates Central-Rand in phases.  While the degree bound
 * has each machine run ``I = Θ(log m)`` iterations of Central-Rand on its
   *induced local subgraph*, estimating each vertex's load as
   ``y~_v = m · (local active weight) + y_old_v`` and freezing vertices whose
-  estimate crosses their random threshold ``T_{v,t}`` (Lines (e));
+  estimate crosses their random threshold ``T_{v,t}`` (Lines (e)).  A
+  phase whose largest possible estimate, ``(m · deg) · w_max + y_old``
+  over the starting degrees, stays below the band's low end ``1 - 4ε``
+  freezes nothing, so its machine step is never dispatched; its rounds
+  and words are charged all the same;
 * recomputes true weights from freeze times (Line (g) — possible because
   every active edge grows by the same factor per iteration, so
   ``x_e = w_0 / (1-ε)^{t'}`` with ``t'`` the first endpoint-freeze time);
@@ -39,8 +43,8 @@ simulation, and the final weight readout — is a vectorized pass over
 those arrays.  Freezing decisions go through
 :meth:`ThresholdOracle.crosses_batch`, which only materializes the
 threshold when the load estimate lands inside the random band; a
-compressed phase makes one such call per step per worker, over the
-disjoint union of the worker's machines.
+dispatched compressed phase makes one such call per step per worker,
+over the disjoint union of the worker's machines.
 
 Randomness.  Both random choices are keyed draws of the order-free
 counter generator (:mod:`repro.utils.counter_rng`): the thresholds
@@ -329,24 +333,13 @@ def mpc_fractional_matching(
             )
             owner_of = np.full(n, -1, dtype=np.int64)
             owner_of[active_ids] = owner_vals
-            grouping = np.argsort(owner_vals, kind="stable")
-            sorted_ids = active_ids[grouping]
-            sorted_machines = owner_vals[grouping]
-            part_counts = np.bincount(owner_vals, minlength=num_machines)
-            bounds = np.zeros(num_machines + 1, dtype=np.int64)
-            np.cumsum(part_counts, out=bounds[1:])
 
-            # Same-machine active edges, grouped by machine in one sort.
+            # Same-machine active edges and each machine's count of them.
             same = owner_of[active_u] == owner_of[active_v]
             local_u = active_u[same]
             local_v = active_v[same]
             machine_of_edge = owner_of[local_u]
-            grouping = np.argsort(machine_of_edge, kind="stable")
-            local_u = local_u[grouping]
-            local_v = local_v[grouping]
             counts = np.bincount(machine_of_edge, minlength=num_machines)
-            boundaries = np.zeros(num_machines + 1, dtype=np.int64)
-            np.cumsum(counts, out=boundaries[1:])
             local_edge_counts = [int(c) for c in counts]
 
             if governor is None:
@@ -365,40 +358,70 @@ def mpc_fractional_matching(
         _ship_partitions(cluster, local_edge_counts, phases, governor=governor)
         machine_edges_per_phase.append(max(local_edge_counts, default=0))
 
-        # Lines (e): every machine simulates I iterations locally.  Each
-        # worker runs one contiguous machine range as a single fused block;
-        # the ranges come back in machine order, so array writes replay the
-        # freezes exactly as a machine-by-machine merge would.
-        position_of = np.empty(n, dtype=np.int64)
-        position_of[sorted_ids] = np.arange(len(sorted_ids), dtype=np.int64)
-        tasks = []
-        for first, last in executor.partition(num_machines):
-            lo, hi = bounds[first], bounds[last]
-            elo, ehi = boundaries[first], boundaries[last]
-            tasks.append(
-                (
-                    sorted_ids[lo:hi],
-                    sorted_machines[lo:hi],
-                    position_of[local_u[elo:ehi]] - lo,
-                    position_of[local_v[elo:ehi]] - lo,
-                    y_old[sorted_ids[lo:hi]],
-                )
-            )
-        results = executor.map_tasks(
-            "matching.machines",
-            tasks,
-            shared={
-                "oracle": oracle,
-                "start": t,
-                "iterations": iterations,
-                "machines": num_machines,
-                "w0": w0,
-                "growth": growth,
-            },
-            phase="compressed-phases",
+        # Lines (e): every machine simulates I iterations locally.  A
+        # phase in which no estimate can reach the threshold band freezes
+        # nothing, so its machine step is not dispatched; the charges
+        # above and below are the same either way.
+        local_degree = np.bincount(
+            np.concatenate((local_u, local_v)), minlength=n
         )
-        for vertices, times in results:
-            freeze_at[vertices] = times
+        if _phase_can_freeze(
+            local_degree[active_ids],
+            y_old[active_ids],
+            oracle,
+            t,
+            iterations,
+            num_machines,
+            w0,
+            growth,
+        ):
+            # Each worker runs one contiguous machine range as a single
+            # fused block; the ranges come back in machine order, so array
+            # writes replay the freezes exactly as a machine-by-machine
+            # merge would.
+            grouping = np.argsort(owner_vals, kind="stable")
+            sorted_ids = active_ids[grouping]
+            sorted_machines = owner_vals[grouping]
+            bounds = np.zeros(num_machines + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(owner_vals, minlength=num_machines), out=bounds[1:]
+            )
+            # Same-machine edges, grouped by machine in one sort.
+            grouping = np.argsort(machine_of_edge, kind="stable")
+            local_u = local_u[grouping]
+            local_v = local_v[grouping]
+            boundaries = np.zeros(num_machines + 1, dtype=np.int64)
+            np.cumsum(counts, out=boundaries[1:])
+            position_of = np.empty(n, dtype=np.int64)
+            position_of[sorted_ids] = np.arange(len(sorted_ids), dtype=np.int64)
+            tasks = []
+            for first, last in executor.partition(num_machines):
+                lo, hi = bounds[first], bounds[last]
+                elo, ehi = boundaries[first], boundaries[last]
+                tasks.append(
+                    (
+                        sorted_ids[lo:hi],
+                        sorted_machines[lo:hi],
+                        position_of[local_u[elo:ehi]] - lo,
+                        position_of[local_v[elo:ehi]] - lo,
+                        y_old[sorted_ids[lo:hi]],
+                    )
+                )
+            results = executor.map_tasks(
+                "matching.machines",
+                tasks,
+                shared={
+                    "oracle": oracle,
+                    "start": t,
+                    "iterations": iterations,
+                    "machines": num_machines,
+                    "w0": w0,
+                    "growth": growth,
+                },
+                phase="compressed-phases",
+            )
+            for vertices, times in results:
+                freeze_at[vertices] = times
         t += iterations
         d *= (1.0 - epsilon) ** iterations
         phases += 1
@@ -546,6 +569,37 @@ def _scatter_waves(messages: List[tuple], soft_words: int) -> List[List[tuple]]:
     return [wave for wave in waves if wave]
 
 
+def _phase_can_freeze(
+    degree: np.ndarray,
+    y_old: np.ndarray,
+    oracle: ThresholdOracle,
+    start_iteration: int,
+    iterations: int,
+    num_machines: int,
+    w0: float,
+    growth: float,
+) -> bool:
+    """Whether some estimate of a compressed phase can reach ``oracle.low``.
+
+    ``degree`` and ``y_old`` are the phase's starting same-machine
+    degrees and frozen loads over the active vertices.  During the phase
+    degrees only fall, ``y_old`` is fixed and the largest weight is the
+    largest ``w_t``; with the kernel's association, IEEE rounding is
+    monotone in each operand, so ``(m · deg) · w_max + y_old`` bounds
+    every estimate :func:`_machine_insertions` forms.  Every threshold
+    is at least ``low``, so a bound below it freezes no vertex at any
+    step: ``False`` means the machine step would return no freeze.
+    """
+    if degree.size == 0:
+        return False
+    w_max = max(
+        w0 * growth**now
+        for now in range(start_iteration, start_iteration + iterations)
+    )
+    bound = num_machines * degree * w_max + y_old
+    return bool(bound.max() >= oracle.low)
+
+
 def _machine_insertions(
     vertex_ids: np.ndarray,
     machine_of: np.ndarray,
@@ -573,6 +627,11 @@ def _machine_insertions(
     per step decides each vertex exactly as its own machine would.  A
     machine that runs out of active vertices simply contributes nothing
     to later steps.
+
+    The driver dispatches this kernel only when :func:`_phase_can_freeze`
+    says some estimate can reach ``oracle.low``; otherwise every
+    :meth:`ThresholdOracle.crosses_batch` call here would return all
+    ``False``.
 
     Returns ``(vertices, t)`` freezes lexsorted on ``(machine, t,
     position)`` — the order a machine-by-machine replay produces.

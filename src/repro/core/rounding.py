@@ -120,16 +120,28 @@ def round_fractional_matching(
         chosen[rows[fired]] = True
         partner[rows[fired]] = others[slots[fired]]
 
-    # H: distinct proposed edges (an edge proposed by both endpoints
-    # counts once); an edge is good when no other edge of H touches it.
-    lo = np.minimum(candidates[proposers], partner)
-    hi = np.maximum(candidates[proposers], partner)
-    proposed = np.unique(np.column_stack((lo, hi)), axis=0)
-    _, slot_of, touches = np.unique(
-        proposed.ravel(), return_inverse=True, return_counts=True
+    return _resolve_proposals(candidates[proposers], partner, span)
+
+
+def _resolve_proposals(
+    proposer_ids: np.ndarray, partner: np.ndarray, span: int
+) -> RoundingOutcome:
+    """H and its good edges from one pass's proposals.
+
+    ``proposer_ids[i]`` proposed the edge to ``partner[i]``; both are ids
+    in ``[0, span)``, so the key ``lo * span + hi`` orders edges as the
+    rows ``(lo, hi)`` do.  H is the distinct keys, ascending (an edge
+    proposed by both endpoints counts once); an edge is good when no
+    other edge of H touches it, i.e. both its endpoints are touched once.
+    """
+    keys = np.sort(
+        np.minimum(proposer_ids, partner) * span
+        + np.maximum(proposer_ids, partner)
     )
-    good = (touches[slot_of].reshape(-1, 2) == 1).all(axis=1)
-    matching = proposed[good]
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    proposed = np.column_stack(np.divmod(keys, span))
+    touches = np.bincount(proposed.ravel(), minlength=span)
+    matching = proposed[(touches[proposed] == 1).all(axis=1)]
     return RoundingOutcome(
         matching=matching,
         proposals=len(proposed),

@@ -719,6 +719,34 @@ class TestFacadeExecutor:
         phases = {w["phase"] for w in info["phase_walls"]}
         assert {"compressed-phases", "direct-simulation"} <= phases
 
+    def test_perfbench_graph_still_reaches_the_machine_kernel(self):
+        # Compressed phases that cannot freeze skip their pool step; on
+        # the benchmark's G(5000, d=20) at least one must still dispatch
+        # matching.machines, or the parallel workload stops exercising it.
+        import importlib.util
+        from pathlib import Path
+
+        import repro
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        graph = repro.Graph(5000, inputs.erdos_renyi_edges(5000, 20, 1))
+        report = solve(
+            "fractional_matching",
+            graph,
+            backend="mpc",
+            seed=1,
+            executor="parallel",
+            workers=2,
+        )
+        steps = {
+            w["phase"]: w["steps"]
+            for w in report.extras["executor"]["phase_walls"]
+        }
+        assert steps.get("compressed-phases", 0) >= 1
+
     def test_non_mpc_backend_rejects_executor(self):
         graph = gnp_random_graph(40, 0.1, seed=7)
         with pytest.raises(ValueError, match="does not support an executor"):

@@ -9,8 +9,12 @@ from repro.baselines.blossom import maximum_matching
 from repro.core.central import NEVER_FROZEN
 from repro.core.config import MatchingConfig
 from repro.core.integral import mpc_maximum_matching
-from repro.core.matching_mpc import mpc_fractional_matching
-from repro.core.thresholds import ThresholdOracle
+from repro.core.matching_mpc import (
+    _machine_insertions,
+    _phase_can_freeze,
+    mpc_fractional_matching,
+)
+from repro.core.thresholds import ThresholdOracle, fixed_oracle
 from repro.dist.executor import DistExecutor
 from repro.dist.transport import LocalTransport, MultiprocessTransport
 from repro.graph.generators import (
@@ -186,6 +190,139 @@ class TestFusedMachineBlock:
             stop = start + phase["iterations"]
             made = sum(start <= t < stop for t in calls)
             assert made <= phase["iterations"] * workers
+
+
+def _layout_run(oracle, ids, machine_of, edges, y, start, iterations, machines, w0, growth):
+    """``(guard verdict, kernel freezes)`` for one machine-range layout.
+
+    ``ids`` are sorted by ``(machine, id)``; ``edges`` are same-machine
+    position pairs.  The guard reads the starting degrees and loads the
+    driver hands it; the kernel gets the layout as a worker would.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    y = np.asarray(y, dtype=np.float64)
+    degree = np.bincount(edges.ravel(), minlength=len(ids))
+    verdict = _phase_can_freeze(
+        degree, y, oracle, start, iterations, machines, w0, growth
+    )
+    vertices, times = _machine_insertions(
+        ids,
+        np.asarray(machine_of, dtype=np.int64),
+        edges[:, 0],
+        edges[:, 1],
+        y,
+        oracle,
+        start,
+        iterations,
+        machines,
+        w0,
+        growth,
+    )
+    return verdict, list(zip(vertices.tolist(), times.tolist()))
+
+
+class TestQuietPhaseGuard:
+    """A compressed phase the guard calls quiet freezes nothing.
+
+    The driver skips the ``matching.machines`` step of such a phase, so
+    the guard must never call a phase quiet that the kernel would freeze
+    a vertex in.
+    """
+
+    def test_quiet_layouts_freeze_nothing(self):
+        rng = np.random.default_rng(2024)
+        quiet = dispatched = 0
+        for _ in range(400):
+            machines = int(rng.integers(1, 6))
+            k = int(rng.integers(0, 24))
+            ids = rng.choice(100, size=k, replace=False)
+            labels = rng.integers(0, machines, size=k)
+            order = np.lexsort((ids, labels))
+            ids, labels = ids[order], labels[order]
+            pairs = [
+                (a, b)
+                for a in range(k)
+                for b in range(a + 1, k)
+                if labels[a] == labels[b]
+            ]
+            density = rng.random()
+            edges = [e for e in pairs if rng.random() < density]
+            low = float(rng.uniform(0.3, 0.9))
+            if rng.random() < 0.5:
+                oracle = fixed_oracle(low)
+            else:
+                oracle = ThresholdOracle(
+                    low, low + float(rng.uniform(0.0, 0.2)), seed=int(rng.integers(99))
+                )
+            start, iterations = int(rng.integers(0, 30)), int(rng.integers(1, 7))
+            w0 = float(rng.uniform(1e-4, 2e-2))
+            growth = 1.0 / (1.0 - float(rng.uniform(0.05, 0.3)))
+            # Frozen loads from well below the band to just under ``low``;
+            # a third of them put the last step's full-degree estimate
+            # within a rounding error of ``low``.
+            degree = np.bincount(
+                np.asarray(edges, dtype=np.int64).ravel(), minlength=k
+            )
+            peak = machines * degree * (w0 * growth ** (start + iterations - 1))
+            y = np.where(
+                rng.random(k) < 1 / 3,
+                np.maximum(low - peak * rng.choice([1.0, 1.0 - 1e-12], k), 0.0),
+                low * rng.uniform(0.5, 1.0, size=k) ** 4,
+            )
+            verdict, freezes = _layout_run(
+                oracle,
+                ids,
+                labels,
+                edges,
+                y,
+                start,
+                iterations,
+                machines,
+                w0,
+                growth,
+            )
+            if verdict:
+                dispatched += 1
+            else:
+                quiet += 1
+                assert freezes == []
+        assert quiet > 25 and dispatched > 25
+
+    @pytest.mark.parametrize(
+        "oracle", [fixed_oracle(0.75), ThresholdOracle(0.75, 0.8, seed=3)]
+    )
+    def test_one_ulp_below_low_is_quiet(self, oracle):
+        below = np.nextafter(0.75, 0.0)
+        verdict, freezes = _layout_run(
+            oracle, [4, 7], [0, 1], [], [below, 0.5], 0, 3, 2, 0.01, 1.25
+        )
+        assert not verdict
+        assert freezes == []
+
+    def test_bound_equal_to_low_dispatches(self):
+        # Two vertices on one machine, joined by an edge: the estimate is
+        # (2 · 1) · w_t + 0.25 with w_0 = 0.125 and growth 2, exactly 0.75
+        # at the phase's last step t = 1 (and 0.5 at t = 0), so the bound
+        # must use the largest w_t.
+        oracle = fixed_oracle(0.75)
+        verdict, freezes = _layout_run(
+            oracle, [3, 5], [0, 0], [(0, 1)], [0.25, 0.25], 0, 2, 2, 0.125, 2.0
+        )
+        assert verdict
+        assert freezes == [(3, 1), (5, 1)]
+        verdict, freezes = _layout_run(
+            oracle, [3, 5], [0, 0], [(0, 1)], [0.25, 0.25], 0, 1, 2, 0.125, 2.0
+        )
+        assert not verdict
+        assert freezes == []
+
+    def test_empty_range_is_quiet(self):
+        verdict, freezes = _layout_run(
+            fixed_oracle(0.5), [], [], [], [], 0, 3, 2, 0.1, 1.1
+        )
+        assert not verdict
+        assert freezes == []
 
 
 class TestGatheredTail:

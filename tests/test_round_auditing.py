@@ -138,6 +138,40 @@ class TestMatchingRoundAudit:
         assert runs[0][1] == runs[0][2] > 0
         assert walls["direct-simulation"] == 1
 
+    def test_quiet_phases_skip_the_pool_step_but_keep_their_charges(
+        self, mpc_charges
+    ):
+        # G(300, 0.06) runs 3 compressed phases; only some can freeze a
+        # vertex, so only those dispatch matching.machines.  Every phase
+        # is still charged its scatter, freeze broadcast and load
+        # aggregation, on the pool and with executor=None alike.
+        g = gnp_random_graph(300, 0.06, seed=4)
+        runs = []
+        executor = DistExecutor(MultiprocessTransport(2), kind="parallel")
+        try:
+            for candidate in (None, executor):
+                del mpc_charges[:]
+                result = mpc_fractional_matching(g, seed=4, executor=candidate)
+                charged = reasons(mpc_charges)
+                for p in range(1, result.phases + 1):
+                    for event in ("scatter", "freezes", "load aggregation"):
+                        assert charged.count(f"matching: phase {p} {event}") == 1
+                assert sum(count for count, _ in mpc_charges) == result.rounds
+                runs.append(
+                    (
+                        result.phases,
+                        result.rounds,
+                        result.freeze_at.tobytes(),
+                        result.machine_edges_per_phase,
+                        result.total_comm_words,
+                    )
+                )
+            walls = {w["phase"]: w["steps"] for w in executor.phase_walls()}
+        finally:
+            executor.close()
+        assert runs[0] == runs[1]
+        assert 0 < walls["compressed-phases"] < runs[0][0]
+
     def test_gathered_tail_charges_one_ship_and_one_broadcast(
         self, monkeypatch, mpc_charges
     ):

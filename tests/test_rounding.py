@@ -5,7 +5,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MatchingConfig
@@ -13,6 +13,7 @@ from repro.core.matching_mpc import mpc_fractional_matching
 from repro.core.rounding import (
     PROPOSAL_DAMPENING,
     RoundingOutcome,
+    _resolve_proposals,
     round_fractional_matching,
 )
 from repro.graph.generators import barabasi_albert, complete_graph, gnp_random_graph
@@ -190,6 +191,52 @@ def test_edge_proposed_by_both_endpoints_counts_once():
     assert _fields(outcome) == _reference_rounding(weights, {0, 1}, seed)
     assert outcome.matching.tolist() == [[0, 1]]
     assert (outcome.proposals, outcome.collisions) == (1, 0)
+
+
+def _unique_resolution(proposer_ids, partner) -> RoundingOutcome:
+    """H resolution by ``np.unique`` over ``(lo, hi)`` rows and endpoints."""
+    lo = np.minimum(proposer_ids, partner)
+    hi = np.maximum(proposer_ids, partner)
+    proposed = np.unique(np.column_stack((lo, hi)), axis=0)
+    _, slot_of, touches = np.unique(
+        proposed.ravel(), return_inverse=True, return_counts=True
+    )
+    good = (touches[slot_of].reshape(-1, 2) == 1).all(axis=1)
+    matching = proposed[good]
+    return RoundingOutcome(
+        matching=matching,
+        proposals=len(proposed),
+        collisions=len(proposed) - len(matching),
+    )
+
+
+@st.composite
+def proposal_sets(draw):
+    """Distinct proposers, each naming one other id; small spans make
+    shared endpoints and edges proposed by both endpoints common."""
+    span = draw(st.integers(min_value=2, max_value=16))
+    proposers = sorted(draw(st.sets(st.integers(0, span - 1), max_size=span)))
+    partner = [
+        draw(st.integers(0, span - 1).filter(lambda q, p=p: q != p))
+        for p in proposers
+    ]
+    return span, proposers, partner
+
+
+@settings(max_examples=300, deadline=None)
+@given(proposal_sets())
+@example((2, [0, 1], [1, 0]))  # one edge, proposed by both endpoints
+@example((5, [0, 1, 2, 3], [1, 0, 3, 4]))  # a mutual pair beside a path
+@example((3, [], []))
+def test_proposal_resolution_matches_unique_reference(case):
+    span, proposers, partner = case
+    proposer_ids = np.array(proposers, dtype=np.int64)
+    partner = np.array(partner, dtype=np.int64)
+    outcome = _resolve_proposals(proposer_ids, partner, span)
+    reference = _unique_resolution(proposer_ids, partner)
+    assert outcome.matching.dtype == reference.matching.dtype
+    assert outcome.matching.shape == reference.matching.shape
+    assert _fields(outcome) == _fields(reference)
 
 
 # ---------------------------------------------------------------------------
