@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.central import run_freezing_process
+from repro.core.central import run_freezing_process, start_weight
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import MatchingMPCResult, mpc_fractional_matching
 from repro.core.thresholds import ThresholdOracle
@@ -81,18 +81,18 @@ def coupled_run(
     mpc = mpc_fractional_matching(
         graph, config=config, seed=rng.getrandbits(64), oracle=oracle
     )
-    n = graph.num_vertices
+    csr = as_csr(graph)
     central = run_freezing_process(
-        graph=graph,
+        graph=csr,
         epsilon=config.epsilon,
         oracle=oracle,
-        initial_weight=(1.0 - 2.0 * config.epsilon) / max(1, n),
+        initial_weight=start_weight(csr, config.epsilon),
         max_iterations=100_000,
     )
 
     # Bad vertices: non-isolated ones whose freeze iterations differ (both
     # arrays mark the vertices that never froze NEVER_FROZEN).
-    relevant = as_csr(graph).degrees() > 0
+    relevant = csr.degrees() > 0
     differ = central.freeze_at[relevant] != mpc.freeze_at[relevant]
     bad = int(np.count_nonzero(differ))
     present = relevant.copy()

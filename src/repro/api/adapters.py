@@ -277,7 +277,7 @@ def _fractional_central(
     config_factory=MatchingConfig,
     priority=10,
     rounds_bound="loglog",
-    rounds_constant=40.0,
+    rounds_constant=28.0,
     mpc_substrate=True,
 )
 def _matching_mpc(
@@ -463,7 +463,7 @@ def _cover_greedy(
     config_factory=MatchingConfig,
     priority=10,
     rounds_bound="loglog",
-    rounds_constant=40.0,
+    rounds_constant=28.0,
     mpc_substrate=True,
 )
 def _one_plus_eps_mpc(

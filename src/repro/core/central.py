@@ -69,6 +69,17 @@ class CentralResult:
         return self.matching.weight()
 
 
+def start_weight(csr: CSRGraph, epsilon: float) -> float:
+    """The MPC-Simulation starting edge weight ``w_0 = (1-2ε)/Δ``.
+
+    Every starting load ``deg(v) · w_0`` is then at most ``1 - 2ε``, as
+    the paper's ``(1-2ε)/n`` start guarantees, but without the
+    ``log_{1/(1-ε)}(n/Δ)`` iterations in which no vertex can freeze.
+    An edgeless graph (``Δ = 0``) gets ``1 - 2ε``; nothing reads it.
+    """
+    return (1.0 - 2.0 * epsilon) / max(1, csr.max_degree())
+
+
 def central_fractional_matching(
     graph: Union[Graph, CSRGraph],
     epsilon: float = 0.1,
@@ -88,7 +99,7 @@ def central_fractional_matching(
         Central-Rand with ``T_{v,t} ~ U[1-4ε, 1-2ε]``.
     initial_weight:
         Starting edge weight; defaults to ``1/n`` as in the paper.  The MPC
-        simulation uses ``(1-2ε)/n``.
+        simulation uses :func:`start_weight`, ``(1-2ε)/Δ``.
     max_iterations:
         Safety cap; defaults to a generous multiple of the ``O(log n / ε)``
         bound and raises if exceeded (a termination bug should be loud).

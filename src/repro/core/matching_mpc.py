@@ -1,8 +1,15 @@
 """MPC-Simulation — fractional matching and vertex cover in O(log log n)
 MPC rounds (Section 4.3, Lemma 4.2).
 
-The algorithm simulates Central-Rand in phases.  While the degree bound
-``d`` exceeds a polylog floor, one phase:
+The algorithm simulates Central-Rand in phases.  The schedule starts at
+the input's maximum degree ``Δ``, measured with one charged aggregation:
+``d = Δ`` and every edge at ``w_0 = (1-2ε)/Δ``
+(:func:`~repro.core.central.start_weight`).  Every starting load
+``deg · w_0`` is then at most ``1 - 2ε``, as with the paper's
+``(1-2ε)/n``, without the ``log_{1/(1-ε)}(n/Δ)`` iterations in which no
+load can reach the threshold band.  An input with ``Δ`` at or below the
+floor runs no compressed phase at all.  While the degree bound ``d``
+exceeds a polylog floor, one phase:
 
 * partitions the still-relevant vertices ``V'`` over ``m = √d`` machines
   (vertex-based sampling of [CŁM+18], Line (d));
@@ -13,7 +20,9 @@ The algorithm simulates Central-Rand in phases.  While the degree bound
   phase whose largest possible estimate, ``(m · deg) · w_max + y_old``
   over the starting degrees, stays below the band's low end ``1 - 4ε``
   freezes nothing, so its machine step is never dispatched; its rounds
-  and words are charged all the same;
+  and words are charged all the same.  Since the ``Δ`` start such a
+  phase is rare: it is one whose machines hold (almost) no active
+  edge, as in the last phase of a dense input;
 * recomputes true weights from freeze times (Line (g) — possible because
   every active edge grows by the same factor per iteration, so
   ``x_e = w_0 / (1-ε)^{t'}`` with ``t'`` the first endpoint-freeze time);
@@ -81,7 +90,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.central import NEVER_FROZEN
+from repro.core.central import NEVER_FROZEN, start_weight
 from repro.core.config import MatchingConfig
 from repro.core.fractional import FractionalMatching
 from repro.core.thresholds import ThresholdOracle
@@ -239,12 +248,15 @@ def mpc_fractional_matching(
             config.threshold_low, config.threshold_high, seed=rng.getrandbits(64)
         )
     growth = 1.0 / (1.0 - epsilon)
-    w0 = (1.0 - 2.0 * epsilon) / n
+    w0 = start_weight(csr, epsilon)
 
     spec = ClusterSpec.from_graph(csr, config.memory_factor, machines="sqrt")
     cluster = spec.build_cluster()
     if governor is not None:
         governor.bind(cluster)
+    # One aggregation measures Δ, where the schedule starts: d = Δ and
+    # w0 = (1 - 2ε)/Δ.
+    cluster.charge_rounds(1, "matching: max-degree aggregation")
 
     # The machine-assignment key is drawn once up front so per-phase owner
     # draws are an order-free pure function of (key, phase, vertex).
@@ -268,7 +280,7 @@ def mpc_fractional_matching(
     surviving_mask = np.ones(n, dtype=bool)
     freeze_at = np.full(n, _NEVER, dtype=np.int64)
     heavy = np.zeros(n, dtype=bool)
-    d = float(n)
+    d = float(csr.max_degree())
     t = 0
     phases = 0
     floor = config.degree_floor(n)

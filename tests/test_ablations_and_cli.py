@@ -30,6 +30,7 @@ class TestAblations:
             n=256, memory_factors=(8.0, 0.1), seed=4
         )
         assert rows[0]["status"] == "ok"
+        assert rows[0]["max_machine_edges"] > 0
         assert rows[1]["status"].startswith("memory exceeded")
 
 

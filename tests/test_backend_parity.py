@@ -29,7 +29,15 @@ solutions did not move.  The
 ``mis/pregel`` and ``matching/pregel`` pins were re-captured
 when the Pregel engine's draws and vertex placement moved onto the
 counter generator and the matching proposal target became a uniform
-live neighbor.
+live neighbor.  The 17 matching-family pins (``fractional/*``,
+``matching/mpc``, the n=2000 ``fractional_matching``, ``vertex_cover``,
+``matching`` and ``one_plus_eps_matching`` cells and their ``report/*``
+cells) were re-captured when MPC-Simulation began its schedule at the
+measured maximum degree ``Δ`` (``d = Δ``, ``w0 = (1-2ε)/Δ``) instead of
+at ``n``: solutions, rounds and words all moved, and the two
+``report/matching`` cells' rounds budget with them (the matching
+``rounds_constant`` went from 40 to 28).  The MIS, baseline and Pregel
+pins did not.
 
 The module also property-tests the array-based substrate validation
 (Lenzen routing loads, clique bandwidth), the batched SHA stream and the
@@ -167,32 +175,32 @@ BASELINE_CASES = {
 }
 
 PINS = {
-    "fractional/congested_clique": "2d68bcb6ea9372be42c5bd1925921cd16012ad51606a815a2a9c6b0fde097269",
-    "fractional/mpc": "af5b07cf3828d4309eaa93ab44d0672c9cde93823917f736c4e0e61424d63e1d",
-    "fractional_matching/mpc/n2000/seed1": "9957b5a639eb1d28b462a73e6f7ef465d9b48b628999aac808c9bf7ca6853951",
-    "fractional_matching/mpc/n2000/seed2": "0d51a2542fde316f22a23541c93591b9d9194ecfc6a0daa668125336ac2cbdb1",
+    "fractional/congested_clique": "584d9db0d0d3c1d672ed0beaa673909b0ac9681cdd1a77781ba821960d5343c7",
+    "fractional/mpc": "e30eb2d656db42db555cd7e8287ba9307c7eabbd48b29500426bbd3311f3971f",
+    "fractional_matching/mpc/n2000/seed1": "6c5a8496959c7c7d2506c04f7fe303273acba3d3905ed65cf2fa92ef74680ad2",
+    "fractional_matching/mpc/n2000/seed2": "be4bf25e90f6b0948eb50b38f3c05a84e6e5d367b9525d6751e2517c2f17f972",
     "israeli_itai": "47eed39d4c0274eab55fd49bc7baa038b5f9bf392daff924d51e9025e5ce019c",
     "luby": "f77e102d6259b7e96d985e94f818c0e25b6a9ab7b1558000d56a391d3e5b927c",
-    "matching/mpc": "527a7d2a71d762dcd3e74d3321744b3dab333afb941f044e2d8eb3ced3a9fa5b",
-    "matching/mpc/n2000/seed1": "c63aa53b5dbf7a3610d0e6fd977d3c49faaf78c54ce82093950c92d8baeab95f",
-    "matching/mpc/n2000/seed2": "9fc192c352b55abd6302e938ba5340cebb595482d2c94b80a5c5f958bf02fb18",
+    "matching/mpc": "3f49fb55983a4dcc022f926c2a4402c8484dae2ca5cc2f13cc2424371063dbd8",
+    "matching/mpc/n2000/seed1": "3ea5bb30a8e161a3c99112a6a0726ccda6f7c24e714a1d4389b2652388fc5c17",
+    "matching/mpc/n2000/seed2": "275463d3f6988880297e42e5523741ccdd1fa85059167da5a0cef2b77c5b848d",
     "matching/pregel": "c3acf958e8d1e5172c70a12a60a9cd016aff2446763b9ebec02db9ca8296f185",
     "mis/congested_clique/dense": "93186594464b1d58171e110a8d093ef4695cfd733ecf4256709d3d9e21d1cdaa",
     "mis/congested_clique/sparse": "c597f125f0408c12fbe20548c9781a9450f51dc147988201cd57c7aa4422995f",
     "mis/pregel": "0faefe166cbd0c51e281517f4583354f6bfc912cbbf8ebfd5313815762deaeec",
-    "one_plus_eps_matching/mpc/n2000/seed1": "1b99e325adcec9a6cd5c4aed4860a7458476e0916e9fd1efa68019333141a61f",
-    "one_plus_eps_matching/mpc/n2000/seed2": "96a4ba8d0b0943aaf2afc8be8f09fa29904513021ff1e7abd91ddf12d37e3b08",
+    "one_plus_eps_matching/mpc/n2000/seed1": "ff3cfa824d1038f6b99304766e04d4b6e40c602f81323126aaee1362da8a5be1",
+    "one_plus_eps_matching/mpc/n2000/seed2": "9896dc6acbaf892390d60f9eefc13be202551220193b7373af671505843db2f0",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
-    "report/fractional_matching/mpc/n2000/seed1": "36e2bf49a5aa86430885d7c952cbac273e4dacd1265b89ea68062dc2145673f1",
-    "report/fractional_matching/mpc/n2000/seed2": "fa779b9c5278c69448858bd145e8f900c1f6540c36ac2d2c3a872562ba339a2d",
-    "report/matching/mpc/n2000/seed1": "3b24043bb148bddb5bd44a72f0dce3a4decb283096619b7085c50fc23d6ac5df",
-    "report/matching/mpc/n2000/seed2": "03880fa3d132774f87dd8a6041edb14c12d933e9b90b67095da8a1946545208d",
+    "report/fractional_matching/mpc/n2000/seed1": "0dc1e2114beb37d9643b0557336c0300e8cfb978a631d2b5980113e6ca3730ba",
+    "report/fractional_matching/mpc/n2000/seed2": "40b0c41492b5feea85aceb5f620fca30494c6f0bc0e5b1640c3b74269dbf6a90",
+    "report/matching/mpc/n2000/seed1": "bee8dc2e514e86e1b56a0216757808032f2ea7d7f74bdd6b0b82facf76b3dc3d",
+    "report/matching/mpc/n2000/seed2": "cac277b97c17891edc8bd8b37d556cbfc9ade6086b6835dca21479bfc64db7dc",
     "report/mis/mpc/n2000/seed1": "eafcaf666c4cdf0e4f7e0179427545567b90b4e12f6ca6c62ba42226aa77a8a7",
     "report/mis/mpc/n2000/seed2": "9a987249c2e78a153c63c74048f22047d9349770a57f2cde5c45806ed61d0314",
-    "report/vertex_cover/mpc/n2000/seed1": "bc39c00763046cb144a9a113a0b266f2bb3f8439e0d254fe5bc65671b25d4673",
-    "report/vertex_cover/mpc/n2000/seed2": "68c63d0353469575e0312c3d49788f90cfcfb3900382bb4c4ecca67bfc117b46",
-    "vertex_cover/mpc/n2000/seed1": "a5920a2a04364cf08f945d2f48e6bd3991fc71049157305c34570b91debf205b",
-    "vertex_cover/mpc/n2000/seed2": "a743128332dd2d79cebf19bc629f3c6d7ea41c21a85af25eea354fac38651bfe",
+    "report/vertex_cover/mpc/n2000/seed1": "b586b0f1370bdd6c7792fb62de4d5a1688ecc7caf58fc666566203228827d78b",
+    "report/vertex_cover/mpc/n2000/seed2": "4d2acfbdfa8777503f86f35bf841e0b3dde1771fb1f1ffc61b0cdc590ab63fb0",
+    "vertex_cover/mpc/n2000/seed1": "bfadb34af6e243d5526ee0cac3053e65148459067d5f1b825afbac047cfaa819",
+    "vertex_cover/mpc/n2000/seed2": "55a9c6ea27c4ea35a4bcea36a356c7ca7eef78f042551e9f61a3eaa578d37edc",
 }
 
 

@@ -34,6 +34,7 @@ from repro.dist.pool import dedupe_by_identity, object_executor, worker_object
 from repro.dist.transport import _recv_msg, _send_msg
 from repro.graph.generators import gnp_random_graph, random_weighted_graph
 from repro.mpc.cluster import MPCCluster
+from tests.compressed_stage import compressed_stage_graph
 
 
 @kernel("test.cyclic_view")
@@ -710,7 +711,7 @@ class TestFacadeExecutor:
         assert "direct-simulation" in phases
 
     def test_local_executor_metadata(self):
-        graph = gnp_random_graph(80, 0.1, seed=7)
+        graph = compressed_stage_graph()
         report = solve(
             "fractional_matching", graph, backend="mpc", seed=5, executor="local"
         )
@@ -719,20 +720,12 @@ class TestFacadeExecutor:
         phases = {w["phase"] for w in info["phase_walls"]}
         assert {"compressed-phases", "direct-simulation"} <= phases
 
-    def test_perfbench_graph_still_reaches_the_machine_kernel(self):
-        # Compressed phases that cannot freeze skip their pool step; on
-        # the benchmark's G(5000, d=20) at least one must still dispatch
-        # matching.machines, or the parallel workload stops exercising it.
-        import importlib.util
-        from pathlib import Path
-
-        import repro
-
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-        inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inputs)
-        graph = repro.Graph(5000, inputs.erdos_renyi_edges(5000, 20, 1))
+    def test_powerlaw_graph_still_reaches_the_machine_kernel(self):
+        # Compressed phases that cannot freeze skip their pool step, and a
+        # G(n, d=20) runs none at all; on the BENCH_dist power-law cell's
+        # BA(5000, 5) at least one must still dispatch matching.machines,
+        # or the pool stops exercising it.
+        graph = compressed_stage_graph("powerlaw-5k")
         report = solve(
             "fractional_matching",
             graph,

@@ -8,6 +8,7 @@ from repro.core.matching_mpc import mpc_fractional_matching
 from repro.graph.generators import complete_graph, gnp_random_graph
 from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.errors import MemoryExceededError, ProtocolError
+from tests.compressed_stage import compressed_stage_graph
 
 
 class TestMemoryEnforcement:
@@ -15,14 +16,14 @@ class TestMemoryEnforcement:
         """The O(n/polylog) regime needs the adjusted algorithm of
         [CŁM+18]; the plain simulation must refuse rather than silently
         overfill machines."""
-        g = gnp_random_graph(512, 0.06, seed=1)
+        g = compressed_stage_graph("dense")
         config = MatchingConfig(memory_factor=0.1)
         with pytest.raises(MemoryExceededError) as excinfo:
             mpc_fractional_matching(g, config=config, seed=1)
-        assert excinfo.value.capacity_words == 64 or excinfo.value.capacity_words == int(0.1 * 512)
+        assert excinfo.value.capacity_words == 64 or excinfo.value.capacity_words == int(0.1 * 600)
 
     def test_error_carries_context(self):
-        g = gnp_random_graph(512, 0.06, seed=2)
+        g = compressed_stage_graph("dense")
         with pytest.raises(MemoryExceededError) as excinfo:
             mpc_fractional_matching(
                 g, config=MatchingConfig(memory_factor=0.1), seed=2

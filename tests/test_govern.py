@@ -22,6 +22,7 @@ from repro.graph.statistics import load_summary
 from repro.mpc.cluster import Message, MPCCluster
 from repro.mpc.errors import MemoryExceededError
 from repro.mpc.words import id_words
+from tests.compressed_stage import compressed_stage_graph
 
 BUDGET = 0.5  # memory_factor that breaches on the adversarial cells below
 MPC_TASKS = (
@@ -334,8 +335,9 @@ class TestFacadeGovernance:
     @pytest.mark.parametrize("task", MPC_TASKS)
     def test_benign_run_byte_identical(self, task):
         # A governor that never fires leaves the whole report unchanged,
-        # accounting included: both runs meter the same cluster.
-        graph = gnp_random_graph(128, 0.05, seed=3)
+        # accounting included: both runs meter the same cluster, through
+        # a compressed phase and a direct tail.
+        graph = compressed_stage_graph()
         bare = solve(task, graph, backend="mpc", seed=7)
         governed = solve(task, graph, backend="mpc", seed=7, governance=True)
         record = governed.extras["governance"]
@@ -382,7 +384,7 @@ class TestFacadeGovernance:
         from repro.graph.csr import CSRGraph
         from repro.ooc.format import load_csr, save_csr
 
-        graph = CSRGraph.from_graph(gnp_random_graph(300, 0.03, seed=1))
+        graph = CSRGraph.from_graph(compressed_stage_graph())
         if representation == "mmap":
             save_csr(graph, tmp_path)
             graph = load_csr(tmp_path)

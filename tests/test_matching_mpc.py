@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.blossom import maximum_matching
-from repro.core.central import NEVER_FROZEN
+from repro.core.central import NEVER_FROZEN, start_weight
 from repro.core.config import MatchingConfig
 from repro.core.integral import mpc_maximum_matching
 from repro.core.matching_mpc import (
@@ -17,7 +17,9 @@ from repro.core.matching_mpc import (
 from repro.core.thresholds import ThresholdOracle, fixed_oracle
 from repro.dist.executor import DistExecutor
 from repro.dist.transport import LocalTransport, MultiprocessTransport
+from repro.graph.csr import as_csr
 from repro.graph.generators import (
+    barabasi_albert,
     complete_graph,
     gnp_random_graph,
     path_graph,
@@ -26,6 +28,10 @@ from repro.graph.generators import (
 from repro.graph.graph import Graph
 from repro.graph.properties import is_vertex_cover
 from repro.mpc.cluster import MPCCluster
+from tests.compressed_stage import (
+    compressed_stage_graph,
+    reaches_compressed_stage,
+)
 
 
 class TestBasics:
@@ -48,6 +54,89 @@ class TestBasics:
         assert np.array_equal(a.vertex_cover, b.vertex_cover)
         assert np.array_equal(a.freeze_at, b.freeze_at)
         assert a.rounds == b.rounds
+
+
+START_RULE_GRAPHS = {
+    "gnp": lambda: gnp_random_graph(300, 0.06, seed=1),
+    "ba": lambda: barabasi_albert(500, 3, seed=1),
+    "star": lambda: star_graph(40),
+    "path": lambda: path_graph(30),
+}
+
+
+class TestStartRule:
+    """The schedule starts at the measured maximum degree: ``d = Δ`` and
+    ``w0 = (1 - 2ε)/Δ``, so every starting load is at most ``1 - 2ε``."""
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("kind", sorted(START_RULE_GRAPHS))
+    def test_starting_loads_stay_at_or_below_the_band_top(self, kind, epsilon):
+        csr = as_csr(START_RULE_GRAPHS[kind]())
+        w0 = start_weight(csr, epsilon)
+        # Compared as floats, bit for bit: no tolerance.
+        assert csr.max_degree() * w0 <= 1.0 - 2.0 * epsilon
+        assert bool(np.all(csr.degrees() * w0 <= 1.0 - 2.0 * epsilon))
+        assert w0 == (1.0 - 2.0 * epsilon) / csr.max_degree()
+
+    @pytest.mark.parametrize("kind", sorted(START_RULE_GRAPHS) + ["compressed"])
+    def test_every_kernel_starts_from_the_start_weight(self, monkeypatch, kind):
+        graph = (
+            compressed_stage_graph()
+            if kind == "compressed"
+            else START_RULE_GRAPHS[kind]()
+        )
+        weights = []
+        map_tasks = DistExecutor.map_tasks
+
+        def spied(self, kernel, tasks, shared=None, phase="map"):
+            if kernel == "matching.machines":
+                weights.append(shared["w0"])
+            elif kernel == "matching.direct_tail":
+                weights.extend(task["w0"] for task in tasks)
+            return map_tasks(self, kernel, tasks, shared=shared, phase=phase)
+
+        monkeypatch.setattr(DistExecutor, "map_tasks", spied)
+        result = mpc_fractional_matching(graph, seed=2)
+        assert weights
+        assert set(weights) == {start_weight(as_csr(graph), 0.1)}
+        # Compressed phases run exactly when Δ exceeds the floor.
+        assert (result.phases > 0) == reaches_compressed_stage(graph)
+
+    def test_sparse_input_skips_the_compressed_stage(self):
+        # Δ is under the floor, so the schedule starts below it.
+        g = gnp_random_graph(1024, 0.05, seed=9)
+        csr = as_csr(g)
+        assert csr.max_degree() <= MatchingConfig().degree_floor(1024)
+        result = mpc_fractional_matching(g, seed=9)
+        assert result.phases == 0
+        assert result.machine_edges_per_phase == []
+        assert result.direct_iterations == result.iterations > 0
+
+    def test_edgeless_inputs_keep_their_outputs(self):
+        for n in (0, 1, 7):
+            result = mpc_fractional_matching(Graph(n), seed=3)
+            assert (result.rounds, result.phases, result.iterations) == (0, 0, 0)
+            assert result.weight == 0.0
+            assert result.vertex_cover.size == 0
+            assert result.heavy_removed.size == 0
+            assert result.freeze_at.tolist() == [NEVER_FROZEN] * n
+
+    @pytest.mark.parametrize("graph_kind", ["sparse", "compressed"])
+    def test_isolated_vertices_never_enter_the_cover(self, graph_kind):
+        base = (
+            gnp_random_graph(200, 0.05, seed=4)
+            if graph_kind == "sparse"
+            else compressed_stage_graph("dense")
+        )
+        edges = as_csr(base).edge_array().tolist()
+        # Ten isolated vertices appended after the base graph's.
+        graph = Graph(base.num_vertices + 10, [tuple(e) for e in edges])
+        isolated = np.flatnonzero(as_csr(graph).degrees() == 0)
+        assert isolated.size >= 10
+        result = mpc_fractional_matching(graph, seed=4)
+        assert not np.isin(isolated, result.vertex_cover).any()
+        assert (result.freeze_at[isolated] == NEVER_FROZEN).all()
+        assert is_vertex_cover(graph, result.vertex_cover.tolist())
 
 
 class TestInvariants:
@@ -115,9 +204,9 @@ class TestQuality:
 
 class TestSchedule:
     def test_phases_are_loglog(self):
-        g = gnp_random_graph(1024, 0.05, seed=9)
+        g = compressed_stage_graph()
         result = mpc_fractional_matching(g, seed=9)
-        assert result.phases <= 3 * math.log2(math.log2(1024)) + 2
+        assert 0 < result.phases <= 3 * math.log2(math.log2(2000)) + 2
 
     def test_rounds_grow_slowly_with_n(self):
         rounds = []
@@ -180,7 +269,7 @@ class TestFusedMachineBlock:
             return map_tasks(self, kernel, tasks, shared=shared, phase=phase)
 
         monkeypatch.setattr(DistExecutor, "map_tasks", spied)
-        g = gnp_random_graph(1024, 0.05, seed=9)
+        g = compressed_stage_graph()
         with DistExecutor(LocalTransport(workers)) as executor:
             mpc_fractional_matching(g, seed=9, executor=executor)
 

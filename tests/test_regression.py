@@ -5,7 +5,10 @@ These tests pin exact outputs for fixed seeds.  They exist to catch
 randomness consumption order, the permutation handling, or the weight
 arithmetic will trip them even if every invariant still holds.  If a
 change is intentional (e.g. an algorithmic fix), update the pins in the
-same commit and say why.
+same commit and say why.  The matching-family pins (fractional,
+integral, per-pass and E6 rounding) were re-captured when
+MPC-Simulation began its schedule at the measured maximum degree
+instead of at ``n``.
 
 The library's randomness is built on ``random.Random``, SHA-256-keyed
 streams and the SplitMix64 counter generator (the MPC and
@@ -41,19 +44,19 @@ class TestPinnedOutputs:
 
     def test_fractional_matching_pin(self, pinned_graph):
         result = mpc_fractional_matching(pinned_graph, seed=123)
-        assert result.weight == pytest.approx(32.419767, abs=1e-5)
-        assert len(result.vertex_cover) == 81
-        assert result.rounds == 29
+        assert result.weight == pytest.approx(33.270907, abs=1e-5)
+        assert len(result.vertex_cover) == 82
+        assert result.rounds == 20
 
     def test_integral_matching_pin(self, pinned_graph):
         result = mpc_maximum_matching(pinned_graph, seed=123)
-        assert len(result.matching) == 43
+        assert len(result.matching) == 47
         rows = sorted(map(tuple, result.matching.tolist()))
-        assert rows[:4] == [(1, 65), (2, 12), (3, 60), (4, 83)]
+        assert rows[:4] == [(0, 4), (1, 79), (2, 29), (3, 66)]
 
     def test_integral_matching_per_pass_pin(self, pinned_graph):
         result = mpc_maximum_matching(pinned_graph, seed=123)
-        assert result.per_pass_sizes == [4, 5, 6, 6, 1, 3, 1, 1, 2, 2, 1, 1]
+        assert result.per_pass_sizes == [6, 5, 5, 1, 1, 3, 2, 3, 2, 4, 3, 1]
 
     def test_central_pin(self, pinned_graph):
         result = central_fractional_matching(pinned_graph, epsilon=0.1, seed=123)
@@ -71,7 +74,7 @@ def test_e06_rounding_pin():
     rows = run_e06_rounding(sizes=(512, 1024, 2048))
     fields = ("n", "candidates", "rounded_matching", "proposals", "collisions")
     assert [tuple(row[f] for f in fields) for row in rows] == [
-        (512, 489, 24, 33, 9),
-        (1024, 980, 63, 78, 15),
-        (2048, 1963, 114, 143, 29),
+        (512, 494, 34, 38, 4),
+        (1024, 985, 64, 75, 11),
+        (2048, 1958, 120, 144, 24),
     ]

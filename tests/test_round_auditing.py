@@ -11,6 +11,10 @@ trustworthy.
 import numpy as np
 import pytest
 
+import repro.api.adapters
+import repro.core.integral
+import repro.core.vertex_cover
+from repro.api import solve
 from repro.congested_clique.matching import congested_clique_fractional_matching
 from repro.congested_clique.mis import congested_clique_mis
 from repro.congested_clique.model import CongestedClique
@@ -19,6 +23,10 @@ from repro.core.mis_mpc import mis_mpc
 from repro.dist import DistExecutor, MultiprocessTransport
 from repro.graph.generators import gnp_random_graph
 from repro.mpc.cluster import Message, MPCCluster
+from tests.compressed_stage import (
+    compressed_stage_graph,
+    reaches_compressed_stage,
+)
 
 
 def spy_on_charges(monkeypatch, model, forward=True):
@@ -51,6 +59,7 @@ def clique_charges(monkeypatch):
 
 
 TAIL_SHIP = "matching: direct tail to leader"
+MAX_DEGREE = "matching: max-degree aggregation"
 TAIL_BROADCAST = "matching: direct tail freezes"
 
 
@@ -89,8 +98,9 @@ class TestMatchingRoundAudit:
         assert sum(count for count, _ in mpc_charges) == result.rounds
 
     def test_phase_events_match_result(self, mpc_charges):
-        g = gnp_random_graph(300, 0.06, seed=5)
+        g = compressed_stage_graph("dense")
         result = mpc_fractional_matching(g, seed=5)
+        assert result.phases > 0
         aggregations = [
             r for r in reasons(mpc_charges) if r.endswith(" load aggregation")
         ]
@@ -141,11 +151,11 @@ class TestMatchingRoundAudit:
     def test_quiet_phases_skip_the_pool_step_but_keep_their_charges(
         self, mpc_charges
     ):
-        # G(300, 0.06) runs 3 compressed phases; only some can freeze a
-        # vertex, so only those dispatch matching.machines.  Every phase
+        # This input runs 2 compressed phases; only the first can freeze
+        # a vertex, so only it dispatches matching.machines.  Every phase
         # is still charged its scatter, freeze broadcast and load
         # aggregation, on the pool and with executor=None alike.
-        g = gnp_random_graph(300, 0.06, seed=4)
+        g = compressed_stage_graph("saturated")
         runs = []
         executor = DistExecutor(MultiprocessTransport(2), kind="parallel")
         try:
@@ -201,6 +211,74 @@ class TestMatchingRoundAudit:
         )
 
 
+class TestStartRuleAudit:
+    """One charged aggregation measures Δ, where the schedule starts."""
+
+    MATCHING_FAMILY = (
+        "fractional_matching",
+        "vertex_cover",
+        "matching",
+        "one_plus_eps_matching",
+    )
+
+    def test_low_degree_input_runs_no_phase(self, mpc_charges):
+        g = gnp_random_graph(300, 0.06, seed=4)
+        assert not reaches_compressed_stage(g)
+        result = mpc_fractional_matching(g, seed=4)
+        charged = reasons(mpc_charges)
+        assert result.phases == 0
+        assert charged.count(MAX_DEGREE) == 1
+        assert charged[0] == MAX_DEGREE
+        assert not [r for r in charged if r.startswith("matching: phase ")]
+        assert sum(count for count, _ in mpc_charges) == result.rounds
+
+    def test_edgeless_input_charges_nothing(self, mpc_charges):
+        result = mpc_fractional_matching(gnp_random_graph(20, 0.0, seed=1))
+        assert result.rounds == 0
+        assert mpc_charges == []
+
+    @pytest.mark.parametrize("kind", ["sparse", "compressed"])
+    @pytest.mark.parametrize("task", MATCHING_FAMILY)
+    def test_every_call_charges_one_aggregation(
+        self, monkeypatch, mpc_charges, task, kind
+    ):
+        # Each MPC-Simulation call of a matching-family pair charges Δ's
+        # aggregation once, and its charges sum to its rounds.  For the
+        # fractional pairs those are the report's rounds; the integral
+        # pairs add the rounds their rounding, cleanup and augmentation
+        # count outside a cluster.
+        calls = []
+
+        def recorded(*args, **kwargs):
+            first = len(mpc_charges)
+            result = mpc_fractional_matching(*args, **kwargs)
+            calls.append((mpc_charges[first:], result.rounds))
+            return result
+
+        for module in (
+            repro.api.adapters,
+            repro.core.integral,
+            repro.core.vertex_cover,
+        ):
+            monkeypatch.setattr(module, "mpc_fractional_matching", recorded)
+        graph = (
+            gnp_random_graph(300, 0.06, seed=4)
+            if kind == "sparse"
+            else compressed_stage_graph()
+        )
+        report = solve(task, graph, backend="mpc", seed=4)
+        assert calls
+        for charges, rounds in calls:
+            assert reasons(charges).count(MAX_DEGREE) == 1
+            assert sum(count for count, _ in charges) == rounds
+        metered = sum(count for count, _ in mpc_charges)
+        assert metered == sum(rounds for _, rounds in calls)
+        if task in ("fractional_matching", "vertex_cover"):
+            assert metered == report.rounds
+        else:
+            assert metered < report.rounds
+
+
 class TestCongestedCliqueRoundAudit:
     def test_mis_charges_sum_to_rounds(self, clique_charges):
         g = gnp_random_graph(300, 0.2, seed=7)
@@ -210,7 +288,7 @@ class TestCongestedCliqueRoundAudit:
         assert all(isinstance(r, str) and r for r in reasons(clique_charges))
 
     def test_fractional_matching_charges_sum_to_rounds(self, clique_charges):
-        g = gnp_random_graph(300, 0.06, seed=8)
+        g = compressed_stage_graph("dense")
         result = congested_clique_fractional_matching(g, seed=8)
         assert result.phases > 0
         assert sum(count for count, _ in clique_charges) == result.rounds
