@@ -24,7 +24,7 @@ from typing import Optional, Set, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, as_csr
+from repro.graph.csr import CSRGraph, as_csr, sorted_unique
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.utils.rng import SeedLike, make_rng
 
@@ -90,7 +90,7 @@ def israeli_itai_matching(
         # except on an exact priority collision between adjacent proposals,
         # where the set-based code kept whichever it applied first.
         endpoints = np.concatenate((winner_u, winner_v))
-        if len(np.unique(endpoints)) != len(endpoints):
+        if len(sorted_unique(endpoints)) != len(endpoints):
             winners = list(zip(winner_u.tolist(), winner_v.tolist()))
             for u, v in winners:
                 if live[u] and live[v]:

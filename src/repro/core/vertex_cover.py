@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.config import MatchingConfig
 from repro.core.matching_mpc import mpc_fractional_matching
+from repro.graph.csr import sorted_unique
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike
 
@@ -65,4 +66,4 @@ def mpc_vertex_cover(
 def cover_from_maximal_matching(matching: np.ndarray) -> np.ndarray:
     """The classic 2-approximate cover: the unique endpoints of a maximal
     matching's ``(k, 2)`` rows (the ``vertex_cover/greedy`` baseline)."""
-    return np.unique(matching)
+    return sorted_unique(matching)

@@ -25,7 +25,7 @@ from typing import Optional, Set
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, GraphView, gather_rows
+from repro.graph.csr import CSRGraph, GraphView, gather_rows, sorted_unique
 from repro.graph.graph import Edge, canonical_edge
 from repro.mpc.engine import BatchSuperstep, PregelEngine
 from repro.utils.rng import SeedLike
@@ -274,7 +274,7 @@ class MatchingBatchProgram:
         n = self.csr.num_vertices
         smallest = np.full(n, n, dtype=np.int64)
         np.minimum.at(smallest, self.targets, self.proposers)
-        acceptors = np.unique(self.targets)
+        acceptors = sorted_unique(self.targets)
         # Only acceptors act on proposals; proposers ignore incoming ones.
         proposer_mask = np.zeros(n, dtype=bool)
         proposer_mask[self.proposers] = True

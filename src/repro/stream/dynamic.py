@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, as_csr
+from repro.graph.csr import CSRGraph, as_csr, sorted_unique
 from repro.graph.graph import Edge, Graph
 
 _KEY_SHIFT = np.int64(32)
@@ -350,10 +350,10 @@ class DynamicGraph:
         """
         del_edges = deletions
         ins_edges = insertions
-        del_keys = np.unique(encode_edges(del_edges)) if len(del_edges) else (
+        del_keys = sorted_unique(encode_edges(del_edges)) if len(del_edges) else (
             np.empty(0, dtype=np.int64)
         )
-        ins_keys = np.unique(encode_edges(ins_edges)) if len(ins_edges) else (
+        ins_keys = sorted_unique(encode_edges(ins_edges)) if len(ins_edges) else (
             np.empty(0, dtype=np.int64)
         )
         eff_del = del_keys[self._in_base_bulk(del_keys)]
@@ -371,7 +371,7 @@ class DynamicGraph:
             self._link(self._adj_add, int(key >> 32), int(key & ((1 << 32) - 1)))
         if len(eff_del) or len(eff_ins):
             touched = decode_keys(np.concatenate([eff_del, eff_ins]))
-            self._dirty.update(int(v) for v in np.unique(touched))
+            self._dirty.update(int(v) for v in sorted_unique(touched))
             self._snapshot = None
         return decode_keys(eff_ins), decode_keys(eff_del)
 

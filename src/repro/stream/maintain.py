@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Type, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 from repro.graph.graph import Graph, canonical_edge
 from repro.stream.dynamic import DynamicGraph
 from repro.stream.updates import EdgeBatch
@@ -355,10 +355,10 @@ class MISMaintainer(Maintainer):
         # dissolve another).  Damage = their closed neighborhoods plus
         # every endpoint of a deleted edge plus appended vertices.
         conflicted = self._conflicted(inserted)
-        may_evict = np.unique(conflicted.max(axis=1)) if len(conflicted) else (
+        may_evict = sorted_unique(conflicted.max(axis=1)) if len(conflicted) else (
             np.empty(0, dtype=np.int64)
         )
-        return np.unique(
+        return sorted_unique(
             np.concatenate(
                 [
                     may_evict,
@@ -460,7 +460,7 @@ class MatchingMaintainer(Maintainer):
             if len(inserted)
             else inserted
         )
-        return np.unique(
+        return sorted_unique(
             np.concatenate([broken.ravel(), free_inserted.ravel(), new_vertices])
         )
 
@@ -649,7 +649,7 @@ class FractionalMatchingMaintainer(Maintainer):
             if len(deleted)
             else deleted
         )
-        return np.unique(
+        return sorted_unique(
             np.concatenate([weighted_deleted.ravel(), new_vertices])
         )
 

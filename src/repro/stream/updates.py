@@ -35,6 +35,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
 from repro.graph.generators import barabasi_albert, gnm_random_graph
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.graph.io import PathLike, iter_edge_list, open_text
@@ -60,8 +61,8 @@ def _canonical_array(edges: Any, label: str) -> np.ndarray:
     if (array[:, 0] == array[:, 1]).any():
         raise ValueError(f"{label} contains a self-loop")
     # Key packing/unpacking is owned by repro.stream.dynamic; this only
-    # adds the dedup (np.unique on keys sorts and collapses).
-    return decode_keys(np.unique(encode_edges(array)))
+    # adds the dedup (sorted_unique on keys sorts and collapses).
+    return decode_keys(sorted_unique(encode_edges(array)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +113,7 @@ class EdgeBatch:
 
     def touched_vertices(self) -> np.ndarray:
         """Unique endpoints named by this batch, ascending."""
-        return np.unique(
+        return sorted_unique(
             np.concatenate([self.insertions.ravel(), self.deletions.ravel()])
         )
 

@@ -12,9 +12,16 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import registry, solve
-from repro.graph.csr import CSRGraph, GraphView, as_csr, canonical_graph
+from repro.graph.csr import (
+    CSRGraph,
+    GraphView,
+    as_csr,
+    canonical_graph,
+    sorted_unique,
+)
 from repro.graph.generators import (
     barabasi_albert,
     complete_graph,
@@ -502,3 +509,43 @@ class TestEndToEndParity:
             b = solve("mis", graph, backend="mpc", seed=3)
             assert a.solution == b.solution
             assert a.valid
+
+
+class TestSortedUnique:
+    """The sort-and-compare dedup returns exactly ``np.unique``'s array."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.empty(0, dtype=np.int64),
+            np.array([7], dtype=np.int64),
+            np.array([3, 3, 3, 3], dtype=np.int64),
+            np.random.default_rng(1).integers(0, 20, 5000),
+            np.random.default_rng(2).integers(-(2**62), 2**62, 5000),
+            np.array([-5, 0, -5, 2**40, -(2**40), 0, -1], dtype=np.int64),
+            np.array([[4, 1], [1, 4], [9, -2]], dtype=np.int64),
+            np.array([2, 1, 2], dtype=np.int32),
+        ],
+        ids=[
+            "empty",
+            "single",
+            "one-repeated",
+            "duplicate-heavy",
+            "wide-negative",
+            "mixed-sign",
+            "rows",
+            "int32",
+        ],
+    )
+    def test_equals_np_unique(self, values):
+        got = sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1)))
+    def test_equals_np_unique_on_any_int64_keys(self, keys):
+        values = np.array(keys, dtype=np.int64)
+        assert sorted_unique(values).tobytes() == np.unique(values).tobytes()
