@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from typing import Any, Callable, Dict, List, Tuple
@@ -42,13 +43,18 @@ def ladder_graph(family: str, n: int) -> Graph:
     Erdős–Rényi with average degree ~500 — the regime where the
     CONGESTED-CLIQUE prefix phases actually route Θ(n) edge volume per
     phase (at degree ~20 the rank schedule is empty and the run is all
-    sparsified finish).
+    sparsified finish).  ``powerlaw-a5`` is Barabási–Albert with
+    attachment 5 (average degree ~10): sparse, but its hubs put the
+    maximum degree above MPC-Simulation's degree floor, so its compressed
+    phases still run, which they do not on ``random``.
     """
     if family == "random":
         p = min(1.0, AVERAGE_DEGREE / max(1, n - 1))
         return gnp_random_graph(n, p, seed=GRAPH_SEED + n)
     if family == "powerlaw":
         return barabasi_albert(n, AVERAGE_DEGREE // 2, seed=GRAPH_SEED + n)
+    if family == "powerlaw-a5":
+        return barabasi_albert(n, AVERAGE_DEGREE // 4, seed=GRAPH_SEED + n)
     if family == "dense":
         p = min(1.0, DENSE_DEGREE / max(1, n - 1))
         return gnp_random_graph(n, p, seed=GRAPH_SEED + n)
@@ -94,11 +100,26 @@ def peak_rss_bytes() -> int:
     return int(peak * unit)
 
 
+def _commit() -> str:
+    """The checked-out commit, or ``"unknown"`` outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=_REPO_ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def environment_stamp() -> Dict[str, Any]:
     """Provenance recorded into every BENCH_*.json."""
     import numpy
 
     return {
+        "commit": _commit(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "machine": platform.machine(),

@@ -13,7 +13,11 @@ so ``O(log 1/ε)`` passes leave at most an ``ε`` fraction behind.  The
 paper's worst-case constant (1/150 per pass) would mean hundreds of
 iterations.  The loop runs ``max_passes`` passes (12 at ε = 0.1) unless
 the residual weight drops below 1, ``C~`` is empty, or two passes in a row
-extract nothing; on G(n, d=20) for n from 1k to 64k the cap ends it.
+extract nothing.  The cap ends it on G(n, d=20) for n from 1k to 64k, and
+still does with the schedule started at the maximum degree, on G(n, d=20)
+and BA(n, 5) for n from 1k to 20k: each pass then still extracts about
+0.9 times the previous pass's count (PERFORMANCE.md, "Stop-rule
+evidence").
 Following Section 4.4.5, a final small-matching cleanup handles the
 leftover matching via the LMSV11 filtering algorithm.
 

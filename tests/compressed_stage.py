@@ -21,10 +21,10 @@ _BUILDERS = {
     # Δ 214 > floor 85: two dispatched phases; a tight budget fails in
     # the first phase's scatter.
     "dense": lambda: gnp_random_graph(600, 0.3, seed=1),
-    # Δ 337 > floor 85: the second phase's machines hold no edge, so it
+    # Δ 341 > floor 85: the second phase's machines hold no edge, so it
     # is quiet and skips its machine step.
     "saturated": lambda: gnp_random_graph(600, 0.5, seed=1),
-    # Δ 261 > floor 150: the n=5000 power-law input of the BENCH_dist cell.
+    # Δ 261 > floor 150: the shape of the BENCH_dist powerlaw-a5 cell.
     "powerlaw-5k": lambda: barabasi_albert(5000, 5, seed=1),
 }
 

@@ -722,9 +722,9 @@ class TestFacadeExecutor:
 
     def test_powerlaw_graph_still_reaches_the_machine_kernel(self):
         # Compressed phases that cannot freeze skip their pool step, and a
-        # G(n, d=20) runs none at all; on the BENCH_dist power-law cell's
-        # BA(5000, 5) at least one must still dispatch matching.machines,
-        # or the pool stops exercising it.
+        # G(n, d=20) runs none at all; on BA(5000, 5), the shape of the
+        # BENCH_dist powerlaw-a5 cell, at least one must still dispatch
+        # matching.machines, or the pool stops exercising it.
         graph = compressed_stage_graph("powerlaw-5k")
         report = solve(
             "fractional_matching",

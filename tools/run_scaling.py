@@ -52,14 +52,19 @@ KEY_FIELDS = ("task", "family", "n", "mode")
 
 # The grid.  fractional_matching is the subsystem every other MPC solver
 # funnels through (matching/vertex_cover/one_plus_eps run it as passes),
-# so it carries the ladder; the matching row at 20k is the headline cell —
-# ~650 direct-simulation iterations, the workload distribution exists for.
+# so it carries the ladder; the matching row at 20k is the headline cell
+# for the direct-simulation tails.  On the degree-20 ``random`` family
+# the maximum degree stays under the degree floor, so those cells run no
+# compressed phase; the ``powerlaw-a5`` cell is the one whose pool still
+# runs matching.machines.
 RUNGS: Dict[str, List[Dict[str, Any]]] = {
     "small": [
         {"task": "fractional_matching", "family": "random", "n": 5_000},
+        {"task": "fractional_matching", "family": "powerlaw-a5", "n": 5_000},
     ],
     "full": [
         {"task": "fractional_matching", "family": "random", "n": 5_000},
+        {"task": "fractional_matching", "family": "powerlaw-a5", "n": 5_000},
         {"task": "fractional_matching", "family": "random", "n": 20_000},
         {"task": "fractional_matching", "family": "random", "n": 50_000},
         {"task": "matching", "family": "random", "n": 20_000},
