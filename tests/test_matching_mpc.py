@@ -102,16 +102,6 @@ class TestStartRule:
         # Compressed phases run exactly when Δ exceeds the floor.
         assert (result.phases > 0) == reaches_compressed_stage(graph)
 
-    def test_sparse_input_skips_the_compressed_stage(self):
-        # Δ is under the floor, so the schedule starts below it.
-        g = gnp_random_graph(1024, 0.05, seed=9)
-        csr = as_csr(g)
-        assert csr.max_degree() <= MatchingConfig().degree_floor(1024)
-        result = mpc_fractional_matching(g, seed=9)
-        assert result.phases == 0
-        assert result.machine_edges_per_phase == []
-        assert result.direct_iterations == result.iterations > 0
-
     def test_edgeless_inputs_keep_their_outputs(self):
         for n in (0, 1, 7):
             result = mpc_fractional_matching(Graph(n), seed=3)
