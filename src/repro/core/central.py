@@ -69,15 +69,34 @@ class CentralResult:
         return self.matching.weight()
 
 
-def start_weight(csr: CSRGraph, epsilon: float) -> float:
-    """The MPC-Simulation starting edge weight ``w_0 = (1-2ε)/Δ``.
+# Growth steps between the largest starting load and the threshold
+# band's low end ``1 - 4ε``.
+START_HEADROOM = 2
 
-    Every starting load ``deg(v) · w_0`` is then at most ``1 - 2ε``, as
-    the paper's ``(1-2ε)/n`` start guarantees, but without the
-    ``log_{1/(1-ε)}(n/Δ)`` iterations in which no vertex can freeze.
-    An edgeless graph (``Δ = 0``) gets ``1 - 2ε``; nothing reads it.
+
+def start_weight(csr: CSRGraph, epsilon: float) -> float:
+    """The MPC-Simulation starting edge weight
+    ``w_0 = (1-4ε)(1-ε)^2 / Δ``.
+
+    Every starting load ``deg(v) · w_0`` is then below the whole
+    threshold band ``[1-4ε, 1-2ε]``, and the heaviest vertices reach it
+    after :data:`START_HEADROOM` growth steps.  The paper's
+    ``(1-2ε)/n`` start also keeps every load under ``1 - 2ε``, but
+    spends ``log_{1/(1-ε)}(n/Δ)`` iterations in which no vertex can
+    freeze.  Starting inside the band instead (``(1-2ε)/Δ``) lets a
+    dense input's first compressed phase freeze most vertices on its
+    first, noisiest estimates; their neighbours' true loads then
+    overshoot 1 and are removed at Line (i).
+
+    For ``ε ≥ 1/4`` the band reaches down to 0, so no positive load lies
+    below it and the start is the band's top, ``(1-2ε)/Δ``.  An edgeless
+    graph (``Δ = 0``) divides by 1; nothing reads its weight.
     """
-    return (1.0 - 2.0 * epsilon) / max(1, csr.max_degree())
+    degree = max(1, csr.max_degree())
+    band_low = 1.0 - 4.0 * epsilon
+    if band_low <= 0.0:
+        return (1.0 - 2.0 * epsilon) / degree
+    return band_low * (1.0 - epsilon) ** START_HEADROOM / degree
 
 
 def central_fractional_matching(
@@ -99,7 +118,7 @@ def central_fractional_matching(
         Central-Rand with ``T_{v,t} ~ U[1-4ε, 1-2ε]``.
     initial_weight:
         Starting edge weight; defaults to ``1/n`` as in the paper.  The MPC
-        simulation uses :func:`start_weight`, ``(1-2ε)/Δ``.
+        simulation uses :func:`start_weight`, ``(1-4ε)(1-ε)^2/Δ``.
     max_iterations:
         Safety cap; defaults to a generous multiple of the ``O(log n / ε)``
         bound and raises if exceeded (a termination bug should be loud).

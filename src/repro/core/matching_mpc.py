@@ -3,26 +3,20 @@ MPC rounds (Section 4.3, Lemma 4.2).
 
 The algorithm simulates Central-Rand in phases.  The schedule starts at
 the input's maximum degree ``Δ``, measured with one charged aggregation:
-``d = Δ`` and every edge at ``w_0 = (1-2ε)/Δ``
+``d = Δ`` and every edge at ``w_0 = (1-4ε)(1-ε)^2/Δ``
 (:func:`~repro.core.central.start_weight`).  Every starting load
-``deg · w_0`` is then at most ``1 - 2ε``, as with the paper's
-``(1-2ε)/n``, without the ``log_{1/(1-ε)}(n/Δ)`` iterations in which no
-load can reach the threshold band.  An input with ``Δ`` at or below the
-floor runs no compressed phase at all.  While the degree bound ``d``
-exceeds a polylog floor, one phase:
+``deg · w_0`` is then below the threshold band, as with the paper's
+``(1-2ε)/n``, and the heaviest vertices reach the band after two growth
+steps instead of ``log_{1/(1-ε)}(n/Δ)``.  An input with ``Δ`` at or
+below the floor runs no compressed phase at all.  While the degree bound
+``d`` exceeds a polylog floor, one phase:
 
 * partitions the still-relevant vertices ``V'`` over ``m = √d`` machines
   (vertex-based sampling of [CŁM+18], Line (d));
 * has each machine run ``I = Θ(log m)`` iterations of Central-Rand on its
   *induced local subgraph*, estimating each vertex's load as
   ``y~_v = m · (local active weight) + y_old_v`` and freezing vertices whose
-  estimate crosses their random threshold ``T_{v,t}`` (Lines (e)).  A
-  phase whose largest possible estimate, ``(m · deg) · w_max + y_old``
-  over the starting degrees, stays below the band's low end ``1 - 4ε``
-  freezes nothing, so its machine step is never dispatched; its rounds
-  and words are charged all the same.  Since the ``Δ`` start such a
-  phase is rare: it is one whose machines hold (almost) no active
-  edge, as in the last phase of a dense input;
+  estimate crosses their random threshold ``T_{v,t}`` (Lines (e));
 * recomputes true weights from freeze times (Line (g) — possible because
   every active edge grows by the same factor per iteration, so
   ``x_e = w_0 / (1-ε)^{t'}`` with ``t'`` the first endpoint-freeze time);
@@ -37,12 +31,14 @@ machine (two words per live edge plus one per active vertex, within
 locally, and the freeze times are broadcast once: 2 rounds for the whole
 tail.  That is the standard finish once a residual fits (the matching
 algorithms of [CŁM+18] and of Assadi et al. (SODA'19), and the MIS
-"leftover to leader" of Section 3).  A larger residual is charged one
-round per iteration, as the paper's direct simulation.  Either way the
-executor runs the tail as one task on one worker: its iterations are
-small and each depends on the last, so a barrier per iteration would
-cost more than the step it splits.  Only the charges differ, so both
-forms freeze the same vertices at the same iterations.
+"leftover to leader" of Section 3).  A larger residual is spread evenly
+over every machine, each share validated against ``S``, and charged one
+round per iteration, as the paper's direct simulation; each round meters
+its iteration's freeze notices.  Either way the executor runs the tail
+as one task on one worker: its iterations are small and each depends on
+the last, so a barrier per iteration would cost more than the step it
+splits.  Only the charges differ, so both forms freeze the same vertices
+at the same iterations.
 
 Hot-path layout: the graph's edge list is materialized **once** into flat
 NumPy arrays (via :class:`~repro.graph.csr.CSRGraph`) and every per-phase
@@ -370,70 +366,54 @@ def mpc_fractional_matching(
         _ship_partitions(cluster, local_edge_counts, phases, governor=governor)
         machine_edges_per_phase.append(max(local_edge_counts, default=0))
 
-        # Lines (e): every machine simulates I iterations locally.  A
-        # phase in which no estimate can reach the threshold band freezes
-        # nothing, so its machine step is not dispatched; the charges
-        # above and below are the same either way.
-        local_degree = np.bincount(
-            np.concatenate((local_u, local_v)), minlength=n
+        # Lines (e): every machine simulates I iterations locally.
+        # Each worker runs one contiguous machine range as a single
+        # fused block; the ranges come back in machine order, so array
+        # writes replay the freezes exactly as a machine-by-machine
+        # merge would.
+        grouping = np.argsort(owner_vals, kind="stable")
+        sorted_ids = active_ids[grouping]
+        sorted_machines = owner_vals[grouping]
+        bounds = np.zeros(num_machines + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(owner_vals, minlength=num_machines), out=bounds[1:]
         )
-        if _phase_can_freeze(
-            local_degree[active_ids],
-            y_old[active_ids],
-            oracle,
-            t,
-            iterations,
-            num_machines,
-            w0,
-            growth,
-        ):
-            # Each worker runs one contiguous machine range as a single
-            # fused block; the ranges come back in machine order, so array
-            # writes replay the freezes exactly as a machine-by-machine
-            # merge would.
-            grouping = np.argsort(owner_vals, kind="stable")
-            sorted_ids = active_ids[grouping]
-            sorted_machines = owner_vals[grouping]
-            bounds = np.zeros(num_machines + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(owner_vals, minlength=num_machines), out=bounds[1:]
-            )
-            # Same-machine edges, grouped by machine in one sort.
-            grouping = np.argsort(machine_of_edge, kind="stable")
-            local_u = local_u[grouping]
-            local_v = local_v[grouping]
-            boundaries = np.zeros(num_machines + 1, dtype=np.int64)
-            np.cumsum(counts, out=boundaries[1:])
-            position_of = np.empty(n, dtype=np.int64)
-            position_of[sorted_ids] = np.arange(len(sorted_ids), dtype=np.int64)
-            tasks = []
-            for first, last in executor.partition(num_machines):
-                lo, hi = bounds[first], bounds[last]
-                elo, ehi = boundaries[first], boundaries[last]
-                tasks.append(
-                    (
-                        sorted_ids[lo:hi],
-                        sorted_machines[lo:hi],
-                        position_of[local_u[elo:ehi]] - lo,
-                        position_of[local_v[elo:ehi]] - lo,
-                        y_old[sorted_ids[lo:hi]],
-                    )
+        # Same-machine edges, grouped by machine in one sort.
+        grouping = np.argsort(machine_of_edge, kind="stable")
+        local_u = local_u[grouping]
+        local_v = local_v[grouping]
+        boundaries = np.zeros(num_machines + 1, dtype=np.int64)
+        np.cumsum(counts, out=boundaries[1:])
+        position_of = np.empty(n, dtype=np.int64)
+        position_of[sorted_ids] = np.arange(len(sorted_ids), dtype=np.int64)
+        tasks = []
+        for first, last in executor.partition(num_machines):
+            lo, hi = bounds[first], bounds[last]
+            elo, ehi = boundaries[first], boundaries[last]
+            tasks.append(
+                (
+                    sorted_ids[lo:hi],
+                    sorted_machines[lo:hi],
+                    position_of[local_u[elo:ehi]] - lo,
+                    position_of[local_v[elo:ehi]] - lo,
+                    y_old[sorted_ids[lo:hi]],
                 )
-            results = executor.map_tasks(
-                "matching.machines",
-                tasks,
-                shared={
-                    "oracle": oracle,
-                    "start": t,
-                    "iterations": iterations,
-                    "machines": num_machines,
-                    "w0": w0,
-                    "growth": growth,
-                },
-                phase="compressed-phases",
             )
-            for vertices, times in results:
-                freeze_at[vertices] = times
+        results = executor.map_tasks(
+            "matching.machines",
+            tasks,
+            shared={
+                "oracle": oracle,
+                "start": t,
+                "iterations": iterations,
+                "machines": num_machines,
+                "w0": w0,
+                "growth": growth,
+            },
+            phase="compressed-phases",
+        )
+        for vertices, times in results:
+            freeze_at[vertices] = times
         t += iterations
         d *= (1.0 - epsilon) ** iterations
         phases += 1
@@ -581,37 +561,6 @@ def _scatter_waves(messages: List[tuple], soft_words: int) -> List[List[tuple]]:
     return [wave for wave in waves if wave]
 
 
-def _phase_can_freeze(
-    degree: np.ndarray,
-    y_old: np.ndarray,
-    oracle: ThresholdOracle,
-    start_iteration: int,
-    iterations: int,
-    num_machines: int,
-    w0: float,
-    growth: float,
-) -> bool:
-    """Whether some estimate of a compressed phase can reach ``oracle.low``.
-
-    ``degree`` and ``y_old`` are the phase's starting same-machine
-    degrees and frozen loads over the active vertices.  During the phase
-    degrees only fall, ``y_old`` is fixed and the largest weight is the
-    largest ``w_t``; with the kernel's association, IEEE rounding is
-    monotone in each operand, so ``(m · deg) · w_max + y_old`` bounds
-    every estimate :func:`_machine_insertions` forms.  Every threshold
-    is at least ``low``, so a bound below it freezes no vertex at any
-    step: ``False`` means the machine step would return no freeze.
-    """
-    if degree.size == 0:
-        return False
-    w_max = max(
-        w0 * growth**now
-        for now in range(start_iteration, start_iteration + iterations)
-    )
-    bound = num_machines * degree * w_max + y_old
-    return bool(bound.max() >= oracle.low)
-
-
 def _machine_insertions(
     vertex_ids: np.ndarray,
     machine_of: np.ndarray,
@@ -639,11 +588,6 @@ def _machine_insertions(
     per step decides each vertex exactly as its own machine would.  A
     machine that runs out of active vertices simply contributes nothing
     to later steps.
-
-    The driver dispatches this kernel only when :func:`_phase_can_freeze`
-    says some estimate can reach ``oracle.low``; otherwise every
-    :meth:`ThresholdOracle.crosses_batch` call here would return all
-    ``False``.
 
     Returns ``(vertices, t)`` freezes lexsorted on ``(machine, t,
     position)`` — the order a machine-by-machine replay produces.
@@ -709,9 +653,12 @@ def _direct_simulation(
     attached).  One ship puts it on the leader and one broadcast returns
     the freeze times: 2 charged rounds for the whole tail.
 
-    *Per iteration* otherwise: the tail is charged one round for each
-    iteration the task ran, the MPC cost of simulating Central-Rand one
-    round at a time over all machines.
+    *Per iteration* otherwise: every machine holds an even share of the
+    residual, validated against ``S`` (:func:`_hold_residual`), and the
+    tail is charged one round for each iteration the task ran, the MPC
+    cost of simulating Central-Rand one round at a time over all
+    machines.  Each such round meters that iteration's freeze notices,
+    spread over the machines (:meth:`MPCCluster.spread_exchange`).
 
     The task is the same either way, so the freeze times are identical
     for both forms and every worker count (the parity suite enforces
@@ -742,18 +689,20 @@ def _direct_simulation(
     )
 
     gathered = cluster.fits_leader(words, governor)
+    if gathered:
+        cluster.ship_to_machine(
+            0,
+            "direct_tail",
+            None,
+            words,
+            context="matching: direct tail to leader",
+        )
+    else:
+        _hold_residual(cluster, words, governor)
     key = executor.open_session(
         "matching-direct", {"indptr": csr.indptr, "indices": csr.indices}
     )
     try:
-        if gathered:
-            cluster.ship_to_machine(
-                0,
-                "direct_tail",
-                None,
-                words,
-                context="matching: direct tail to leader",
-            )
         [(ids, times, t)] = executor.map_tasks(
             "matching.direct_tail",
             [
@@ -775,8 +724,19 @@ def _direct_simulation(
         executor.close_session(key)
     freeze_at[ids] = times
     if not gathered:
-        for _ in range(t - start_iteration):
-            cluster.charge_rounds(1, "matching: direct Central-Rand iteration")
+        # Each iteration's freezes reach the machines holding their live
+        # neighbours: one id word per live edge at a newly frozen vertex.
+        notices = np.bincount(
+            times - start_iteration,
+            weights=live_degree[ids],
+            minlength=t - start_iteration,
+        )
+        for words_t in notices.tolist():
+            cluster.spread_exchange(
+                id_words(int(words_t)), "matching: direct Central-Rand iteration"
+            )
+        for machine in cluster.machines():
+            machine.release("direct_tail")
         return t
     # (vertex, iteration) pairs.
     governed_broadcast(
@@ -787,6 +747,30 @@ def _direct_simulation(
     )
     cluster.machine(0).release("direct_tail")
     return t
+
+
+def _hold_residual(cluster: MPCCluster, words: int, governor=None) -> None:
+    """Spread a per-iteration direct tail's residual over every machine.
+
+    Simulating Central-Rand one round at a time, every machine holds an
+    even share ``ceil(words / m)`` of the live residual for the whole
+    tail, so each share is stored, and validated against ``S``, before
+    the tail runs.  A residual that does not fit the cluster is refused
+    (:class:`~repro.mpc.errors.MemoryExceededError`) rather than
+    simulated in memory the machines do not have.  With a governor, a
+    share above the soft watermark degrades: no rung shrinks it, since
+    the machines must hold the whole residual to iterate on it.
+    """
+    share = -(-words // cluster.num_machines)
+    context = "matching: direct tail residual"
+    if governor is not None and share > governor.soft_words:
+        governor.degrade(
+            f"the direct tail's share of {share} words per machine exceeds "
+            f"the soft budget {governor.soft_words}",
+            context,
+        )
+    for machine in cluster.machines():
+        machine.store("direct_tail", None, share, context=context)
 
 
 def direct_tail(

@@ -195,6 +195,23 @@ class MPCCluster:
             self._governor.observe_loads(inbox_words.values(), context)
         return inboxes
 
+    def spread_exchange(self, words: int, context: str = "exchange") -> None:
+        """One superstep moving ``words`` spread evenly over the machines.
+
+        The all-to-all of a vertex-partitioned round, metered without
+        building its messages: every machine sends and receives at most
+        ``ceil(words / m)`` words, validated against ``S``.  Charges one
+        round, as :meth:`exchange` does.
+        """
+        share = -(-words // self.num_machines)
+        if share > self._words_per_machine:
+            raise MemoryExceededError(
+                0, share, self._words_per_machine, f"{context}: inbox"
+            )
+        self._total_comm_words += words
+        self._peak_round_words = max(self._peak_round_words, share)
+        self.charge_rounds(1, context)
+
     def ship_to_machine(
         self,
         destination: int,

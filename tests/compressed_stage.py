@@ -4,8 +4,8 @@ MPC-Simulation starts its degree bound at the input's maximum degree
 ``Δ`` and runs compressed phases only while the bound exceeds the degree
 floor ``(log2 n)^2``.  A sparse G(n, p) has ``Δ`` under the floor and goes
 straight to the direct simulation, so every test of the compressed stage
-(its scatter, its fused machine blocks, its quiet-phase guard, its
-governance) takes its input from :func:`compressed_stage_graph`.
+(its scatter, its fused machine blocks, its governance) takes its input
+from :func:`compressed_stage_graph`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ _BUILDERS = {
     # Δ 214 > floor 85: two dispatched phases; a tight budget fails in
     # the first phase's scatter.
     "dense": lambda: gnp_random_graph(600, 0.3, seed=1),
-    # Δ 341 > floor 85: the second phase's machines hold no edge, so it
-    # is quiet and skips its machine step.
-    "saturated": lambda: gnp_random_graph(600, 0.5, seed=1),
     # Δ 261 > floor 150: the shape of the BENCH_dist powerlaw-a5 cell.
     "powerlaw-5k": lambda: barabasi_albert(5000, 5, seed=1),
 }

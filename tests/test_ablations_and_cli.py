@@ -30,6 +30,16 @@ class TestAblations:
             n=256, memory_factors=(8.0, 0.1), seed=4
         )
         assert rows[0]["status"] == "ok"
+        assert rows[1]["status"].startswith("memory exceeded")
+
+    def test_a04_dense_input_runs_and_breaches_compressed_phases(self):
+        # The default degree 16 keeps Δ under the degree floor, so no
+        # compressed phase runs; at 128 the phases run, and the tight
+        # budget fails in the first one's scatter.
+        rows = ablations.run_a04_memory_ablation(
+            n=256, memory_factors=(8.0, 0.1), avg_degree=128.0, seed=4
+        )
+        assert rows[0]["status"] == "ok"
         assert rows[0]["max_machine_edges"] > 0
         assert rows[1]["status"].startswith("memory exceeded")
 

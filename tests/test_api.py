@@ -51,7 +51,6 @@ from repro.verify.checkers import fractional_columns
 from repro.graph.weighted import WeightedGraph
 from repro.mpc.spec import ClusterSpec
 from repro.ooc.format import load_csr, save_csr
-from tests.compressed_stage import compressed_stage_graph
 
 
 def shared_grid():
@@ -202,7 +201,7 @@ class TestSolverInput:
     def test_degrade_fallback_receives_the_csr(self, monkeypatch, task):
         fallback = (task, _DEGRADE_BACKENDS[task])
         seen = _spy_on_entries(monkeypatch, [fallback])
-        graph = compressed_stage_graph()
+        graph = gnp_random_graph(300, 0.03, seed=1)
         report = solve(
             task, graph, backend="mpc", seed=0, budget=0.05,
             governance={"allow_sparsify": False, "allow_chunk": False},

@@ -33,11 +33,11 @@ live neighbor.  The 17 matching-family pins (``fractional/*``,
 ``matching/mpc``, the n=2000 ``fractional_matching``, ``vertex_cover``,
 ``matching`` and ``one_plus_eps_matching`` cells and their ``report/*``
 cells) were re-captured when MPC-Simulation began its schedule at the
-measured maximum degree ``Δ`` (``d = Δ``, ``w0 = (1-2ε)/Δ``) instead of
-at ``n``: solutions, rounds and words all moved, and the two
-``report/matching`` cells' rounds budget with them (the matching
-``rounds_constant`` went from 40 to 28).  The MIS, baseline and Pregel
-pins did not.
+measured maximum degree ``Δ`` (``d = Δ``, ``w0 = (1-4ε)(1-ε)^2/Δ``,
+two growth steps below the threshold band) instead of at ``n``:
+solutions, rounds and words all moved, and the two ``report/matching``
+cells' rounds budget with them (the matching ``rounds_constant`` went
+from 40 to 28).  The MIS, baseline and Pregel pins did not.
 
 The module also property-tests the array-based substrate validation
 (Lenzen routing loads, clique bandwidth), the batched SHA stream and the
@@ -175,32 +175,32 @@ BASELINE_CASES = {
 }
 
 PINS = {
-    "fractional/congested_clique": "584d9db0d0d3c1d672ed0beaa673909b0ac9681cdd1a77781ba821960d5343c7",
-    "fractional/mpc": "e30eb2d656db42db555cd7e8287ba9307c7eabbd48b29500426bbd3311f3971f",
-    "fractional_matching/mpc/n2000/seed1": "6c5a8496959c7c7d2506c04f7fe303273acba3d3905ed65cf2fa92ef74680ad2",
-    "fractional_matching/mpc/n2000/seed2": "be4bf25e90f6b0948eb50b38f3c05a84e6e5d367b9525d6751e2517c2f17f972",
+    "fractional/congested_clique": "14eb82c797fa8b5a939a9e9c0248e448a426b34f921615ab8759cbd23af6e77e",
+    "fractional/mpc": "673e725f288b3691fc073442ff4eaab8e7fcca7dafcb441bff342470a8b9daf0",
+    "fractional_matching/mpc/n2000/seed1": "5c756fce997a067e9b08d445057011d153c1908799297b0b3d9499d80cf0bb54",
+    "fractional_matching/mpc/n2000/seed2": "d26366c1747c6bbd40cc6317cc5d4c4de471c3e69fa45ef14660d80fd8957b7d",
     "israeli_itai": "47eed39d4c0274eab55fd49bc7baa038b5f9bf392daff924d51e9025e5ce019c",
     "luby": "f77e102d6259b7e96d985e94f818c0e25b6a9ab7b1558000d56a391d3e5b927c",
-    "matching/mpc": "3f49fb55983a4dcc022f926c2a4402c8484dae2ca5cc2f13cc2424371063dbd8",
-    "matching/mpc/n2000/seed1": "3ea5bb30a8e161a3c99112a6a0726ccda6f7c24e714a1d4389b2652388fc5c17",
-    "matching/mpc/n2000/seed2": "275463d3f6988880297e42e5523741ccdd1fa85059167da5a0cef2b77c5b848d",
+    "matching/mpc": "b970780ab91399e6117b624118dbd2891bc2eb9958a8b7e1f7c3bcca23a09cb8",
+    "matching/mpc/n2000/seed1": "dd98d84af80d95c95a1588b2b0fe066954b4aba33363a49076a1ce512c27d9d7",
+    "matching/mpc/n2000/seed2": "328cb4e6093764a5784c651a0713092d4554f07457f0b1c3b0f0528c9ebb3156",
     "matching/pregel": "c3acf958e8d1e5172c70a12a60a9cd016aff2446763b9ebec02db9ca8296f185",
     "mis/congested_clique/dense": "93186594464b1d58171e110a8d093ef4695cfd733ecf4256709d3d9e21d1cdaa",
     "mis/congested_clique/sparse": "c597f125f0408c12fbe20548c9781a9450f51dc147988201cd57c7aa4422995f",
     "mis/pregel": "0faefe166cbd0c51e281517f4583354f6bfc912cbbf8ebfd5313815762deaeec",
-    "one_plus_eps_matching/mpc/n2000/seed1": "ff3cfa824d1038f6b99304766e04d4b6e40c602f81323126aaee1362da8a5be1",
-    "one_plus_eps_matching/mpc/n2000/seed2": "9896dc6acbaf892390d60f9eefc13be202551220193b7373af671505843db2f0",
+    "one_plus_eps_matching/mpc/n2000/seed1": "14ceecb65470197effabd90ef000b958725506971e3bf5a5ad88df1dc7d51ba1",
+    "one_plus_eps_matching/mpc/n2000/seed2": "48e36fee94cfa5b249dd1325d1cd046044f6bda812ce30da9b75c4ba8acc24a7",
     "parallel_greedy": "42bce1427a0a72eb377430b9c258e4606edbfeffe4487b0b15813871d92595c8",
-    "report/fractional_matching/mpc/n2000/seed1": "0dc1e2114beb37d9643b0557336c0300e8cfb978a631d2b5980113e6ca3730ba",
-    "report/fractional_matching/mpc/n2000/seed2": "40b0c41492b5feea85aceb5f620fca30494c6f0bc0e5b1640c3b74269dbf6a90",
-    "report/matching/mpc/n2000/seed1": "bee8dc2e514e86e1b56a0216757808032f2ea7d7f74bdd6b0b82facf76b3dc3d",
-    "report/matching/mpc/n2000/seed2": "cac277b97c17891edc8bd8b37d556cbfc9ade6086b6835dca21479bfc64db7dc",
+    "report/fractional_matching/mpc/n2000/seed1": "2b1fd9c94c1bf6f898391bae85e3d2af71f5922f3f02e20008a51f89285bc630",
+    "report/fractional_matching/mpc/n2000/seed2": "64b0878ce6ead8e4198533146421a843ec47c3b502bbc6d82f8de4dd7c6a6510",
+    "report/matching/mpc/n2000/seed1": "c01dbbd93b62f6be0891fbaf18559246092e62324349361445caad00ea07bd07",
+    "report/matching/mpc/n2000/seed2": "5ece582d4228e16831b6f8287a2cc1673548857d35fc07eb17b5d9ec264eae0d",
     "report/mis/mpc/n2000/seed1": "eafcaf666c4cdf0e4f7e0179427545567b90b4e12f6ca6c62ba42226aa77a8a7",
     "report/mis/mpc/n2000/seed2": "9a987249c2e78a153c63c74048f22047d9349770a57f2cde5c45806ed61d0314",
-    "report/vertex_cover/mpc/n2000/seed1": "b586b0f1370bdd6c7792fb62de4d5a1688ecc7caf58fc666566203228827d78b",
-    "report/vertex_cover/mpc/n2000/seed2": "4d2acfbdfa8777503f86f35bf841e0b3dde1771fb1f1ffc61b0cdc590ab63fb0",
-    "vertex_cover/mpc/n2000/seed1": "bfadb34af6e243d5526ee0cac3053e65148459067d5f1b825afbac047cfaa819",
-    "vertex_cover/mpc/n2000/seed2": "55a9c6ea27c4ea35a4bcea36a356c7ca7eef78f042551e9f61a3eaa578d37edc",
+    "report/vertex_cover/mpc/n2000/seed1": "76e80c91c01cf9733310ae35d04bacbea9cded129f128fb3d13a3b08660c348c",
+    "report/vertex_cover/mpc/n2000/seed2": "74b5f639107943bec3d423b24759e790c1d16c84b89c4d91ff2b295058c4d99c",
+    "vertex_cover/mpc/n2000/seed1": "1e4fe4d227476936b11a59e25e9a8f7322619ba4670615881a38f1d4c7275bbf",
+    "vertex_cover/mpc/n2000/seed2": "f0e2b67b0a16ec989ca328c7a39b0c9d2d7d5e36795865aa483c68def49914cb",
 }
 
 

@@ -16,19 +16,39 @@ class TestMemoryEnforcement:
         """The O(n/polylog) regime needs the adjusted algorithm of
         [CŁM+18]; the plain simulation must refuse rather than silently
         overfill machines."""
-        g = compressed_stage_graph("dense")
+        g = gnp_random_graph(512, 0.06, seed=1)
         config = MatchingConfig(memory_factor=0.1)
         with pytest.raises(MemoryExceededError) as excinfo:
             mpc_fractional_matching(g, config=config, seed=1)
-        assert excinfo.value.capacity_words == 64 or excinfo.value.capacity_words == int(0.1 * 600)
+        assert excinfo.value.capacity_words == 64 or excinfo.value.capacity_words == int(0.1 * 512)
 
     def test_error_carries_context(self):
-        g = compressed_stage_graph("dense")
+        g = gnp_random_graph(512, 0.06, seed=2)
         with pytest.raises(MemoryExceededError) as excinfo:
             mpc_fractional_matching(
                 g, config=MatchingConfig(memory_factor=0.1), seed=2
             )
         assert "matching" in excinfo.value.context
+
+    @pytest.mark.parametrize(
+        "kind, stage",
+        [("sparse", "direct tail residual"), ("dense", "phase 1 scatter")],
+    )
+    def test_refused_where_the_input_first_meets_the_machines(self, kind, stage):
+        # Δ under the floor: no phase runs, and the per-iteration direct
+        # tail's even share of the residual overflows S.  Δ over the
+        # floor: the first compressed phase's scatter overflows S.
+        g = (
+            gnp_random_graph(512, 0.06, seed=1)
+            if kind == "sparse"
+            else compressed_stage_graph("dense")
+        )
+        with pytest.raises(MemoryExceededError) as excinfo:
+            mpc_fractional_matching(
+                g, config=MatchingConfig(memory_factor=0.1), seed=1
+            )
+        assert excinfo.value.context.startswith(f"matching: {stage}")
+        assert excinfo.value.capacity_words == max(64, int(0.1 * g.num_vertices))
 
     def test_generous_memory_never_raises(self):
         g = gnp_random_graph(512, 0.06, seed=3)

@@ -384,7 +384,7 @@ class TestFacadeGovernance:
         from repro.graph.csr import CSRGraph
         from repro.ooc.format import load_csr, save_csr
 
-        graph = CSRGraph.from_graph(compressed_stage_graph())
+        graph = CSRGraph.from_graph(gnp_random_graph(300, 0.03, seed=1))
         if representation == "mmap":
             save_csr(graph, tmp_path)
             graph = load_csr(tmp_path)
@@ -394,6 +394,24 @@ class TestFacadeGovernance:
         )
         assert report.valid
         assert report.extras["governance"]["degraded_to"] == fallback
+
+    @pytest.mark.parametrize("task", MPC_TASKS[1:])
+    def test_direct_tail_breach_degrades(self, task):
+        # Δ is under the degree floor, so no compressed phase runs: the
+        # budget is met first by the per-iteration direct tail, whose
+        # even share of the residual overflows every machine.
+        graph = gnp_random_graph(300, 0.03, seed=1)
+        context = "matching: direct tail residual"
+        with pytest.raises(MemoryExceededError) as excinfo:
+            solve(task, graph, backend="mpc", seed=0, budget=0.05)
+        assert excinfo.value.context.startswith(context)
+        report = solve(
+            task, graph, backend="mpc", seed=0, budget=0.05, governance=True
+        )
+        assert report.valid
+        record = report.extras["governance"]
+        assert record["triggered"] and record["degraded"]
+        assert record["events"][-1]["context"] == context
 
     def test_every_rung_disabled_preserves_failure(self):
         policy = {

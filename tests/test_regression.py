@@ -8,7 +8,7 @@ change is intentional (e.g. an algorithmic fix), update the pins in the
 same commit and say why.  The matching-family pins (fractional,
 integral, per-pass and E6 rounding) were re-captured when
 MPC-Simulation began its schedule at the measured maximum degree
-instead of at ``n``.
+instead of at ``n``, two growth steps below the threshold band.
 
 The library's randomness is built on ``random.Random``, SHA-256-keyed
 streams and the SplitMix64 counter generator (the MPC and
@@ -44,19 +44,19 @@ class TestPinnedOutputs:
 
     def test_fractional_matching_pin(self, pinned_graph):
         result = mpc_fractional_matching(pinned_graph, seed=123)
-        assert result.weight == pytest.approx(33.270907, abs=1e-5)
-        assert len(result.vertex_cover) == 82
-        assert result.rounds == 20
+        assert result.weight == pytest.approx(33.552154, abs=1e-5)
+        assert len(result.vertex_cover) == 80
+        assert result.rounds == 24
 
     def test_integral_matching_pin(self, pinned_graph):
         result = mpc_maximum_matching(pinned_graph, seed=123)
-        assert len(result.matching) == 47
+        assert len(result.matching) == 44
         rows = sorted(map(tuple, result.matching.tolist()))
-        assert rows[:4] == [(0, 4), (1, 79), (2, 29), (3, 66)]
+        assert rows[:4] == [(0, 57), (1, 85), (2, 66), (3, 60)]
 
     def test_integral_matching_per_pass_pin(self, pinned_graph):
         result = mpc_maximum_matching(pinned_graph, seed=123)
-        assert result.per_pass_sizes == [6, 5, 5, 1, 1, 3, 2, 3, 2, 4, 3, 1]
+        assert result.per_pass_sizes == [7, 6, 5, 3, 2, 2, 1, 1, 2, 3, 2, 1]
 
     def test_central_pin(self, pinned_graph):
         result = central_fractional_matching(pinned_graph, epsilon=0.1, seed=123)
@@ -74,7 +74,7 @@ def test_e06_rounding_pin():
     rows = run_e06_rounding(sizes=(512, 1024, 2048))
     fields = ("n", "candidates", "rounded_matching", "proposals", "collisions")
     assert [tuple(row[f] for f in fields) for row in rows] == [
-        (512, 494, 34, 38, 4),
-        (1024, 985, 64, 75, 11),
-        (2048, 1958, 120, 144, 24),
+        (512, 496, 27, 34, 7),
+        (1024, 982, 67, 77, 10),
+        (2048, 1958, 118, 145, 27),
     ]
